@@ -62,9 +62,7 @@ from .sequence import (
     transition_probability,
 )
 from .spinlin import (
-    POLICY,
     ContractViolation,
-    NumericPolicy,
     expectation,
     matexp_antihermitian,
     overlap_probability,

@@ -191,27 +191,46 @@ def transfer_value(omega_signal, omega_rabi: float, tau: float):
 
     ``K(w) = sqrt(2/pi) Om |cos(Om tau/2) - cos(w tau/2)| / |Om^2 - w^2|``.
     The removable singularity at w = Om is evaluated by a series branch for
-    |w - Om| < 1e-6 Om, where cancellation would otherwise dominate.
-    Accepts scalars or arrays for ``omega_signal``.
+    |w - Om| < 1e-6 Om, where cancellation would otherwise dominate.  Each
+    branch sees only the points it serves, so neither overflows on the
+    other's.  Accepts scalars or arrays for ``omega_signal``.
     """
     w = np.asarray(omega_signal, dtype=float)
     om = omega_rabi
     a = om * tau / 2.0
     h = w - om
     near = np.abs(h) < 1e-6 * om
-    # series branch: numerator of (cos a - cos(w tau/2))/(Om^2 - w^2) expanded in h
+    if w.ndim == 0:
+        return float(_transfer_series(h, om, tau, a) if near
+                     else _transfer_direct(w, om, tau, a))
+    # zero the inputs a branch does not serve; the where discards its value there
+    return np.where(near, _transfer_series(h * near, om, tau, a),
+                    _transfer_direct(np.where(near, 0.0, w), om, tau, a))
+
+
+def _transfer_series(h, om: float, tau: float, a: float):
+    """K near w = Om: the numerator of (cos a - cos(w tau/2))/(Om^2 - w^2) expanded in h."""
     num_series = np.abs(np.sin(a) * (tau / 2.0)
                         + np.cos(a) * h * tau**2 / 8.0
                         - np.sin(a) * h**2 * tau**3 / 48.0)
-    k_near = math.sqrt(2.0 / math.pi) * om * num_series / (2.0 * om + h)
-    denom = np.where(near, 1.0, np.abs(om**2 - w**2))
-    k_far = math.sqrt(2.0 / math.pi) * om * np.abs(np.cos(a) - np.cos(w * tau / 2.0)) / denom
-    vals = np.where(near, k_near, k_far)
-    return float(vals) if vals.ndim == 0 else vals
+    return math.sqrt(2.0 / math.pi) * om * num_series / (2.0 * om + h)
 
 
-def _check_alpha_quadrant(alpha: float) -> None:
-    if not 0.0 < alpha <= math.pi / 2:
+def _transfer_direct(w, om: float, tau: float, a: float):
+    """K away from w = Om, from the closed form."""
+    # beyond |w| ~ 1e154 the square overflows to inf and K to 0, its limit
+    with np.errstate(over="ignore"):
+        denom = np.abs(om**2 - w**2)
+    return math.sqrt(2.0 / math.pi) * om * np.abs(np.cos(a) - np.cos(w * tau / 2.0)) / denom
+
+
+def check_alpha_quadrant(alpha: float) -> None:
+    """Raise ValueError unless alpha lies in (0, pi/2].
+
+    An excess of up to 1e-12 relative is accepted as rounding: a flip angle
+    recomputed as 0.5 * Om * (2 alpha / Om) can land one ulp above pi/2.
+    """
+    if not 0.0 < alpha <= (math.pi / 2) * (1.0 + 1e-12):
         raise ValueError(f"alpha must lie in (0, pi/2], got {alpha}")
 
 
@@ -221,7 +240,7 @@ def time_resolution_fwhm(tau: float, alpha: float) -> float:
     Equals (2/3) tau at alpha = pi/2 and tends to tau/2 as alpha -> 0.
     Defined for alpha in (0, pi/2] where the kernel is single-peaked.
     """
-    _check_alpha_quadrant(alpha)
+    check_alpha_quadrant(alpha)
     return tau * (1.0 - math.asin(math.sin(alpha) / 2.0) / alpha)
 
 
@@ -235,7 +254,7 @@ def rise_time(tau: float, omega: float, band: str) -> float:
     with these closed forms only in the alpha -> 0 limit.
     """
     alpha = omega * tau / 2.0
-    _check_alpha_quadrant(alpha)
+    check_alpha_quadrant(alpha)
     if band == "r20_80":
         arg = (2.0 * math.cos(2 * alpha) + 3.0) / 5.0
     elif band == "r10_90":
@@ -258,7 +277,7 @@ def equivalent_duration(tau: float, alpha: float) -> float:
 
 def bandwidth_first_root(omega: float, alpha: float) -> float:
     """First zero of the transfer function, ``Om (2 pi / a - 1)``; 3 Om at a = pi/2."""
-    _check_alpha_quadrant(alpha)
+    check_alpha_quadrant(alpha)
     return omega * (2.0 * math.pi / alpha - 1.0)
 
 
@@ -270,7 +289,7 @@ def bandwidth_3db(omega: float, alpha: float, rel_tol: float = 1e-12) -> float:
     [1 + 1e-9, 2 pi / a] followed by bisection to ``rel_tol`` relative;
     returns y * Om (~ 1.19 Om at alpha = pi/2).
     """
-    _check_alpha_quadrant(alpha)
+    check_alpha_quadrant(alpha)
 
     def f(y: float) -> float:
         return ((y * y - 1.0) * (1.0 - math.cos(alpha)) / math.sqrt(2.0)

@@ -5,7 +5,8 @@ column names), so repeated runs produce byte-identical files.  Frequencies
 on the command line accept cycle (Hz-family) or angular (rad/s-family)
 suffixes and are converted to rad/s internally; see :mod:`qslsense.units`.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
+a floating-point overflow, division by zero or invalid operation).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, labframe, optimize, response, sequence
+from . import analytic, labframe, optimize, response, sequence, spinlin
 from .analytic import NumericError
 from .response import FitError
 from .units import ConfigError, parse_quantity
@@ -72,7 +73,11 @@ class Params:
             if default is None:
                 raise ConfigError(f"missing required parameter --{name}")
             return default
-        return parse_quantity(str(self.values[name]), kind, field=name)
+        value = parse_quantity(str(self.values[name]), kind, field=f"--{name}")
+        # every quantity is positive; only a signal frequency may also be zero
+        if value < 0 or (value == 0 and name != "signal-freq"):
+            raise ConfigError(f"--{name} must be positive, got {self.values[name]!r}")
+        return value
 
     def frequency(self, name, default=None):
         return self._get(name, "frequency", default)
@@ -83,14 +88,11 @@ class Params:
     def angle(self, name, default=None):
         return self._get(name, "angle", default)
 
-    def field(self, name, default=None):
-        return self._get(name, "field", default)
-
-    def number(self, name, default=None):
-        return self._get(name, "dimensionless", default)
-
     def integer(self, name, default=None):
-        return int(round(self._get(name, "dimensionless", default)))
+        value = self._get(name, "dimensionless", default)
+        if value != int(value):
+            raise ConfigError(f"--{name} must be a whole number, got {self.values[name]!r}")
+        return int(value)
 
     def text(self, name, default=None):
         val = self.values.get(name, default)
@@ -122,19 +124,17 @@ def resolve_pulse(params: Params) -> tuple[float, float, float]:
         alpha = params.angle("alpha")
         tau = params.time("tau")
         omega = 2.0 * alpha / tau
-    if omega <= 0 or tau <= 0:
-        raise ConfigError("pulse parameters must be positive")
+    if not all(0.0 < x < math.inf for x in (omega, tau, alpha)):
+        raise ConfigError(f"pulse out of range: rabi {omega:.6g} rad/s, tau {tau:.6g} s")
     return omega, tau, alpha
 
 
-def _default_model(omega: float, chi: float = 0.0,
-                   zeeman_hz: float = 1e9) -> labframe.NvModel:
-    """Moderate-field model resonant with the sensing transition at the given Rabi rate."""
-    b1 = labframe.b1_for_rabi(omega)
-    b0 = TWO_PI * zeeman_hz / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA)
-    model = labframe.NvModel(b0=b0, b1=b1, chi=chi)
-    return labframe.NvModel(d=model.d, gamma_e=model.gamma_e, b0=b0, b1=b1,
-                            carrier=labframe.resonant_carrier(model), chi=chi)
+def _check_flip_angle(alpha: float) -> None:
+    """The closed-form metrics and the kernel's probe width need alpha in (0, pi/2]."""
+    try:
+        analytic.check_alpha_quadrant(alpha)
+    except ValueError as exc:
+        raise ConfigError(f"flip angle (--alpha, or rabi*tau/2): {exc}") from exc
 
 
 def _make_runner(params: Params, omega: float, tau: float):
@@ -146,13 +146,16 @@ def _make_runner(params: Params, omega: float, tau: float):
             with open(params.text("config")) as fh:
                 model, _, _ = labframe.config_from_json(fh.read())
         else:
-            model = _default_model(omega)
+            # moderate field: the Zeeman shift ge B0 is 1 GHz
+            model = labframe.NvModel.resonant(
+                omega, TWO_PI * 1e9 / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
         return response.LabFrameRunner(model, tau=tau)
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
 
 def cmd_metrics(params: Params, out: str, expensive: bool) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
+    _check_flip_angle(alpha)
     rep = analytic.metrics_report(omega, tau)
     write_csv(out,
               ["omega_rad_s", "tau_s", "alpha_rad", "t_fwhm_s", "t_20_80_s",
@@ -163,14 +166,25 @@ def cmd_metrics(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_kernel(params: Params, out: str, expensive: bool) -> list[str]:
-    omega, tau, alpha = resolve_pulse(params)
-    n = params.integer("points", 121)
-    sim = _make_runner(params, omega, tau)
+def _kernel(sim, tau: float, alpha: float, n: int):
+    """(t, normalized kernel) pairs on n delays over 1.1 tau, probed at fwhm/12."""
     probe = analytic.time_resolution_fwhm(tau, alpha) / 12.0
     grid = np.linspace(-0.55 * tau, 0.55 * tau, n)
     est = response.estimate_kernel(sim, probe, grid)
-    response.write_kernel_csv(out, est)
+    return zip(est.times, est.values / est.normalization)
+
+
+def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
+    """Bode gains on n frequencies over [0, wmax] at a stimulus phase of 1e-3 rad."""
+    return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (sim.gamma * tau))
+
+
+def cmd_kernel(params: Params, out: str, expensive: bool) -> list[str]:
+    omega, tau, alpha = resolve_pulse(params)
+    _check_flip_angle(alpha)
+    n = params.integer("points", 121)
+    rows = _kernel(_make_runner(params, omega, tau), tau, alpha, n)
+    write_csv(out, ["t_s", "k_norm"], rows)
     return [out]
 
 
@@ -178,11 +192,9 @@ def cmd_bode(params: Params, out: str, expensive: bool) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
     n = params.integer("points", 34)
     wmax = params.frequency("max-freq", 3.3 * omega)
-    sim = _make_runner(params, omega, tau)
-    amp = 1e-3 / (sim.gamma * tau)
-    grid = np.linspace(0.0, wmax, n)
-    series = response.bode_response(sim, grid, amp)
-    response.write_bode_csv(out, series)
+    series = _bode(_make_runner(params, omega, tau), tau, wmax, n)
+    write_csv(out, ["omega_rad_s", "gain_norm", "chi_rad"],
+              [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])
     return [out]
 
 
@@ -213,11 +225,7 @@ def cmd_fig3b(params: Params, out: str, expensive: bool) -> list[str]:
         alpha = math.radians(deg)
         tau = 2.0 * alpha / omega
         sim = response.RotatingFrameRunner(omega, tau)
-        probe = analytic.time_resolution_fwhm(tau, alpha) / 12.0
-        grid = np.linspace(-0.55 * tau, 0.55 * tau, n)
-        est = response.estimate_kernel(sim, probe, grid)
-        for t, v in zip(est.times, est.values / est.normalization):
-            rows.append([alpha, t, v])
+        rows.extend((alpha, t, v) for t, v in _kernel(sim, tau, alpha, n))
     write_csv(out, ["alpha_rad", "t_s", "k_norm"], rows)
     return [out]
 
@@ -229,12 +237,8 @@ def cmd_fig3c(params: Params, out: str, expensive: bool) -> list[str]:
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
         tau = 2.0 * alpha / omega
-        sim = response.RotatingFrameRunner(omega, tau)
-        amp = 1e-3 / (sim.gamma * tau)
-        grid = np.linspace(0.0, 3.3 * omega, n)
-        series = response.bode_response(sim, grid, amp)
-        for w, g in zip(series.frequencies, series.gains):
-            rows.append([alpha, w, g])
+        series = _bode(response.RotatingFrameRunner(omega, tau), tau, 3.3 * omega, n)
+        rows.extend((alpha, w, g) for w, g in zip(series.frequencies, series.gains))
     write_csv(out, ["alpha_rad", "omega_rad_s", "gain_norm"], rows)
     return [out]
 
@@ -246,73 +250,56 @@ def cmd_fig3d(params: Params, out: str, expensive: bool) -> list[str]:
     wgrid = np.linspace(0.0, 4.0 * omega, n_w)
     tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
     surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
-    optimize.write_surface_csv(out, surface)
+    # a generator: the surface has n_w * n_t rows
+    write_csv(out, ["omega_rad_s", "tau_s", "eta_s"],
+              ((w, tau, surface.values[i, j])
+               for i, w in enumerate(surface.omega_grid)
+               for j, tau in enumerate(surface.tau_grid)))
     ridge_out = os.path.splitext(out)[0] + "_ridge.csv"
-    optimize.write_ridge_csv(ridge_out, surface)
+    write_csv(ridge_out, ["omega_rad_s", "tau_star_s"], surface.ridge)
     return [out, ridge_out]
 
 
-def fig4d_model(rabi: float, expensive: bool) -> labframe.NvModel:
-    """Resonant fig-4d model; scaled bias keeps the carrier far above the drive.
+def cmd_fig4d(params: Params, out: str, expensive: bool) -> list[str]:
+    """p(+stim), p(-stim), p(reference) per Rabi rate for ms0 and ms-1 prep/readout.
 
-    The scaled bias (ge B0 = 60 D) preserves the saturated transition
+    The default scaled bias (ge B0 = 60 D) preserves the saturated transition
     splitting of 2 D and keeps Rabi/carrier small over the whole sweep,
-    matching the physics of the full 40 T run at desk-scale cost.
+    matching the physics of the full 40 T run (``--expensive``) at desk-scale
+    cost.
     """
-    b1 = labframe.b1_for_rabi(rabi)
+    n = params.integer("points", 13)
+    d = TWO_PI * labframe.D_NV_CYCLES
     if expensive:
         b0 = 40.0
     else:
-        b0 = 60.0 * (TWO_PI * labframe.D_NV_CYCLES) / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA)
-    base = labframe.NvModel(b0=b0, b1=b1)
-    return labframe.NvModel(d=base.d, gamma_e=base.gamma_e, b0=b0, b1=b1,
-                            carrier=labframe.resonant_carrier(base))
-
-
-def fig4d_sweep(rabi_grid, expensive: bool = False):
-    """p(+stim), p(-stim), p(reference) per Rabi rate for ms0 and ms-1 prep/readout."""
+        b0 = 60.0 * d / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA)
     rows = []
-    for omega in rabi_grid:
-        model = fig4d_model(omega, expensive)
+    for omega in np.geomspace(0.1 * d, 8.0 * d, n):
+        model = labframe.NvModel.resonant(omega, b0)
         tau = math.pi / omega
         bs = model.b1 / (10.0 * math.sqrt(2.0))
         stims = [labframe.Stimulus.constant(bs), labframe.Stimulus.constant(-bs), None]
         row = [omega]
         for prep in ("ms0", "ms_minus1"):
-            protocol = labframe.bipartite_protocol(tau, prep=prep)
-            p = labframe.run_protocol_batch(model, stims, protocol)
+            p = labframe.run_protocol_batch(model, stims, labframe.bipartite_protocol(tau, prep))
             row.extend([p[0], p[1], p[2]])
         rows.append(row)
-    return rows
-
-
-def cmd_fig4d(params: Params, out: str, expensive: bool) -> list[str]:
-    n = params.integer("points", 13)
-    d = TWO_PI * labframe.D_NV_CYCLES
-    rabi_grid = np.geomspace(0.1 * d, 8.0 * d, n)
-    rows = fig4d_sweep(rabi_grid, expensive)
     write_csv(out,
               ["rabi_rad_s", "p_plus_ms0", "p_minus_ms0", "p_ref_ms0",
                "p_plus_msm1", "p_minus_msm1", "p_ref_msm1"], rows)
     return [out]
 
 
-def offaxis_model(chi: float) -> labframe.NvModel:
-    """Scaled off-axis model: small splitting and bias so the sensing transition
-    sits near 0.75 GHz, keeping runs near the Larmor frequency affordable."""
-    omega = TWO_PI * 20e6
-    b1 = labframe.b1_for_rabi(omega)
-    b0 = 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
-    base = labframe.NvModel(d=TWO_PI * 0.5e9, b0=b0, b1=b1, chi=chi)
-    return labframe.NvModel(d=base.d, gamma_e=base.gamma_e, b0=b0, b1=b1,
-                            carrier=labframe.resonant_carrier(base), chi=chi)
-
-
 def cmd_offaxis(params: Params, out: str, expensive: bool) -> list[str]:
     n = params.integer("points", 11)
     rows = []
     for deg in (0.0, 20.0, 45.0):
-        model = offaxis_model(math.radians(deg))
+        # scaled model: small splitting and bias put the sensing transition
+        # near 0.75 GHz, keeping runs near the Larmor frequency affordable
+        model = labframe.NvModel.resonant(
+            TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
+            d=TWO_PI * 0.5e9, chi=math.radians(deg))
         sim = response.LabFrameRunner(model)
         amp = model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
         grid = np.linspace(0.25 * sim.omega, 2.5 * sim.omega, n)
@@ -344,7 +331,6 @@ def cmd_optimal(params: Params, out: str, expensive: bool) -> list[str]:
 def cmd_qsl(params: Params, out: str, expensive: bool) -> list[str]:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
     omega = params.frequency("rabi")
-    from . import spinlin
     _, sy, _ = spinlin.spin_operators("half")
     inp = analytic.QslInput(hamiltonian=omega * sy,
                             state=np.array([1.0, 0.0], dtype=complex),
@@ -435,7 +421,10 @@ def run(config: RunConfig) -> int:
     handler = COMMANDS[config.command]
     outdir = os.environ.get(OUTDIR_ENV, ".")
     out = config.output_path or os.path.join(outdir, f"{config.command}.csv")
-    paths = handler(Params(config.parameters), out, config.expensive)
+    # overflow, division by zero or an invalid operation is a numeric failure,
+    # never a silent inf or nan in the output
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        paths = handler(Params(config.parameters), out, config.expensive)
     for p in paths:
         print(p)
     return 0
@@ -482,7 +471,6 @@ def run_checks() -> int:
     add("timeshare/phase optimum at (0.5, pi/2)", optimum)
 
     def qsl():
-        from . import spinlin
         _, sy, _ = spinlin.spin_operators("half")
         t_var, t_mean = analytic.qsl_times(analytic.QslInput(
             2.0 * sy, np.array([1.0, 0.0], dtype=complex), -1.0))
@@ -518,7 +506,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, FitError) as exc:
+    except (NumericError, FitError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

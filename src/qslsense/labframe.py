@@ -90,6 +90,18 @@ class NvModel:
         return cls(d=TWO_PI * d_hz, gamma_e=TWO_PI * gamma_e_hz_per_t,
                    b0=b0_t, b1=b1_t, carrier=TWO_PI * carrier_hz, chi=chi_rad)
 
+    @classmethod
+    def resonant(cls, rabi: float, b0: float, d: float = TWO_PI * D_NV_CYCLES,
+                 chi: float = 0.0) -> "NvModel":
+        """Model driven at Rabi rate ``rabi`` (rad/s) by a carrier resonant with ms0 <-> ms-1.
+
+        ``b0`` is the axial bias in tesla; b1 comes from :func:`b1_for_rabi`
+        and the carrier is :func:`resonant_carrier`'s ``D + ge B0``.
+        """
+        gamma_e = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
+        return cls(d=d, gamma_e=gamma_e, b0=b0, b1=b1_for_rabi(rabi, gamma_e),
+                   carrier=d + gamma_e * b0, chi=chi)
+
 
 @dataclass(frozen=True)
 class Stimulus:
@@ -174,13 +186,15 @@ class Protocol:
         return max((w.stop for w in self.windows), default=0.0)
 
 
-def bipartite_protocol(tau: float, prep: str = "ms0", readout: str | None = None,
-                       phase_jump: float = PHASE_JUMP) -> Protocol:
-    """Two equal pulse windows over [0, tau], second carrier-phase-shifted by ``phase_jump``."""
+def bipartite_protocol(tau: float, prep: str = "ms0") -> Protocol:
+    """Two equal pulse windows over [0, tau], second carrier-phase-shifted by :data:`PHASE_JUMP`.
+
+    Preparation and readout are both in the ``prep`` basis.
+    """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    windows = (PulseWindow(0.0, tau / 2, 0.0), PulseWindow(tau / 2, tau, phase_jump))
-    return Protocol(windows, prep=prep, readout=prep if readout is None else readout)
+    windows = (PulseWindow(0.0, tau / 2, 0.0), PulseWindow(tau / 2, tau, PHASE_JUMP))
+    return Protocol(windows, prep=prep, readout=prep)
 
 
 def basis_state(label: str) -> np.ndarray:
@@ -311,14 +325,9 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
             ham = (base[None, :, :]
                    + mvals[i] * _SX[None, :, :]
                    + (model.gamma_e * bs[:, i])[:, None, None] * axial[None, :, :])
-            if model.chi != 0.0 or on:
-                w, v = np.linalg.eigh(ham)
-                u = (v * np.exp(-1j * w * h)[:, None, :]) @ np.swapaxes(v, 1, 2)
-                psis = np.einsum("kij,kj->ki", u, psis)
-            else:
-                # drive off, chi = 0: H is diagonal
-                diag = np.einsum("kii->ki", ham)
-                psis = np.exp(-1j * diag * h) * psis
+            w, v = np.linalg.eigh(ham)
+            u = (v * np.exp(-1j * w * h)[:, None, :]) @ np.swapaxes(v, 1, 2)
+            psis = np.einsum("kij,kj->ki", u, psis)
     return psis
 
 
@@ -395,14 +404,6 @@ def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
         pops[i] = np.abs(psi) ** 2
         sz[i] = spinlin.expectation(SZ1, psi)
     return times, pops, sz
-
-
-def write_trace_csv(path, times, pops, sz) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_s,pop_ms_minus1,pop_ms0,pop_ms_plus1,sz_expect\n")
-        for i in range(len(times)):
-            fh.write("%.12g,%.12g,%.12g,%.12g,%.12g\n"
-                     % (times[i], pops[i, 0], pops[i, 1], pops[i, 2], sz[i]))
 
 
 def model_to_dict(model: NvModel) -> dict:

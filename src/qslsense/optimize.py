@@ -43,13 +43,15 @@ class SensitivitySurface:
             raise ValueError("surface values must be finite")
 
 
-def golden_section_max(f, a: float, b: float, tol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, float]:
-    """Maximize a unimodal function on [a, b]; returns (x, f(x))."""
+def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Maximize a unimodal function on [a, b]; returns (x, f(x)).
+
+    Stops once the bracket is narrower than ``tol`` relative, or after 200 steps.
+    """
     c = b - (b - a) * _INV_GOLDEN
     d = a + (b - a) * _INV_GOLDEN
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if abs(b - a) <= tol * max(abs(a), abs(b), 1.0):
             break
         if fc > fd:
@@ -77,13 +79,14 @@ def sinusoid_sensitivity(omega_signal, omega_rabi: float, tau: float):
         omega_signal, omega_rabi, tau)
 
 
-def scan_timeshare_phase(omega: float, tau: float, k_grid=None, theta_grid=None,
-                         tol: float = 1e-9) -> tuple[float, float, float]:
+def scan_timeshare_phase(omega: float, tau: float, k_grid=None,
+                         theta_grid=None) -> tuple[float, float, float]:
     """Locate the (timeshare, phase-jump) pair maximizing |sensitivity|.
 
     Scans the grids (defaults: 41 points over [0, 1] and [0, pi]), then
-    refines each axis with golden-section search.  The objective is
-    separable in (k, theta), so one refinement pass per axis suffices.
+    refines each axis with golden-section search to 1e-9 relative.  The
+    objective is separable in (k, theta), so one refinement pass per axis
+    suffices.
     Returns (k*, theta*, |eta|*).
     """
     k_grid = np.linspace(0.0, 1.0, 41) if k_grid is None else np.asarray(k_grid, float)
@@ -104,19 +107,20 @@ def scan_timeshare_phase(omega: float, tau: float, k_grid=None, theta_grid=None,
 
     lo = k_grid[max(i - 1, 0)]
     hi = k_grid[min(i + 1, len(k_grid) - 1)]
-    k_best, _ = golden_section_max(lambda k: objective(k, th_best), lo, hi, tol=tol)
+    k_best, _ = golden_section_max(lambda k: objective(k, th_best), lo, hi, tol=1e-9)
     lo = theta_grid[max(j - 1, 0)]
     hi = theta_grid[min(j + 1, len(theta_grid) - 1)]
-    th_best, eta_best = golden_section_max(lambda th: objective(k_best, th), lo, hi, tol=tol)
+    th_best, eta_best = golden_section_max(lambda th: objective(k_best, th), lo, hi, tol=1e-9)
     return k_best, th_best, eta_best
 
 
-def optimal_duration(omega_signal: float, omega_rabi: float, extended: bool = False,
-                     n_coarse: int = 512, tol: float = 1e-10) -> tuple[float, bool]:
+def optimal_duration(omega_signal: float, omega_rabi: float,
+                     extended: bool = False) -> tuple[float, bool]:
     """Duration maximizing :func:`sinusoid_sensitivity` at one signal frequency.
 
     Searches tau in (0, pi/Om] (flip angle capped at 90 degrees; the
-    ``extended`` flag widens the cap to alpha <= pi).  Returns
+    ``extended`` flag widens the cap to alpha <= pi), on a 512-point grid
+    refined by golden-section search to 1e-10 relative.  Returns
     ``(tau*, low_confidence)``; the flag is set when the objective is flat
     over the whole domain (huge signal frequencies), in which case the
     smallest-tau maximizer is reported.
@@ -124,7 +128,7 @@ def optimal_duration(omega_signal: float, omega_rabi: float, extended: bool = Fa
     if omega_signal < 0:
         raise ValueError("signal frequency must be >= 0")
     tau_max = (2.0 * math.pi if extended else math.pi) / omega_rabi
-    taus = np.linspace(tau_max / n_coarse, tau_max, n_coarse)
+    taus = np.linspace(tau_max / 512, tau_max, 512)
     vals = np.array([sinusoid_sensitivity(omega_signal, omega_rabi, t) for t in taus])
     top = float(vals.max())
     if top <= 0 or (top - float(vals.min())) <= 1e-12 * top:
@@ -133,7 +137,7 @@ def optimal_duration(omega_signal: float, omega_rabi: float, extended: bool = Fa
     lo = taus[max(i - 1, 0)]
     hi = taus[min(i + 1, len(taus) - 1)]
     tau_star, _ = golden_section_max(
-        lambda t: sinusoid_sensitivity(omega_signal, omega_rabi, t), lo, hi, tol=tol)
+        lambda t: sinusoid_sensitivity(omega_signal, omega_rabi, t), lo, hi)
     return float(tau_star), False
 
 
@@ -152,18 +156,3 @@ def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid,
     ridge = np.array([[w, optimal_duration(w, omega_rabi, extended=extended)[0]]
                       for w in omega_grid])
     return SensitivitySurface(omega_grid, tau_grid, values, ridge)
-
-
-def write_surface_csv(path, surface: SensitivitySurface) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega_rad_s,tau_s,eta_s\n")
-        for i, w in enumerate(surface.omega_grid):
-            for j, tau in enumerate(surface.tau_grid):
-                fh.write("%.12g,%.12g,%.12g\n" % (w, tau, surface.values[i, j]))
-
-
-def write_ridge_csv(path, surface: SensitivitySurface) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega_rad_s,tau_star_s\n")
-        for w, tau in surface.ridge:
-            fh.write("%.12g,%.12g\n" % (w, tau))

@@ -9,9 +9,9 @@ Two interchangeable protocol runners drive the estimators:
   :mod:`qslsense.labframe`, for strong-driving and off-axis studies.
 
 Both expose ``omega`` (Rabi, rad/s), ``tau`` (s), ``gamma`` (rad/s per
-tesla), ``chi`` (rad), ``center`` (s, midpoint of the sequence, the origin
-of kernel time) and ``run``/``run_batch`` returning transition
-probabilities.
+tesla), ``chi`` (rad) and ``run_batch`` returning one transition
+probability per stimulus.  Kernel time runs from the sequence midpoint,
+tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
 along a delay grid and divides the probability change by the probe area.
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic, labframe
+from . import analytic, labframe, spinlin
 from .analytic import MetricsReport, NumericError
 from .labframe import Stimulus
 
@@ -105,26 +105,18 @@ class RotatingFrameRunner:
     chi = 0.0
 
     def __init__(self, omega: float, tau: float,
-                 gamma: float = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA,
-                 dt: float | None = None):
+                 gamma: float = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA):
         if omega <= 0 or tau <= 0:
             raise ValueError("omega and tau must be > 0")
         self.omega = omega
         self.tau = tau
         self.gamma = gamma
-        self._dt = dt
-
-    @property
-    def center(self) -> float:
-        return self.tau / 2.0
 
     @property
     def alpha(self) -> float:
         return 0.5 * self.omega * self.tau
 
     def _step(self, stim: Stimulus | None) -> float:
-        if self._dt is not None:
-            return self._dt
         scales = [self.omega / TWO_PI]
         if stim is not None:
             scales.append(self.gamma * abs(stim.amplitude) / TWO_PI)
@@ -133,9 +125,6 @@ class RotatingFrameRunner:
             elif stim.kind == "gaussian":
                 scales.append(1.0 / stim.fwhm)
         return min(1.0 / (100.0 * max(scales)), self.tau / 100.0)
-
-    def run(self, stim: Stimulus | None) -> float:
-        return float(self.run_batch([stim])[0])
 
     def run_batch(self, stims) -> np.ndarray:
         """Transition probabilities for a batch of stimuli sharing the time grid."""
@@ -154,16 +143,7 @@ class RotatingFrameRunner:
                 if stim is not None:
                     dw[k] = self.gamma * stim.value(tm)
             for i in range(n):
-                wz = dw[:, i]
-                wn = np.sqrt(wx * wx + wy * wy + wz * wz)
-                th = 0.5 * wn * h
-                c = np.cos(th)
-                # sin(th)/wn with the wn -> 0 limit h/2
-                s = np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * h)
-                u00 = c - 1j * (s * wz)
-                u11 = c + 1j * (s * wz)
-                u01 = -1j * s * (wx - 1j * wy)
-                u10 = -1j * s * (wx + 1j * wy)
+                u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[:, i], h)
                 psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
         return 1.0 - np.abs(psi0) ** 2
 
@@ -171,9 +151,7 @@ class RotatingFrameRunner:
 class LabFrameRunner:
     """Protocol runner backed by the full spin-1 lab-frame model."""
 
-    def __init__(self, model: labframe.NvModel, tau: float | None = None,
-                 prep: str = "ms0", readout: str | None = None,
-                 dt: float | None = None):
+    def __init__(self, model: labframe.NvModel, tau: float | None = None):
         self.model = model
         self.omega = labframe.rabi_frequency(model)
         if self.omega <= 0:
@@ -181,18 +159,10 @@ class LabFrameRunner:
         self.tau = tau if tau is not None else math.pi / self.omega
         self.gamma = model.gamma_e
         self.chi = model.chi
-        self.protocol = labframe.bipartite_protocol(self.tau, prep=prep, readout=readout)
-        self._dt = dt
-
-    @property
-    def center(self) -> float:
-        return self.tau / 2.0
-
-    def run(self, stim: Stimulus | None) -> float:
-        return float(self.run_batch([stim])[0])
+        self.protocol = labframe.bipartite_protocol(self.tau)
 
     def run_batch(self, stims) -> np.ndarray:
-        return labframe.run_protocol_batch(self.model, stims, self.protocol, dt=self._dt)
+        return labframe.run_protocol_batch(self.model, stims, self.protocol)
 
 
 def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
@@ -232,13 +202,12 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
     return math.hypot(a, b), math.atan2(b, a), resid
 
 
-def estimate_kernel(sim, probe_fwhm: float, t_grid,
-                    amplitude: float | None = None) -> KernelEstimate:
+def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     """Sample the sensing kernel by stepping a narrow Gaussian probe along ``t_grid``.
 
     ``t_grid`` is in kernel time (seconds relative to the sequence center).
     The probe must be at least 10x narrower than the expected kernel FWHM.
-    The default amplitude targets a peak phase of ~1e-3 rad so the response
+    The probe amplitude targets a peak phase of ~1e-3 rad so the response
     stays linear.  The DC calibration constant is measured with a constant
     stimulus and stored as ``normalization``.
     """
@@ -249,9 +218,8 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid,
         raise ValueError(
             f"probe fwhm {probe_fwhm:.3e} s too wide: expected kernel fwhm "
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
-    if amplitude is None:
-        amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
-    stims = [Stimulus.gaussian(amplitude, sim.center + t, probe_fwhm) for t in t_grid]
+    amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
+    stims = [Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid]
     p = sim.run_batch(stims + [None])
     p0 = p[-1]
     area = stims[0].area()
@@ -265,15 +233,14 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid,
                           omega=sim.omega, normalization=norm)
 
 
-def bode_response(sim, omega_grid, amplitude: float, n_delays: int = 10,
-                  residual_threshold: float = 0.05) -> BodeSeries:
+def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     """Frequency response by delay-sweeping a sinusoidal stimulus and sine-fitting dp.
 
-    For each frequency the stimulus delay is stepped over one period, the
-    probability change is fit to a sinusoid in the delay, and |amplitude| is
-    normalized to the DC (constant stimulus) response.  The w = 0 gain is 1
-    by definition.  Points whose fit residual exceeds
-    ``residual_threshold * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.
+    For each frequency the stimulus delay is stepped over one period in 10
+    steps, the probability change is fit to a sinusoid in the delay, and
+    |amplitude| is normalized to the DC (constant stimulus) response.  The
+    w = 0 gain is 1 by definition.  Points whose fit residual exceeds
+    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(omega_grid < 0):
@@ -289,13 +256,13 @@ def bode_response(sim, omega_grid, amplitude: float, n_delays: int = 10,
         if w == 0.0:
             gains[i] = 1.0
             continue
-        delays = np.arange(n_delays) / n_delays * TWO_PI / w
+        delays = np.arange(10) / 10 * TWO_PI / w
         stims = [Stimulus.sinusoid(amplitude, w, phase=-w * d) for d in delays]
         p = sim.run_batch(list(stims))
         dp = p - p0
         amp, _, resid = fit_sine_amplitude(np.column_stack([delays, dp]), w)
         gains[i] = amp / abs(dp_dc)
-        flags[i] = resid > residual_threshold * max(amp, 0.05 * abs(dp_dc))
+        flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
     return BodeSeries(frequencies=omega_grid, gains=gains, chi=getattr(sim, "chi", 0.0),
                       flagged=flags)
 
@@ -367,20 +334,3 @@ def numeric_metrics(kernel: KernelEstimate) -> MetricsReport:
                if levels[0.1] and levels[0.9] else None)
     return MetricsReport(t_fwhm=t_fwhm, t_20_80=t_20_80, t_10_90=t_10_90,
                          t_square=total / peak)
-
-
-def write_kernel_csv(path, kernel: KernelEstimate) -> None:
-    """Kernel CSV with the shape normalized by the calibration constant."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t_s,k_norm\n")
-        for i in range(len(kernel.times)):
-            fh.write("%.12g,%.12g\n"
-                     % (kernel.times[i], kernel.values[i] / kernel.normalization))
-
-
-def write_bode_csv(path, series: BodeSeries) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("omega_rad_s,gain_norm,chi_rad\n")
-        for i in range(len(series.frequencies)):
-            fh.write("%.12g,%.12g,%.12g\n"
-                     % (series.frequencies[i], series.gains[i], series.chi))

@@ -16,7 +16,6 @@ bit-for-bit, with p = 1/2 - phi/pi at alpha = pi/2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -53,7 +52,6 @@ class ControlSequence:
     """
 
     segments: tuple[PulseSegment, ...]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.segments) == 0:
@@ -81,7 +79,7 @@ def make_bipartite(omega: float, tau: float, timeshare: float = 0.5,
     else:
         segs = (PulseSegment(timeshare * tau, omega, 0.0, detuning),
                 PulseSegment((1.0 - timeshare) * tau, omega, phase_jump, detuning))
-    return ControlSequence(segs, label="bipartite")
+    return ControlSequence(segs)
 
 
 def make_ramsey_with_delay(omega: float, t_r: float, tau: float,
@@ -98,7 +96,7 @@ def make_ramsey_with_delay(omega: float, t_r: float, tau: float,
     segs = (PulseSegment(t_r, omega, 0.0, detuning),
             PulseSegment(tau - 2 * t_r, 0.0, 0.0, detuning),
             PulseSegment(t_r, omega, math.pi / 2, detuning))
-    return ControlSequence(segs, label="ramsey")
+    return ControlSequence(segs)
 
 
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
@@ -125,27 +123,3 @@ def transition_probability(seq: ControlSequence) -> float:
     """``1 - |<0|U|0>|^2`` for the sequence started in the upper Sz eigenstate."""
     psi = propagate(seq, KET0)
     return 1.0 - spinlin.overlap_probability(KET0, psi)
-
-
-def sequence_to_json(seq: ControlSequence) -> str:
-    """Serialize to a JSON document with SI-unit field names."""
-    doc = {
-        "label": seq.label,
-        "segments": [
-            {"duration_s": s.duration, "rabi_rad_per_s": s.rabi,
-             "phase_rad": s.phase, "detuning_rad_per_s": s.detuning}
-            for s in seq.segments
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def sequence_from_json(text: str) -> ControlSequence:
-    doc = json.loads(text)
-    segs = tuple(
-        PulseSegment(duration=d["duration_s"], rabi=d["rabi_rad_per_s"],
-                     phase=d.get("phase_rad", 0.0),
-                     detuning=d.get("detuning_rad_per_s", 0.0))
-        for d in doc["segments"]
-    )
-    return ControlSequence(segs, label=doc.get("label", ""))

@@ -13,32 +13,23 @@ Conventions
   ``exp(-i(aI + v.sigma)t) = e^{-iat}(cos|v|t I - i sin|v|t vhat.sigma)``,
   3x3 exponentials use a Hermitian eigendecomposition.  Both are free of
   series-truncation error, which matters in long step products.
-
-Tolerances live in one module-global :data:`POLICY` record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+#: largest |M - M^dag| element accepted as Hermitian
+HERMITIAN_TOL = 1e-12
+#: largest | ||psi|| - 1 | accepted as normalized
+NORM_TOL = 1e-10
+#: largest imaginary residue of an expectation value, relative to max(|value|, 1)
+IMAG_TOL = 1e-12
 
 
 class ContractViolation(ValueError):
     """An input violates a numerical contract (hermiticity, normalization, shape)."""
 
-
-@dataclass
-class NumericPolicy:
-    """Global numeric tolerances. Mutate or replace :data:`POLICY` to adjust."""
-
-    hermitian_tol: float = 1e-12
-    unitary_tol: float = 1e-10
-    norm_tol: float = 1e-10
-    imag_tol: float = 1e-12
-
-
-POLICY = NumericPolicy()
 
 _SX_HALF = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 _SY_HALF = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -65,63 +56,57 @@ def spin_operators(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise ValueError(f"spin must be 'half' or 'one', got {spin!r}")
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    tol = POLICY.hermitian_tol if tol is None else tol
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
-def check_hermitian(m: np.ndarray, tol: float | None = None) -> None:
+def check_hermitian(m: np.ndarray) -> None:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         dev = np.max(np.abs(m - m.conj().T))
         raise ContractViolation(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
-    tol = POLICY.unitary_tol if tol is None else tol
-    eye = np.eye(u.shape[0])
-    return bool(np.max(np.abs(u.conj().T @ u - eye)) <= tol)
-
-
-def check_state(psi: np.ndarray, tol: float | None = None) -> None:
-    psi = np.asarray(psi)
-    tol = POLICY.norm_tol if tol is None else tol
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
+def check_state(psi: np.ndarray) -> None:
+    nrm = np.linalg.norm(np.asarray(psi))
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ContractViolation(f"state is not normalized (||psi|| = {nrm:.12f})")
 
 
-def _matexp2(h: np.ndarray, t: float) -> np.ndarray:
-    # H = a I + v.sigma; exact Rodrigues form.
-    a = 0.5 * (h[0, 0] + h[1, 1]).real
-    vx = h[0, 1].real
-    vy = -h[0, 1].imag
-    vz = 0.5 * (h[0, 0] - h[1, 1]).real
-    vn = np.sqrt(vx * vx + vy * vy + vz * vz)
-    phase = np.exp(-1j * a * t)
-    if vn == 0.0:
-        return phase * np.eye(2, dtype=complex)
-    c = np.cos(vn * t)
-    s = np.sin(vn * t) / vn
-    return phase * np.array(
-        [[c - 1j * s * vz, -1j * s * (vx - 1j * vy)],
-         [-1j * s * (vx + 1j * vy), c + 1j * s * vz]]
-    )
+def su2_propagator(wx, wy, wz, t: float):
+    """Elements ``(u00, u01, u10, u11)`` of ``exp(-i (wx Sx + wy Sy + wz Sz) t)``, spin-1/2.
+
+    ``S = sigma/2``, so the rotation angle is ``|w| t``.  Vectorized: the
+    rates may be arrays of one shape (one propagator per element); a zero
+    rate gives the identity through the ``sin(x)/x -> 1`` limit.
+    """
+    wn = np.sqrt(wx * wx + wy * wy + wz * wz)
+    th = 0.5 * wn * t
+    c = np.cos(th)
+    # sin(th)/wn with the wn -> 0 limit t/2
+    s = np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * t)
+    return (c - 1j * (s * wz), -1j * s * (wx - 1j * wy),
+            -1j * s * (wx + 1j * wy), c + 1j * (s * wz))
 
 
-def matexp_antihermitian(h: np.ndarray, t: float, tol: float | None = None) -> np.ndarray:
+def matexp_antihermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary propagator ``exp(-i H t)`` for a Hermitian ``h`` (2x2 or 3x3).
 
     Raises :class:`ContractViolation` for non-Hermitian input.  The 2x2 case
-    uses the closed Pauli form, the 3x3 case a Hermitian eigendecomposition;
-    both return a matrix unitary to machine precision.
+    uses the closed Pauli form of :func:`su2_propagator`, the 3x3 case a
+    Hermitian eigendecomposition; both return a matrix unitary to machine
+    precision.
     """
     h = np.asarray(h, dtype=complex)
-    check_hermitian(h, tol)
+    check_hermitian(h)
     if h.shape[0] == 2:
-        return _matexp2(h, t)
+        # H = a I + wx Sx + wy Sy + wz Sz
+        a = 0.5 * (h[0, 0] + h[1, 1]).real
+        u00, u01, u10, u11 = su2_propagator(2.0 * h[0, 1].real, -2.0 * h[0, 1].imag,
+                                            (h[0, 0] - h[1, 1]).real, t)
+        return np.exp(-1j * a * t) * np.array([[u00, u01], [u10, u11]])
     if h.shape[0] == 3:
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -131,8 +116,8 @@ def matexp_antihermitian(h: np.ndarray, t: float, tol: float | None = None) -> n
 def expectation(h: np.ndarray, psi: np.ndarray) -> float:
     """Real expectation value <psi|H|psi> of a Hermitian operator.
 
-    The imaginary residue must not exceed ``POLICY.imag_tol``; it is checked
-    and discarded.
+    The imaginary residue must not exceed :data:`IMAG_TOL` relative to
+    ``max(|value|, 1)``; it is checked and discarded.
     """
     h = np.asarray(h, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
@@ -141,7 +126,7 @@ def expectation(h: np.ndarray, psi: np.ndarray) -> float:
             f"dimension mismatch: operator {h.shape[0]}, state {psi.shape[0]}")
     val = complex(psi.conj() @ (h @ psi))
     scale = max(abs(val), 1.0)
-    if abs(val.imag) > POLICY.imag_tol * scale:
+    if abs(val.imag) > IMAG_TOL * scale:
         raise ContractViolation(f"expectation has imaginary residue {val.imag:.3e}")
     return val.real
 

@@ -36,7 +36,8 @@ def parse_quantity(text: str, kind: str, field: str = "value") -> float:
 
     ``kind`` is one of "frequency", "time", "angle", "field",
     "dimensionless".  Frequencies come back in rad/s regardless of whether a
-    cycle (Hz) or angular (rad/s) suffix was given.
+    cycle (Hz) or angular (rad/s) suffix was given.  A value that overflows
+    to infinity, as written or once converted, raises :class:`ConfigError`.
     """
     m = _NUMBER.match(str(text))
     if not m:
@@ -46,14 +47,18 @@ def parse_quantity(text: str, kind: str, field: str = "value") -> float:
     if kind == "dimensionless":
         if suffix:
             raise ConfigError(f"{field}: unexpected unit {suffix!r} on dimensionless value")
-        return value
-    table = _TABLES.get(kind)
-    if table is None:
-        raise ConfigError(f"{field}: unknown quantity kind {kind!r}")
-    if not suffix:
-        raise ConfigError(
-            f"{field}: missing unit on {text!r}; expected one of {', '.join(table)}")
-    if suffix not in table:
-        raise ConfigError(
-            f"{field}: unknown unit {suffix!r}; expected one of {', '.join(table)}")
-    return value * table[suffix]
+        scale = 1.0
+    else:
+        table = _TABLES.get(kind)
+        if table is None:
+            raise ConfigError(f"{field}: unknown quantity kind {kind!r}")
+        if not suffix:
+            raise ConfigError(
+                f"{field}: missing unit on {text!r}; expected one of {', '.join(table)}")
+        if suffix not in table:
+            raise ConfigError(
+                f"{field}: unknown unit {suffix!r}; expected one of {', '.join(table)}")
+        scale = table[suffix]
+    if not math.isfinite(value * scale):
+        raise ConfigError(f"{field}: {text!r} is out of the floating-point range")
+    return value * scale

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,15 @@ class TestTransferValue:
             k = transfer_value(om * (1 + s * 1e-6), om, tau)
             assert abs(k - k0) <= 1e-6 * k0
 
+    def test_huge_frequency_gives_zero_without_warning(self):
+        # the series branch is fed only points near Om, so w = 1e200 cannot
+        # overflow it; the far branch's overflow to inf gives the limit K = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = transfer_value(np.array([1e200, 1.0]), 1.0, math.pi)
+        assert vals[0] == 0.0
+        assert vals[1] == transfer_value(1.0, 1.0, math.pi)
+
     @pytest.mark.parametrize("alpha_deg", [22.5, 45.0, 67.0, 90.0])
     def test_against_numeric_fourier_transform(self, alpha_deg):
         alpha = math.radians(alpha_deg)
@@ -261,6 +271,11 @@ class TestTimeResolution:
     def test_fwhm_domain(self):
         with pytest.raises(ValueError):
             time_resolution_fwhm(1.0, 2.0)
+        with pytest.raises(ValueError):
+            time_resolution_fwhm(1.0, math.pi / 2 * (1 + 1e-9))
+        # one ulp above pi/2, as 0.5 * Om * (2 alpha / Om) can round, is accepted
+        alpha = math.nextafter(math.pi / 2, 4.0)
+        assert time_resolution_fwhm(1.0, alpha) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_rise_constants_at_90deg(self):
         om = 1.0

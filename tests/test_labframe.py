@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslsense import analytic, labframe, spinlin
+from qslsense import analytic, cli, labframe, spinlin
 from qslsense.labframe import (
     NvModel,
     Protocol,
@@ -28,12 +28,9 @@ from qslsense.units import ConfigError
 TWO_PI = 2 * math.pi
 
 
-def resonant_model(rabi, zeeman_hz=1e9, chi=0.0, d_hz=labframe.D_NV_CYCLES):
-    b1 = labframe.b1_for_rabi(rabi)
-    b0 = zeeman_hz / labframe.GAMMA_E_CYCLES_PER_TESLA
-    base = NvModel(d=TWO_PI * d_hz, b0=b0, b1=b1, chi=chi)
-    return NvModel(d=base.d, gamma_e=base.gamma_e, b0=b0, b1=b1,
-                   carrier=resonant_carrier(base), chi=chi)
+# axial bias (tesla) of a 1 GHz and a 3.4 GHz Zeeman shift
+B0_1GHZ = 1e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
+B0_3GHZ4 = 3.4e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
 
 
 class TestModel:
@@ -58,6 +55,12 @@ class TestModel:
         m = NvModel(b1=math.sqrt(2) * om / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
         assert rabi_frequency(m) == pytest.approx(om, rel=1e-12)
         assert rabi_frequency(NvModel(b1=0.0)) == 0.0
+
+    def test_resonant_constructor(self):
+        m = NvModel.resonant(TWO_PI * 10e6, 0.1, d=TWO_PI * 0.5e9, chi=0.3)
+        assert rabi_frequency(m) == pytest.approx(TWO_PI * 10e6, rel=1e-12)
+        assert m.carrier == resonant_carrier(m)
+        assert (m.d, m.b0, m.chi) == (TWO_PI * 0.5e9, 0.1, 0.3)
 
     def test_transition_splitting_saturates(self):
         # below the crossing the splitting grows as 2 ge B0, beyond it pins at 2 D
@@ -111,14 +114,14 @@ class TestHamiltonian:
         assert np.allclose(dh, m.gamma_e * 1e-3 * labframe.SX1)
 
     def test_hermitian(self):
-        m = resonant_model(TWO_PI * 10e6, chi=0.3)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ, chi=0.3)
         h = hamiltonian_at(m, Stimulus.sinusoid(1e-4, 1e8), True, 0.4, 1.7e-9)
         assert spinlin.is_hermitian(h)
 
 
 class TestEvolve:
     def test_constant_hamiltonian_matches_matexp(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
         protocol = Protocol(windows=(), prep="ms0")  # drive off: H is static
         dt = default_timestep(m, stim)
@@ -129,20 +132,20 @@ class TestEvolve:
         assert np.max(np.abs(psi - ref)) <= 1e-10
 
     def test_norm_preserved(self):
-        m = resonant_model(TWO_PI * 20e6)
+        m = NvModel.resonant(TWO_PI * 20e6, B0_1GHZ)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
         psi = evolve(m, None, protocol, 0.0, protocol.duration,
                      default_timestep(m), basis_state("ms0"))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     def test_coarse_step_rejected_with_binding_scale(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
         with pytest.raises(ConfigError, match="carrier"):
             evolve(m, None, protocol, 0.0, 1e-9, 1e-9, basis_state("ms0"))
 
     def test_second_order_convergence(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         om = rabi_frequency(m)
         protocol = bipartite_protocol(math.pi / om)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
@@ -157,7 +160,7 @@ class TestEvolve:
 class TestRunProtocol:
     def test_selective_pi_pulse_transfers_population(self):
         # resonant pulse of area pi at moderate drive: ms0 -> ms-1 nearly perfectly
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         om = rabi_frequency(m)
         protocol = Protocol(windows=(PulseWindow(0.0, math.pi / om, 0.0),),
                             prep="ms0", readout="ms_minus1")
@@ -166,7 +169,7 @@ class TestRunProtocol:
         assert fidelity > 0.999
 
     def test_rabi_period_within_one_percent(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         om = rabi_frequency(m)
         window = PulseWindow(0.0, 1.2 * TWO_PI / om, 0.0)
         protocol = Protocol(windows=(window,), prep="ms0")
@@ -179,14 +182,14 @@ class TestRunProtocol:
         assert t_peak == pytest.approx(math.pi / om, rel=0.01)
 
     def test_no_stimulus_matches_rotating_frame_bias(self):
-        m = resonant_model(TWO_PI * 5e6, zeeman_hz=3.4e9)
+        m = NvModel.resonant(TWO_PI * 5e6, B0_3GHZ4)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
         p = run_protocol(m, None, protocol)
         assert p == pytest.approx(0.5, abs=1e-3)
 
     def test_rwa_regime_matches_sequence(self):
         # moderate drive, chi = 0: full lab model vs exact rotating-frame result
-        m = resonant_model(TWO_PI * 5e6, zeeman_hz=3.4e9)
+        m = NvModel.resonant(TWO_PI * 5e6, B0_3GHZ4)
         om = rabi_frequency(m)
         tau = math.pi / om
         protocol = bipartite_protocol(tau)
@@ -198,7 +201,7 @@ class TestRunProtocol:
             assert abs(p_lab - p_ref) <= 1e-3
 
     def test_stimulus_sign_reversal_flips_dp(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
         bs = m.b1 / (10 * math.sqrt(2))
         dt = default_timestep(m, Stimulus.constant(bs))
@@ -209,7 +212,7 @@ class TestRunProtocol:
         assert abs(dp_plus + dp_minus) <= 2e-3
 
     def test_batch_bit_identical_to_single_runs(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
         bs = m.b1 / (10 * math.sqrt(2))
         stims = [Stimulus.constant(bs), Stimulus.constant(-bs), None]
@@ -219,7 +222,7 @@ class TestRunProtocol:
         assert all(batch[i] == singles[i] for i in range(3))
 
     def test_detuned_carrier_warns(self):
-        m = resonant_model(TWO_PI * 10e6)
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         detuned = NvModel(d=m.d, gamma_e=m.gamma_e, b0=m.b0, b1=m.b1,
                           carrier=m.carrier * 1.01)
         protocol = bipartite_protocol(math.pi / rabi_frequency(m))
@@ -228,19 +231,20 @@ class TestRunProtocol:
 
 
 def test_trace_csv_round_trip(tmp_path):
-    m = resonant_model(TWO_PI * 20e6)
+    m = NvModel.resonant(TWO_PI * 20e6, B0_1GHZ)
     protocol = bipartite_protocol(math.pi / rabi_frequency(m))
     t, pops, sz = simulate_trace(m, None, protocol, n_samples=20)
     assert np.all(np.abs(pops.sum(axis=1) - 1.0) <= 1e-10)
     path = tmp_path / "trace.csv"
-    labframe.write_trace_csv(path, t, pops, sz)
+    cli.write_csv(path, ["t_s", "pop_ms_minus1", "pop_ms0", "pop_ms_plus1", "sz_expect"],
+                  np.column_stack([t, pops, sz]))
     lines = path.read_text().splitlines()
     assert lines[0] == "t_s,pop_ms_minus1,pop_ms0,pop_ms_plus1,sz_expect"
     assert len(lines) == 21
 
 
 def test_config_json_round_trip():
-    m = resonant_model(TWO_PI * 10e6, chi=0.2)
+    m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ, chi=0.2)
     stim = Stimulus.gaussian(1e-4, 3e-9, 1e-9)
     protocol = bipartite_protocol(5e-8, prep="ms_minus1")
     text = config_to_json(m, stim, protocol)

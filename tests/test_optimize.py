@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslsense import analytic, optimize
+from qslsense import analytic
 from qslsense.optimize import (
     SensitivitySurface,
     golden_section_max,
@@ -132,14 +132,3 @@ class TestSurface:
         with pytest.raises(ValueError):
             SensitivitySurface(np.array([1.0, 0.5]), np.array([1.0]),
                                np.zeros((2, 1)), np.zeros((2, 2)))
-
-
-def test_surface_csv_writers(tmp_path):
-    surf = sensitivity_surface(1.0, np.linspace(0, 2, 3), np.linspace(0.5, math.pi, 4))
-    spath = tmp_path / "surface.csv"
-    rpath = tmp_path / "ridge.csv"
-    optimize.write_surface_csv(spath, surf)
-    optimize.write_ridge_csv(rpath, surf)
-    assert spath.read_text().splitlines()[0] == "omega_rad_s,tau_s,eta_s"
-    assert len(spath.read_text().splitlines()) == 1 + 3 * 4
-    assert rpath.read_text().splitlines()[0] == "omega_rad_s,tau_star_s"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslsense import analytic, cli, labframe, response
+from qslsense import analytic, labframe
 from qslsense.analytic import NumericError, kernel_value
 from qslsense.labframe import Stimulus
 from qslsense.response import (
@@ -23,16 +23,6 @@ TWO_PI = 2 * math.pi
 
 def rotating_runner(alpha=math.pi / 2, rabi=TWO_PI * 10e6):
     return RotatingFrameRunner(rabi, 2 * alpha / rabi)
-
-
-def scaled_lab_runner():
-    omega = TWO_PI * 20e6
-    b1 = labframe.b1_for_rabi(omega)
-    b0 = 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
-    base = labframe.NvModel(d=TWO_PI * 0.5e9, b0=b0, b1=b1)
-    model = labframe.NvModel(d=base.d, gamma_e=base.gamma_e, b0=b0, b1=b1,
-                             carrier=labframe.resonant_carrier(base))
-    return LabFrameRunner(model)
 
 
 class TestSineFit:
@@ -121,12 +111,14 @@ class TestKernelEstimate:
         # the probe's transverse part leaves an edge effect of order
         # gamma B sin(chi) / w_transition (see the response module), so the
         # shapes agree only with transitions far above the probe bandwidth:
-        # the CLI's lab model (D = 2.87 GHz, Zeeman 1 GHz), not the
-        # compressed one of scaled_lab_runner
+        # the lab model of `kernel --backend lab` (D = 2.87 GHz, Zeeman 1 GHz),
+        # not the compressed one (D = 0.5 GHz) of the runner comparison below
         grid = np.linspace(-0.55, 0.55, 41)
         shapes, norms = {}, {}
+        b0 = 1e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
         for chi in (0.0, 20.0):
-            sim = LabFrameRunner(cli._default_model(TWO_PI * 20e6, math.radians(chi)))
+            sim = LabFrameRunner(labframe.NvModel.resonant(TWO_PI * 20e6, b0,
+                                                           chi=math.radians(chi)))
             probe = analytic.time_resolution_fwhm(sim.tau, math.pi / 2) / 12
             est = estimate_kernel(sim, probe, grid * sim.tau)
             shapes[chi] = est.values / est.normalization
@@ -233,7 +225,8 @@ class TestNumericMetrics:
 
 
 def test_lab_runner_agrees_with_rotating_runner():
-    lab = scaled_lab_runner()
+    lab = LabFrameRunner(labframe.NvModel.resonant(
+        TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA, d=TWO_PI * 0.5e9))
     rot = RotatingFrameRunner(lab.omega, lab.tau, gamma=lab.gamma)
     bs = labframe.b1_for_rabi(lab.omega) / (10 * math.sqrt(2)) * 0.1
     stims = [Stimulus.constant(bs), Stimulus.sinusoid(bs, 1.5 * lab.omega), None]
@@ -242,20 +235,3 @@ def test_lab_runner_agrees_with_rotating_runner():
     # lab reference p by a converged ~0.0119 that the rotating frame lacks
     dp_lab, dp_rot = p_lab[:-1] - p_lab[-1], p_rot[:-1] - p_rot[-1]
     assert dp_lab == pytest.approx(dp_rot, abs=2e-3)
-
-
-def test_csv_writers(tmp_path):
-    sim = rotating_runner()
-    probe = analytic.time_resolution_fwhm(sim.tau, sim.alpha) / 12
-    est = estimate_kernel(sim, probe, np.linspace(-0.5, 0.5, 11) * sim.tau)
-    kpath = tmp_path / "kernel.csv"
-    response.write_kernel_csv(kpath, est)
-    assert kpath.read_text().splitlines()[0] == "t_s,k_norm"
-
-    series = bode_response(sim, np.linspace(0, 2 * sim.omega, 5),
-                           1e-3 / (sim.gamma * sim.tau))
-    bpath = tmp_path / "bode.csv"
-    response.write_bode_csv(bpath, series)
-    lines = bpath.read_text().splitlines()
-    assert lines[0] == "omega_rad_s,gain_norm,chi_rad"
-    assert len(lines) == 6

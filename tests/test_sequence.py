@@ -11,8 +11,6 @@ from qslsense.sequence import (
     make_bipartite,
     make_ramsey_with_delay,
     propagate,
-    sequence_from_json,
-    sequence_to_json,
     transition_probability,
 )
 
@@ -163,10 +161,3 @@ class TestRamseyPhase:
         fd = (transition_probability(make_ramsey_with_delay(om, t_r, tau, h))
               - transition_probability(make_ramsey_with_delay(om, t_r, tau, -h))) / (2 * h)
         assert fd == pytest.approx(-tau / 2, rel=1e-4)
-
-
-def test_json_round_trip():
-    seq = make_ramsey_with_delay(TWO_PI * 5e6, 25e-9, 200e-9, detuning=-TWO_PI * 1e3)
-    text = sequence_to_json(seq)
-    back = sequence_from_json(text)
-    assert back == seq

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qslsense import cli, units
 from qslsense.cli import Params, main, read_csv, resolve_pulse
@@ -131,7 +133,8 @@ class TestCliCommands:
         header, rows = read_csv(out)
         assert header == ["omega_rad_s", "tau_s", "eta_s"]
         assert len(rows) == 5 * 6
-        _, ridge_rows = read_csv(tmp_path / "f3d_ridge.csv")
+        header, ridge_rows = read_csv(tmp_path / "f3d_ridge.csv")
+        assert header == ["omega_rad_s", "tau_star_s"]
         assert len(ridge_rows) == 5
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -172,9 +175,42 @@ class TestExitCodes:
     def test_missing_parameters(self, capsys):
         assert main(["fig2"]) == 2
 
-    def test_unwritable_path(self, tmp_path):
-        assert main(["metrics", "--rabi", "10MHz", "--alpha", "90deg",
-                     "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--rabi", "10MHz", "--alpha", "90deg"],
+        ["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--points", "5"],
+        ["bode", "--rabi", "10MHz", "--alpha", "90deg", "--points", "3"],
+        ["fig3d", "--rabi", "10MHz", "--omega-points", "3", "--tau-points", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_path(self, tmp_path, capsys, argv):
+        out = tmp_path / "no" / "dir" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "cannot write output file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--points", "0"], "--points"),
+        (["fig2", "--rabi", "10MHz", "--points", "-3"], "--points"),
+        (["fig2", "--rabi", "10MHz", "--points", "2.6"], "--points"),
+        (["fig3d", "--rabi", "10MHz", "--omega-points", "0"], "--omega-points"),
+        (["fig2", "--rabi", "1e400Hz"], "--rabi"),
+        (["fig2", "--rabi", "1e300THz"], "--rabi"),
+        (["fig2", "--rabi", "0Hz"], "--rabi"),
+        (["optimal", "--rabi", "10MHz", "--signal-freq=-1MHz"], "--signal-freq"),
+        (["metrics", "--rabi", "10MHz", "--alpha", "120deg"], "--alpha"),
+        (["kernel", "--rabi", "10MHz", "--alpha", "200deg"], "--alpha"),
+        (["metrics", "--rabi", "10MHz", "--tau", "100ns"], "--alpha"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_bad_input_is_config_error_naming_flag(self, tmp_path, capsys, argv, flag):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--rabi", "6MHz", "--alpha", "90deg", "--points", "5"],
+        ["fig3b", "--rabi", "6MHz", "--points", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_flip_angle_round_trip_at_6mhz(self, tmp_path, argv):
+        # 0.5 * Om * (2 alpha / Om) lands one ulp above pi/2 at this rate
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
     def test_no_command(self):
         assert main([]) == 2
@@ -183,3 +219,35 @@ class TestExitCodes:
         assert main(["--check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+_UNITS = ("Hz", "MHz", "GHz", "rad/s", "ns", "s", "deg", "rad", "T", "", "bogus")
+_QUANTITY = st.builds(lambda x, unit: repr(x) + unit,
+                      st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_UNITS))
+_COUNT = st.one_of(st.integers(-3, 50).map(str),
+                   st.floats(-3.0, 50.0, allow_nan=False).map(repr))
+_FLAGS = {
+    "metrics": {"rabi": _QUANTITY, "alpha": _QUANTITY, "tau": _QUANTITY},
+    "fig2": {"rabi": _QUANTITY, "tau-max": _QUANTITY, "points": _COUNT},
+    "qsl": {"rabi": _QUANTITY},
+    "optimal": {"rabi": _QUANTITY, "max-freq": _QUANTITY, "signal-freq": _QUANTITY,
+                "points": _COUNT},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+@settings(deadline=None, max_examples=60, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_flag_values_exit_with_contract_code(tmp_path, argv):
+    """Whatever the flag values, a command ends with 0, 2 or 3, never a traceback."""
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
