@@ -1,0 +1,8 @@
+"""``python -m qslsense``: the command-line interface of :mod:`qslsense.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,6 +30,9 @@ OUTDIR_ENV = "QSLSENSE_OUTDIR"
 
 FIG3_ANGLES_DEG = (22.5, 45.0, 67.0, 90.0)
 
+#: largest grid size a count flag (and fig3d's surface) may ask for
+MAX_COUNT = 10**6
+
 
 @dataclass
 class RunConfig:
@@ -37,6 +40,13 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     output_path: str | None = None
     expensive: bool = False
+
+    def describe(self) -> str:
+        """The command and the flags it was given, e.g. ``qsl (--rabi=10MHz)``."""
+        flags = [f"--{k}={v}" for k, v in self.parameters.items()]
+        if self.expensive:
+            flags.append("--expensive")
+        return f"{self.command} ({' '.join(flags)})" if flags else self.command
 
 
 def write_csv(path, header, rows) -> None:
@@ -92,6 +102,8 @@ class Params:
         value = self._get(name, "dimensionless", default)
         if value != int(value):
             raise ConfigError(f"--{name} must be a whole number, got {self.values[name]!r}")
+        if value > MAX_COUNT:
+            raise ConfigError(f"--{name} must be at most {MAX_COUNT}, got {self.values[name]!r}")
         return int(value)
 
     def text(self, name, default=None):
@@ -247,6 +259,9 @@ def cmd_fig3d(params: Params, out: str, expensive: bool) -> list[str]:
     omega = params.frequency("rabi")
     n_w = params.integer("omega-points", 81)
     n_t = params.integer("tau-points", 80)
+    if n_w * n_t > MAX_COUNT:
+        raise ConfigError(f"--omega-points times --tau-points must be at most {MAX_COUNT}, "
+                          f"got {n_w} x {n_t}")
     wgrid = np.linspace(0.0, 4.0 * omega, n_w)
     tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
     surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
@@ -507,7 +522,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, FitError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        # parse_config raises only ConfigError, so config is set here
+        print(f"numeric failure in {config.describe()}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,11 +22,28 @@ element between ms0 and ms+-1 is 1/sqrt(2), i.e. sqrt(2) larger than the
 spin-1/2 element, and the rotating-wave factor 1/2 of the cosine drive
 leaves ge B1 / sqrt(2) as the observed oscillation frequency.
 
-Integration uses midpoint-sampled matrix-exponential steps: each step is
-``psi <- exp(-i H(t + dt/2) dt) psi``, second order accurate and exactly
-unitary, so the norm survives arbitrarily long products.  The default step
-is 1/(100 f_max) where f_max is the largest cycle-frequency scale in the
-problem; steps coarser than 1/(50 f_max) are rejected.
+Integration uses a symmetric (Strang) split of H, sampled at the step
+midpoint t_m, into its diagonal part and its one Sx term:
+
+    psi <- exp(-i Delta h/2) R(theta) exp(-i Delta h/2) psi,
+    Delta = diag(D + z, 0, D - z),   z = ge (B0 + Bstim(t_m) cos(chi)),
+    theta = h (ge B1 m(t_m) + ge Bstim(t_m) sin(chi)),
+
+where ``R(theta) = exp(-i theta Sx)`` has the spin-1 closed form
+``1 - i sin(theta) Sx + (cos(theta) - 1) Sx^2``, so no eigensolver runs.
+The split differs from ``exp(-i H(t_m) h)`` by O(h^3) per step, so the
+scheme is second order.  Every factor is unitary, so the norm is kept to
+rounding over arbitrarily long products.  In the frame rotating with Delta
+the split is the midpoint rule, so its leading error comes from the fast
+counter-rotating part of the drive: strongly driven models (a Rabi rate
+that is a sizeable fraction of the carrier) carry more of it than weakly
+driven ones.  The default step is 1/(100 f_max) where f_max is the largest
+cycle-frequency scale in the problem; steps coarser than 1/(50 f_max) are
+rejected.
+
+Batches of runs share the time grid.  Each run's arithmetic is elementwise
+and independent of the other runs, so a batched result is bit-identical to
+the same run on its own.
 
 Carrier phase convention: the second pulse window of the two-pulse protocol
 is carrier-phase-shifted by -pi/2, which reproduces the rotating-frame axis
@@ -60,6 +77,9 @@ _SZ2 = (_SZ @ _SZ)
 PHASE_JUMP = -math.pi / 2
 
 _BASIS_INDEX = {"ms_minus1": 0, "ms0": 1, "ms_plus1": 2}
+
+#: time steps per block of precomputed phases and rotation angles
+_BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -294,46 +314,81 @@ def _spans(protocol: Protocol, t0: float, t1: float):
     return out
 
 
+def _rotate_sx(cos_t, g, q, plus, zero, minus):
+    """Apply ``R(theta) = exp(-i theta Sx)`` to the Sz = +1, 0, -1 components.
+
+    Takes ``cos_t = cos(theta)``, ``g = sin(theta/2)^2`` and
+    ``q = -i sin(theta)/sqrt(2)``, all complex.  The spin-1 closed form
+    ``R = 1 - i sin(theta) Sx + (cos(theta) - 1) Sx^2`` maps, with
+    ``u = psi+ + psi-``, ``psi+- -> psi+- - g u + q psi0`` and
+    ``psi0 -> cos(theta) psi0 + q u``.
+    """
+    u = plus + minus
+    shift = q * zero - g * u
+    return plus + shift, cos_t * zero + q * u, minus + shift
+
+
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
                   dt: float, psis: np.ndarray) -> np.ndarray:
-    """Midpoint-exponential stepping of a batch of runs sharing the time grid.
+    """Strang-split stepping of a batch of runs sharing the time grid.
 
     ``stims`` is a sequence of Stimulus or None, one per row of ``psis``.
-    Rows are independent: arithmetic per run is elementwise identical to the
-    single-run path, so batching never changes results.
+    [t0, t1] is cut at window edges (:func:`_spans`) and each span into
+    ``n = ceil(span/dt)`` equal steps of size h.  A step with midpoint t_m is
+    ``psi <- exp(-i Delta h/2) R(theta) exp(-i Delta h/2) psi`` with
+    ``Delta = diag(D + z, 0, D - z)``, ``z = ge (B0 + b_s(t_m) cos chi)`` and
+    ``theta = h (ge B1 cos(carrier t_m + phase) + ge b_s(t_m) sin chi)``,
+    the drive term counting only inside a pulse window.  Its local error
+    against ``exp(-i H(t_m) h)`` is O(h^3), so the scheme is second order,
+    and every factor is unitary up to rounding.
+
+    The diagonal phases and the rotation's cos/sin factors are computed in
+    blocks of :data:`_BLOCK_STEPS` steps, never for a whole span, so memory
+    does not grow with the span.  The state is held as one contiguous array
+    per component, one entry per run, and updated by out-of-place
+    elementwise operations only, so each run's arithmetic is independent of
+    the batch around it: batched results are bit-identical to single runs.
     """
-    psis = np.array(psis, dtype=complex)
+    psis = np.asarray(psis, dtype=complex)
+    plus, zero, minus = psis.T.copy()
     n_runs = psis.shape[0]
-    base = model.d * _SZ2 + model.gamma_e * model.b0 * _SZ
-    axial = math.cos(model.chi) * _SZ + math.sin(model.chi) * _SX
+    cos_chi, sin_chi = math.cos(model.chi), math.sin(model.chi)
     for a, b, on, phase in _spans(protocol, t0, t1):
         span = b - a
         if span <= 0:
             continue
         n = max(1, int(math.ceil(span / dt)))
         h = span / n
-        tm = a + (np.arange(n) + 0.5) * h
-        bs = np.zeros((n_runs, n))
-        for k, stim in enumerate(stims):
-            if stim is not None:
-                bs[k] = stim.value(tm)
-        if on:
-            mvals = model.gamma_e * model.b1 * np.cos(model.carrier * tm + phase)
-        else:
-            mvals = np.zeros(n)
-        for i in range(n):
-            ham = (base[None, :, :]
-                   + mvals[i] * _SX[None, :, :]
-                   + (model.gamma_e * bs[:, i])[:, None, None] * axial[None, :, :])
-            w, v = np.linalg.eigh(ham)
-            u = (v * np.exp(-1j * w * h)[:, None, :]) @ np.swapaxes(v, 1, 2)
-            psis = np.einsum("kij,kj->ki", u, psis)
-    return psis
+        for i0 in range(0, n, _BLOCK_STEPS):
+            tm = a + (np.arange(i0, min(i0 + _BLOCK_STEPS, n)) + 0.5) * h
+            bs = np.zeros((tm.size, n_runs))
+            for k, stim in enumerate(stims):
+                if stim is not None:
+                    bs[:, k] = stim.value(tm)
+            z = model.gamma_e * (model.b0 + bs * cos_chi)
+            ph_plus = np.exp(-0.5j * h * (model.d + z))
+            ph_minus = np.exp(-0.5j * h * (model.d - z))
+            if on:
+                drive = model.gamma_e * model.b1 * np.cos(model.carrier * tm + phase)
+            else:
+                drive = np.zeros(tm.size)
+            theta = h * (drive[:, None] + model.gamma_e * bs * sin_chi)
+            cos_t = np.cos(theta).astype(complex)
+            g = (np.sin(0.5 * theta) ** 2).astype(complex)
+            q = (-1j / math.sqrt(2.0)) * np.sin(theta)
+            # out-of-place products: numpy's in-place complex multiply takes
+            # a different loop for one run than for several
+            for e_plus, e_minus, c, gj, qj in zip(ph_plus, ph_minus, cos_t, g, q):
+                plus, zero, minus = _rotate_sx(c, gj, qj, plus * e_plus, zero,
+                                               minus * e_minus)
+                plus = plus * e_plus
+                minus = minus * e_minus
+    return np.stack([plus, zero, minus], axis=1)
 
 
 def evolve(model: NvModel, stim: Stimulus | None, protocol: Protocol,
            t0: float, t1: float, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Evolve one state over [t0, t1] with midpoint-exponential steps of size <= dt.
+    """Evolve one state over [t0, t1] with Strang-split steps of size <= dt.
 
     Pulse windows and carrier phases come from ``protocol``; the interval is
     split at window boundaries so no step straddles a drive edge.  Raises

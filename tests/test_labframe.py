@@ -33,6 +33,22 @@ B0_1GHZ = 1e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
 B0_3GHZ4 = 3.4e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
 
 
+def midpoint_exponential_probability(m, stim, protocol, dt):
+    """Oracle integrator: midpoint-sampled ``exp(-i H h)`` steps of :func:`hamiltonian_at`.
+
+    Steps follow the stepper's grid (``ceil(span/dt)`` equal steps per pulse
+    window); the protocol's windows must tile [0, duration].
+    """
+    psi = basis_state(protocol.prep)
+    for w in protocol.windows:
+        n = math.ceil((w.stop - w.start) / dt)
+        h = (w.stop - w.start) / n
+        for i in range(n):
+            ham = hamiltonian_at(m, stim, True, w.carrier_phase, w.start + (i + 0.5) * h)
+            psi = spinlin.matexp_antihermitian(ham, h) @ psi
+    return 1.0 - abs(psi[labframe._BASIS_INDEX[protocol.readout]]) ** 2
+
+
 class TestModel:
     def test_defaults(self):
         m = NvModel()
@@ -155,6 +171,55 @@ class TestEvolve:
         assert d3 < 1e-6          # halving dt changes populations below 1e-6
         assert 2.5 < d1 / d2 < 6.0  # second-order decay of the step error
         assert 2.5 < d2 / d3 < 6.0
+
+    def test_second_order_convergence_off_axis(self):
+        # the offaxis command's model at chi = 45 deg, where the stimulus
+        # also enters the Sx rotation angle
+        m = NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
+                             d=TWO_PI * 0.5e9, chi=math.radians(45.0))
+        om = rabi_frequency(m)
+        protocol = bipartite_protocol(math.pi / om)
+        stim = Stimulus.sinusoid(m.b1 / (10 * math.sqrt(2)), om)
+        dt0 = default_timestep(m, stim)
+        p = [run_protocol_batch(m, [stim], protocol, dt=dt0 / f)[0] for f in (1, 2, 4, 8)]
+        d1, d2, d3 = abs(p[0] - p[1]), abs(p[1] - p[2]), abs(p[2] - p[3])
+        assert d3 < 1e-6
+        assert 2.5 < d1 / d2 < 6.0
+        assert 2.5 < d2 / d3 < 6.0
+        # the default step against an independent dt/4 reference; its error
+        # (1.9e-5) is mostly the counter-rotating drive term's
+        ref = midpoint_exponential_probability(m, stim, protocol, dt0 / 4)
+        assert abs(p[0] - ref) < 3e-5
+
+
+def sx_rotation_matrix(theta):
+    """``exp(-i theta Sx)`` assembled column by column from the stepper's closed form."""
+    factors = [np.array([x], dtype=complex) for x in (
+        math.cos(theta), math.sin(theta / 2) ** 2, -1j * math.sin(theta) / math.sqrt(2))]
+    columns = [labframe._rotate_sx(*factors, *(np.array([x], dtype=complex) for x in e))
+               for e in np.eye(3)]
+    return np.array([np.concatenate(c) for c in columns]).T
+
+
+class TestStrangStep:
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -math.pi / 3, math.pi, 2.5 * math.pi])
+    def test_rotation_matches_matexp(self, theta):
+        ref = spinlin.matexp_antihermitian(theta * labframe.SX1, 1.0)
+        assert np.max(np.abs(sx_rotation_matrix(theta) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_one_step_local_error_is_third_order(self, chi_deg):
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ, chi=math.radians(chi_deg))
+        stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
+        protocol = Protocol(windows=(PulseWindow(0.0, 1e-6, 0.3),), prep="ms0")
+        psi = np.array([1.0, 1j, -1.0]) / math.sqrt(3)
+        h0 = default_timestep(m, stim)
+        errors = []
+        for h in (h0, h0 / 2):
+            step = labframe._evolve_batch(m, [stim], protocol, 0.0, h, h, psi[None, :])[0]
+            ham = hamiltonian_at(m, stim, True, 0.3, h / 2)
+            errors.append(np.max(np.abs(step - spinlin.matexp_antihermitian(ham, h) @ psi)))
+        assert 5.0 < errors[0] / errors[1] < 11.0
 
 
 class TestRunProtocol:

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +201,11 @@ class TestExitCodes:
         (["metrics", "--rabi", "10MHz", "--alpha", "120deg"], "--alpha"),
         (["kernel", "--rabi", "10MHz", "--alpha", "200deg"], "--alpha"),
         (["metrics", "--rabi", "10MHz", "--tau", "100ns"], "--alpha"),
+        (["fig2", "--rabi", "10MHz", "--points", "1000000000000"], "--points"),
+        (["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--points", "1e12"], "--points"),
+        (["fig3d", "--rabi", "10MHz", "--tau-points", "1e12"], "--tau-points"),
+        (["fig3d", "--rabi", "10MHz", "--omega-points", "2000", "--tau-points", "1000"],
+         "--omega-points"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_config_error_naming_flag(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -211,6 +219,16 @@ class TestExitCodes:
     def test_flip_angle_round_trip_at_6mhz(self, tmp_path, argv):
         # 0.5 * Om * (2 alpha / Om) lands one ulp above pi/2 at this rate
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("argv, named", [
+        (["qsl", "--rabi=4.27e153Hz"], "qsl (--rabi=4.27e153Hz)"),
+        (["metrics", "--rabi=1Hz", "--alpha=2.3e-250deg"],
+         "metrics (--rabi=1Hz --alpha=2.3e-250deg)"),
+        (["optimal", "--rabi=4.7e-179Hz"], "optimal (--rabi=4.7e-179Hz)"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
+        assert f"numeric failure in {named}: " in capsys.readouterr().err
 
     def test_no_command(self):
         assert main([]) == 2
@@ -251,3 +269,13 @@ def _argv(draw):
 def test_any_flag_values_exit_with_contract_code(tmp_path, argv):
     """Whatever the flag values, a command ends with 0, 2 or 3, never a traceback."""
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "qslsense", "--check"],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "PASS" in res.stdout and "FAIL" not in res.stdout
