@@ -281,12 +281,12 @@ def bandwidth_first_root(omega: float, alpha: float) -> float:
     return omega * (2.0 * math.pi / alpha - 1.0)
 
 
-def bandwidth_3db(omega: float, alpha: float, rel_tol: float = 1e-12) -> float:
+def bandwidth_3db(omega: float, alpha: float) -> float:
     """3-dB bandwidth: smallest w > Om with K(w) = K(0)/sqrt(2).
 
     Solves ``(y^2 - 1)(1 - cos a)/sqrt(2) = |cos a - cos(y a)|`` for the
     smallest y > 1 by a coarse scan for the first sign change on
-    [1 + 1e-9, 2 pi / a] followed by bisection to ``rel_tol`` relative;
+    [1 + 1e-9, 2 pi / a] followed by bisection to 1e-12 relative;
     returns y * Om (~ 1.19 Om at alpha = pi/2).
     """
     check_alpha_quadrant(alpha)
@@ -306,7 +306,7 @@ def bandwidth_3db(omega: float, alpha: float, rel_tol: float = 1e-12) -> float:
             f"no sign change of the 3-dB condition in [{lo}, {hi}] at alpha={alpha}; "
             f"f ranges [{fs.min():.3e}, {fs.max():.3e}]")
     a, b = float(ys[idx[0]]), float(ys[idx[0] + 1])
-    while (b - a) > rel_tol * b:
+    while (b - a) > 1e-12 * b:
         mid = 0.5 * (a + b)
         if f(mid) < 0:
             a = mid

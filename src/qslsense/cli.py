@@ -5,6 +5,13 @@ column names), so repeated runs produce byte-identical files.  Frequencies
 on the command line accept cycle (Hz-family) or angular (rad/s-family)
 suffixes and are converted to rad/s internally; see :mod:`qslsense.units`.
 
+Flag values may also come from ``--config FILE``, a JSON object of flag
+values such as ``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag
+given on the command line wins over the document.  ``--backend lab`` always
+uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate;
+other lab-frame models are built through the Python API
+(:class:`~qslsense.labframe.NvModel`, :class:`~qslsense.response.LabFrameRunner`).
+
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
 a floating-point overflow, division by zero or invalid operation).
 """
@@ -154,13 +161,9 @@ def _make_runner(params: Params, omega: float, tau: float):
     if backend == "rotating":
         return response.RotatingFrameRunner(omega, tau)
     if backend == "lab":
-        if params.has("config"):
-            with open(params.text("config")) as fh:
-                model, _, _ = labframe.config_from_json(fh.read())
-        else:
-            # moderate field: the Zeeman shift ge B0 is 1 GHz
-            model = labframe.NvModel.resonant(
-                omega, TWO_PI * 1e9 / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
+        # moderate field: the Zeeman shift ge B0 is 1 GHz
+        model = labframe.NvModel.resonant(
+            omega, TWO_PI * 1e9 / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
         return response.LabFrameRunner(model, tau=tau)
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
@@ -381,7 +384,6 @@ _COMMON_FLAGS = {
     "omega-points": "frequency grid points (fig3d)",
     "tau-points": "duration grid points (fig3d)",
     "backend": "protocol backend: rotating or lab",
-    "config": "JSON model/stimulus/protocol configuration file",
 }
 
 
@@ -396,6 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag, help_text in _COMMON_FLAGS.items():
             p.add_argument(f"--{flag}", default=None, help=help_text)
+        p.add_argument("--config", default=None,
+                       help='JSON object of flag values, e.g. {"rabi": "10MHz"}; '
+                            "flags given on the command line win")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--expensive", action="store_true",
                        help="full-scale run (fig4d: B0 = 40 T)")
@@ -403,25 +408,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus an optional JSON config document; flags override the document."""
+    """Parse flags plus an optional ``--config`` document; flags override the document.
+
+    The document is a JSON object whose keys are flag names (without the
+    leading ``--``) and whose values are what the flag would be given; any
+    other key is a configuration error naming it.
+    """
     args = build_parser().parse_args(argv)
     if args.check:
         return RunConfig(command="check")
     if not args.command:
         raise ConfigError("no command given (see --help)")
     merged: dict = {}
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+    if args.config:
         try:
-            with open(cfg_path) as fh:
+            with open(args.config) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {cfg_path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        merged.update({k: v for k, v in doc.items() if k not in ("model", "stimulus", "protocol")})
-        merged["config"] = cfg_path
-    for flag in list(_COMMON_FLAGS):
+            raise ConfigError(f"config file {args.config} must hold a JSON object of flag values")
+        for key in doc:
+            if key not in _COMMON_FLAGS:
+                raise ConfigError(f"config file {args.config}: unknown key {key!r}; "
+                                  f"keys are flag names: {', '.join(_COMMON_FLAGS)}")
+        merged.update(doc)
+    for flag in _COMMON_FLAGS:
         val = getattr(args, flag.replace("-", "_"), None)
         if val is not None:
             merged[flag] = val

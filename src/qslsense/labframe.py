@@ -53,7 +53,6 @@ signal-induced probability change.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,15 +99,6 @@ class NvModel:
             raise ValueError("field magnitudes must be >= 0")
         if not 0.0 <= self.chi <= math.pi / 2:
             raise ValueError(f"chi must lie in [0, pi/2], got {self.chi}")
-
-    @classmethod
-    def from_cycles(cls, d_hz: float = D_NV_CYCLES,
-                    gamma_e_hz_per_t: float = GAMMA_E_CYCLES_PER_TESLA,
-                    b0_t: float = 0.0, b1_t: float = 0.0,
-                    carrier_hz: float = 0.0, chi_rad: float = 0.0) -> "NvModel":
-        """Build from cycle-frequency inputs (Hz), multiplying by 2 pi on ingestion."""
-        return cls(d=TWO_PI * d_hz, gamma_e=TWO_PI * gamma_e_hz_per_t,
-                   b0=b0_t, b1=b1_t, carrier=TWO_PI * carrier_hz, chi=chi_rad)
 
     @classmethod
     def resonant(cls, rabi: float, b0: float, d: float = TWO_PI * D_NV_CYCLES,
@@ -393,8 +383,11 @@ def evolve(model: NvModel, stim: Stimulus | None, protocol: Protocol,
     Pulse windows and carrier phases come from ``protocol``; the interval is
     split at window boundaries so no step straddles a drive edge.  Raises
     :class:`~qslsense.units.ConfigError` when ``dt`` exceeds 1/(50 f_max),
-    naming the binding frequency scale.
+    naming the binding frequency scale, and ``ValueError`` when ``t1 < t0``
+    (``t1 == t0`` returns the state unchanged).
     """
+    if t1 < t0:
+        raise ValueError(f"evolve needs t1 >= t0, got t0 = {t0:.6e} s, t1 = {t1:.6e} s")
     _check_timestep(model, stim, dt)
     psi = np.asarray(psi, dtype=complex)
     spinlin.check_state(psi)
@@ -459,87 +452,3 @@ def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
         pops[i] = np.abs(psi) ** 2
         sz[i] = spinlin.expectation(SZ1, psi)
     return times, pops, sz
-
-
-def model_to_dict(model: NvModel) -> dict:
-    """SI-unit (cycle frequency) dictionary form for configuration documents."""
-    return {
-        "d_hz": model.d / TWO_PI,
-        "gamma_e_hz_per_t": model.gamma_e / TWO_PI,
-        "b0_t": model.b0,
-        "b1_t": model.b1,
-        "carrier_hz": model.carrier / TWO_PI,
-        "chi_rad": model.chi,
-    }
-
-
-def model_from_dict(doc: dict) -> NvModel:
-    try:
-        return NvModel.from_cycles(
-            d_hz=doc.get("d_hz", D_NV_CYCLES),
-            gamma_e_hz_per_t=doc.get("gamma_e_hz_per_t", GAMMA_E_CYCLES_PER_TESLA),
-            b0_t=doc.get("b0_t", 0.0),
-            b1_t=doc.get("b1_t", 0.0),
-            carrier_hz=doc.get("carrier_hz", 0.0),
-            chi_rad=doc.get("chi_rad", 0.0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model document: {exc}") from exc
-
-
-def stimulus_to_dict(stim: Stimulus) -> dict:
-    doc = {"kind": stim.kind, "amplitude_t": stim.amplitude}
-    if stim.kind == "gaussian":
-        doc.update(center_s=stim.center, fwhm_s=stim.fwhm)
-    elif stim.kind == "sinusoid":
-        doc.update(frequency_hz=stim.frequency / TWO_PI, phase_rad=stim.phase)
-    return doc
-
-
-def stimulus_from_dict(doc: dict) -> Stimulus:
-    try:
-        kind = doc["kind"]
-        amp = doc["amplitude_t"]
-        if kind == "constant":
-            return Stimulus.constant(amp)
-        if kind == "gaussian":
-            return Stimulus.gaussian(amp, doc["center_s"], doc["fwhm_s"])
-        if kind == "sinusoid":
-            return Stimulus.sinusoid(amp, TWO_PI * doc["frequency_hz"],
-                                     doc.get("phase_rad", 0.0))
-        raise ConfigError(f"unknown stimulus kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"stimulus document missing field {exc}") from exc
-
-
-def config_to_json(model: NvModel, stim: Stimulus | None = None,
-                   protocol: Protocol | None = None) -> str:
-    doc: dict = {"model": model_to_dict(model)}
-    if stim is not None:
-        doc["stimulus"] = stimulus_to_dict(stim)
-    if protocol is not None:
-        doc["protocol"] = {
-            "prep": protocol.prep, "readout": protocol.readout,
-            "windows": [{"start_s": w.start, "stop_s": w.stop,
-                         "carrier_phase_rad": w.carrier_phase}
-                        for w in protocol.windows],
-        }
-    return json.dumps(doc, indent=2)
-
-
-def config_from_json(text: str):
-    """Parse a configuration document; returns (model, stimulus, protocol), latter two optional."""
-    doc = json.loads(text)
-    if "model" not in doc:
-        raise ConfigError("configuration document has no 'model' section")
-    model = model_from_dict(doc["model"])
-    stim = stimulus_from_dict(doc["stimulus"]) if "stimulus" in doc else None
-    protocol = None
-    if "protocol" in doc:
-        p = doc["protocol"]
-        windows = tuple(PulseWindow(w["start_s"], w["stop_s"],
-                                    w.get("carrier_phase_rad", 0.0))
-                        for w in p.get("windows", ()))
-        protocol = Protocol(windows, prep=p.get("prep", "ms0"),
-                            readout=p.get("readout", "ms0"))
-    return model, stim, protocol

@@ -114,20 +114,18 @@ def scan_timeshare_phase(omega: float, tau: float, k_grid=None,
     return k_best, th_best, eta_best
 
 
-def optimal_duration(omega_signal: float, omega_rabi: float,
-                     extended: bool = False) -> tuple[float, bool]:
+def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, bool]:
     """Duration maximizing :func:`sinusoid_sensitivity` at one signal frequency.
 
-    Searches tau in (0, pi/Om] (flip angle capped at 90 degrees; the
-    ``extended`` flag widens the cap to alpha <= pi), on a 512-point grid
-    refined by golden-section search to 1e-10 relative.  Returns
+    Searches tau in (0, pi/Om] (flip angle capped at 90 degrees) on a
+    512-point grid refined by golden-section search to 1e-10 relative.  Returns
     ``(tau*, low_confidence)``; the flag is set when the objective is flat
     over the whole domain (huge signal frequencies), in which case the
     smallest-tau maximizer is reported.
     """
     if omega_signal < 0:
         raise ValueError("signal frequency must be >= 0")
-    tau_max = (2.0 * math.pi if extended else math.pi) / omega_rabi
+    tau_max = math.pi / omega_rabi
     taus = np.linspace(tau_max / 512, tau_max, 512)
     vals = np.array([sinusoid_sensitivity(omega_signal, omega_rabi, t) for t in taus])
     top = float(vals.max())
@@ -141,18 +139,15 @@ def optimal_duration(omega_signal: float, omega_rabi: float,
     return float(tau_star), False
 
 
-def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid,
-                        extended: bool = False) -> SensitivitySurface:
+def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid) -> SensitivitySurface:
     """Sensitivity over the full (omega, tau) grid plus the optimal-duration ridge."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    tau_cap = (2.0 * math.pi if extended else math.pi) / omega_rabi
+    tau_cap = math.pi / omega_rabi
     if tau_grid[-1] > tau_cap * (1.0 + 1e-12):
-        raise ValueError(
-            f"tau grid exceeds the flip-angle cap {tau_cap:.3e} s; pass extended=True")
+        raise ValueError(f"tau grid exceeds the flip-angle cap pi/Om = {tau_cap:.3e} s")
     values = np.empty((len(omega_grid), len(tau_grid)))
     for j, tau in enumerate(tau_grid):
         values[:, j] = sinusoid_sensitivity(omega_grid, omega_rabi, tau)
-    ridge = np.array([[w, optimal_duration(w, omega_rabi, extended=extended)[0]]
-                      for w in omega_grid])
+    ridge = np.array([[w, optimal_duration(w, omega_rabi)[0]] for w in omega_grid])
     return SensitivitySurface(omega_grid, tau_grid, values, ridge)

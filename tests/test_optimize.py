@@ -124,9 +124,6 @@ class TestSurface:
     def test_tau_cap_enforced(self):
         with pytest.raises(ValueError):
             sensitivity_surface(1.0, np.array([0.0]), np.array([0.5, 4.0]))
-        surf = sensitivity_surface(1.0, np.array([0.0]), np.array([0.5, 4.0]),
-                                   extended=True)
-        assert surf.values.shape == (1, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

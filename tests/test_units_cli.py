@@ -212,6 +212,28 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("document, named", [
+        ("[1]", "JSON object"),
+        ("{bad json", "cannot read config file"),
+        ('{"model": 5}', "'model'"),
+        ('{"model": {"b1_t": 0}}', "'model'"),
+        ('{"stimulus": {"kind": "constant", "amplitude_t": 1e-6}}', "'stimulus'"),
+        ('{"protocol": {"prep": "ms0", "windows": []}}', "'protocol'"),
+        ('{"config": "other.json"}', "'config'"),
+        ('{"poinst": 5}', "'poinst'"),
+        ('{"points": 0}', "--points"),
+    ], ids=["array", "invalid-json", "model-number", "model-section", "stimulus-section",
+            "protocol-section", "config-key", "misspelt-key", "points-zero"])
+    def test_config_document_holds_flag_values_only(self, tmp_path, capsys, document, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        out = tmp_path / "x.csv"
+        assert main(["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--backend", "lab",
+                     "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["kernel", "--rabi", "6MHz", "--alpha", "90deg", "--points", "5"],
         ["fig3b", "--rabi", "6MHz", "--points", "5"],
