@@ -5,9 +5,11 @@ column names), so repeated runs produce byte-identical files.  Frequencies
 on the command line accept cycle (Hz-family) or angular (rad/s-family)
 suffixes and are converted to rad/s internally; see :mod:`qslsense.units`.
 
-Flag values may also come from ``--config FILE``, a JSON object of flag
-values such as ``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag
-given on the command line wins over the document.  ``--backend lab`` always
+Each command takes only the flags it reads (:data:`COMMAND_FLAGS`); any other
+flag is a configuration error naming it.  Flag values may also come from
+``--config FILE``, a JSON object of that command's flag values such as
+``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag given on the
+command line wins over the document.  ``--backend lab`` always
 uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate;
 other lab-frame models are built through the Python API
 (:class:`~qslsense.labframe.NvModel`, :class:`~qslsense.response.LabFrameRunner`).
@@ -46,13 +48,10 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_path: str | None = None
-    expensive: bool = False
 
     def describe(self) -> str:
         """The command and the flags it was given, e.g. ``qsl (--rabi=10MHz)``."""
-        flags = [f"--{k}={v}" for k, v in self.parameters.items()]
-        if self.expensive:
-            flags.append("--expensive")
+        flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in self.parameters.items()]
         return f"{self.command} ({' '.join(flags)})" if flags else self.command
 
 
@@ -77,47 +76,34 @@ def read_csv(path):
 
 
 class Params:
-    """Typed access to the merged flag/config parameter map."""
+    """The merged flag/config values, each parsed by the kind :data:`FLAGS` gives it."""
 
     def __init__(self, values: dict):
-        self.values = {k: v for k, v in values.items() if v is not None}
+        self.values = values
 
     def has(self, name: str) -> bool:
         return name in self.values
 
-    def _get(self, name, kind, default):
+    def get(self, name: str, default=None):
         if name not in self.values:
             if default is None:
                 raise ConfigError(f"missing required parameter --{name}")
             return default
-        value = parse_quantity(str(self.values[name]), kind, field=f"--{name}")
+        raw, kind = self.values[name], FLAGS[name][0]
+        if kind == "text":
+            return str(raw)
+        value = parse_quantity(str(raw), "dimensionless" if kind == "count" else kind,
+                               field=f"--{name}")
         # every quantity is positive; only a signal frequency may also be zero
         if value < 0 or (value == 0 and name != "signal-freq"):
-            raise ConfigError(f"--{name} must be positive, got {self.values[name]!r}")
-        return value
-
-    def frequency(self, name, default=None):
-        return self._get(name, "frequency", default)
-
-    def time(self, name, default=None):
-        return self._get(name, "time", default)
-
-    def angle(self, name, default=None):
-        return self._get(name, "angle", default)
-
-    def integer(self, name, default=None):
-        value = self._get(name, "dimensionless", default)
+            raise ConfigError(f"--{name} must be positive, got {raw!r}")
+        if kind != "count":
+            return value
         if value != int(value):
-            raise ConfigError(f"--{name} must be a whole number, got {self.values[name]!r}")
+            raise ConfigError(f"--{name} must be a whole number, got {raw!r}")
         if value > MAX_COUNT:
-            raise ConfigError(f"--{name} must be at most {MAX_COUNT}, got {self.values[name]!r}")
+            raise ConfigError(f"--{name} must be at most {MAX_COUNT}, got {raw!r}")
         return int(value)
-
-    def text(self, name, default=None):
-        val = self.values.get(name, default)
-        if val is None:
-            raise ConfigError(f"missing required parameter --{name}")
-        return str(val)
 
 
 def resolve_pulse(params: Params) -> tuple[float, float, float]:
@@ -132,16 +118,13 @@ def resolve_pulse(params: Params) -> tuple[float, float, float]:
     if len(given) < 2:
         raise ConfigError("need two of --rabi, --alpha, --tau to fix the pulse")
     if "rabi" in given and "tau" in given:
-        omega = params.frequency("rabi")
-        tau = params.time("tau")
+        omega, tau = params.get("rabi"), params.get("tau")
         alpha = 0.5 * omega * tau
     elif "rabi" in given:
-        omega = params.frequency("rabi")
-        alpha = params.angle("alpha")
+        omega, alpha = params.get("rabi"), params.get("alpha")
         tau = 2.0 * alpha / omega
     else:
-        alpha = params.angle("alpha")
-        tau = params.time("tau")
+        alpha, tau = params.get("alpha"), params.get("tau")
         omega = 2.0 * alpha / tau
     if not all(0.0 < x < math.inf for x in (omega, tau, alpha)):
         raise ConfigError(f"pulse out of range: rabi {omega:.6g} rad/s, tau {tau:.6g} s")
@@ -157,7 +140,7 @@ def _check_flip_angle(alpha: float) -> None:
 
 
 def _make_runner(params: Params, omega: float, tau: float):
-    backend = params.text("backend", "rotating")
+    backend = params.get("backend", "rotating")
     if backend == "rotating":
         return response.RotatingFrameRunner(omega, tau)
     if backend == "lab":
@@ -168,7 +151,7 @@ def _make_runner(params: Params, omega: float, tau: float):
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
 
-def cmd_metrics(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_metrics(params: Params, out: str) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
     _check_flip_angle(alpha)
     rep = analytic.metrics_report(omega, tau)
@@ -194,31 +177,31 @@ def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
     return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (sim.gamma * tau))
 
 
-def cmd_kernel(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_kernel(params: Params, out: str) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
     _check_flip_angle(alpha)
-    n = params.integer("points", 121)
+    n = params.get("points", 121)
     rows = _kernel(_make_runner(params, omega, tau), tau, alpha, n)
     write_csv(out, ["t_s", "k_norm"], rows)
     return [out]
 
 
-def cmd_bode(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_bode(params: Params, out: str) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
-    n = params.integer("points", 34)
-    wmax = params.frequency("max-freq", 3.3 * omega)
+    n = params.get("points", 34)
+    wmax = params.get("max-freq", 3.3 * omega)
     series = _bode(_make_runner(params, omega, tau), tau, wmax, n)
     write_csv(out, ["omega_rad_s", "gain_norm", "chi_rad"],
               [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])
     return [out]
 
 
-def cmd_fig2(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_fig2(params: Params, out: str) -> list[str]:
     """Phase pickup ratio vs duration: two-pulse branch below 2 t_R, delayed branch above."""
-    omega = params.frequency("rabi")
+    omega = params.get("rabi")
     t_r = (math.pi / 2.0) / omega
-    tau_max = params.time("tau-max", 8.0 * t_r)
-    n = params.integer("points", 200)
+    tau_max = params.get("tau-max", 8.0 * t_r)
+    n = params.get("points", 200)
     rows = []
     for tau in np.linspace(tau_max / n, tau_max, n):
         if tau <= 2.0 * t_r:
@@ -232,9 +215,9 @@ def cmd_fig2(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_fig3b(params: Params, out: str, expensive: bool) -> list[str]:
-    omega = params.frequency("rabi")
-    n = params.integer("points", 101)
+def cmd_fig3b(params: Params, out: str) -> list[str]:
+    omega = params.get("rabi")
+    n = params.get("points", 101)
     rows = []
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
@@ -245,9 +228,9 @@ def cmd_fig3b(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_fig3c(params: Params, out: str, expensive: bool) -> list[str]:
-    omega = params.frequency("rabi")
-    n = params.integer("points", 34)
+def cmd_fig3c(params: Params, out: str) -> list[str]:
+    omega = params.get("rabi")
+    n = params.get("points", 34)
     rows = []
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
@@ -258,10 +241,10 @@ def cmd_fig3c(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_fig3d(params: Params, out: str, expensive: bool) -> list[str]:
-    omega = params.frequency("rabi")
-    n_w = params.integer("omega-points", 81)
-    n_t = params.integer("tau-points", 80)
+def cmd_fig3d(params: Params, out: str) -> list[str]:
+    omega = params.get("rabi")
+    n_w = params.get("omega-points", 81)
+    n_t = params.get("tau-points", 80)
     if n_w * n_t > MAX_COUNT:
         raise ConfigError(f"--omega-points times --tau-points must be at most {MAX_COUNT}, "
                           f"got {n_w} x {n_t}")
@@ -278,7 +261,7 @@ def cmd_fig3d(params: Params, out: str, expensive: bool) -> list[str]:
     return [out, ridge_out]
 
 
-def cmd_fig4d(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_fig4d(params: Params, out: str) -> list[str]:
     """p(+stim), p(-stim), p(reference) per Rabi rate for ms0 and ms-1 prep/readout.
 
     The default scaled bias (ge B0 = 60 D) preserves the saturated transition
@@ -286,12 +269,10 @@ def cmd_fig4d(params: Params, out: str, expensive: bool) -> list[str]:
     matching the physics of the full 40 T run (``--expensive``) at desk-scale
     cost.
     """
-    n = params.integer("points", 13)
+    n = params.get("points", 13)
     d = TWO_PI * labframe.D_NV_CYCLES
-    if expensive:
-        b0 = 40.0
-    else:
-        b0 = 60.0 * d / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA)
+    gamma = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA
+    b0 = 40.0 if params.has("expensive") else 60.0 * d / gamma
     rows = []
     for omega in np.geomspace(0.1 * d, 8.0 * d, n):
         model = labframe.NvModel.resonant(omega, b0)
@@ -309,8 +290,8 @@ def cmd_fig4d(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_offaxis(params: Params, out: str, expensive: bool) -> list[str]:
-    n = params.integer("points", 11)
+def cmd_offaxis(params: Params, out: str) -> list[str]:
+    n = params.get("points", 11)
     rows = []
     for deg in (0.0, 20.0, 45.0):
         # scaled model: small splitting and bias put the sensing transition
@@ -331,13 +312,17 @@ def cmd_offaxis(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_optimal(params: Params, out: str, expensive: bool) -> list[str]:
-    omega = params.frequency("rabi")
+def cmd_optimal(params: Params, out: str) -> list[str]:
+    omega = params.get("rabi")
     if params.has("signal-freq"):
-        grid = [params.frequency("signal-freq")]
+        clash = [f"--{f}" for f in ("max-freq", "points") if params.has(f)]
+        if clash:
+            raise ConfigError(f"--signal-freq excludes {' and '.join(clash)}: "
+                              "give one signal frequency or a grid")
+        grid = [params.get("signal-freq")]
     else:
-        wmax = params.frequency("max-freq", 4.0 * omega)
-        grid = np.linspace(0.0, wmax, params.integer("points", 41))
+        wmax = params.get("max-freq", 4.0 * omega)
+        grid = np.linspace(0.0, wmax, params.get("points", 41))
     rows = []
     for w in grid:
         tau_star, low_conf = optimize.optimal_duration(w, omega)
@@ -346,9 +331,9 @@ def cmd_optimal(params: Params, out: str, expensive: bool) -> list[str]:
     return [out]
 
 
-def cmd_qsl(params: Params, out: str, expensive: bool) -> list[str]:
+def cmd_qsl(params: Params, out: str) -> list[str]:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
-    omega = params.frequency("rabi")
+    omega = params.get("rabi")
     _, sy, _ = spinlin.spin_operators("half")
     inp = analytic.QslInput(hamiltonian=omega * sy,
                             state=np.array([1.0, 0.0], dtype=complex),
@@ -373,52 +358,77 @@ COMMANDS = {
     "qsl": cmd_qsl,
 }
 
-_COMMON_FLAGS = {
-    "rabi": "Rabi frequency, e.g. 10MHz or 6.28e7rad/s",
-    "alpha": "flip angle per pulse, e.g. 90deg",
-    "tau": "total sequence duration, e.g. 50ns",
-    "tau-max": "largest duration (fig2)",
-    "max-freq": "largest signal frequency",
-    "signal-freq": "single signal frequency (optimal)",
-    "points": "number of grid points",
-    "omega-points": "frequency grid points (fig3d)",
-    "tau-points": "duration grid points (fig3d)",
-    "backend": "protocol backend: rotating or lab",
+#: kind (how :meth:`Params.get` parses it) and help text of every value flag
+FLAGS = {
+    "rabi": ("frequency", "Rabi frequency, e.g. 10MHz or 6.28e7rad/s"),
+    "alpha": ("angle", "flip angle per pulse, e.g. 90deg"),
+    "tau": ("time", "total sequence duration, e.g. 50ns"),
+    "tau-max": ("time", "largest duration"),
+    "max-freq": ("frequency", "largest signal frequency"),
+    "signal-freq": ("frequency", "one signal frequency instead of a grid"),
+    "points": ("count", "number of grid points"),
+    "omega-points": ("count", "frequency grid points"),
+    "tau-points": ("count", "duration grid points"),
+    "backend": ("text", "protocol backend: rotating or lab"),
+}
+
+_PULSE = ("rabi", "alpha", "tau")
+#: the value flags (and --config keys) each command reads; fig4d also takes --expensive
+COMMAND_FLAGS = {
+    "metrics": _PULSE,
+    "kernel": _PULSE + ("points", "backend"),
+    "bode": _PULSE + ("points", "max-freq", "backend"),
+    "fig2": ("rabi", "tau-max", "points"),
+    "fig3b": ("rabi", "points"),
+    "fig3c": ("rabi", "points"),
+    "fig3d": ("rabi", "omega-points", "tau-points"),
+    "fig4d": ("points",),
+    "offaxis": ("points",),
+    "optimal": ("rabi", "signal-freq", "max-freq", "points"),
+    "qsl": ("rabi",),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a configuration error
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qslsense",
-        description="Regenerate sensing-at-the-speed-limit figure datasets as CSV.")
+    parser = _Parser(prog="qslsense", allow_abbrev=False,
+                     description="Regenerate sensing-at-the-speed-limit figure datasets as CSV.")
     parser.add_argument("--check", action="store_true",
-                        help="run the analytic self-checks and exit")
+                        help="run the analytic self-checks and exit (takes no command)")
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        for flag, help_text in _COMMON_FLAGS.items():
-            p.add_argument(f"--{flag}", default=None, help=help_text)
-        p.add_argument("--config", default=None,
-                       help='JSON object of flag values, e.g. {"rabi": "10MHz"}; '
-                            "flags given on the command line win")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--expensive", action="store_true",
-                       help="full-scale run (fig4d: B0 = 40 T)")
+    for name, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", dest=flag, help=FLAGS[flag][1])
+        p.add_argument("--config", help=f"JSON object of this command's flag values, with keys "
+                                        f"from {', '.join(flags)}; flags on the command line win")
+        p.add_argument("--out", help="output CSV path")
+        if name == "fig4d":
+            p.add_argument("--expensive", action="store_true", help="full-scale run: B0 = 40 T")
     return parser
 
 
 def parse_config(argv) -> RunConfig:
     """Parse flags plus an optional ``--config`` document; flags override the document.
 
-    The document is a JSON object whose keys are flag names (without the
-    leading ``--``) and whose values are what the flag would be given; any
-    other key is a configuration error naming it.
+    The document is a JSON object whose keys are the command's flag names
+    (without the leading ``--``) and whose values are what the flag would be
+    given; any other key, or a null value, is a configuration error naming it.
     """
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        raise ConfigError(f"{args.command or 'qslsense'} does not take {' '.join(extra)}")
     if args.check:
+        if args.command:
+            raise ConfigError(f"--check runs alone, without a command (got {args.command})")
         return RunConfig(command="check")
     if not args.command:
         raise ConfigError("no command given (see --help)")
+    flags = COMMAND_FLAGS[args.command]
     merged: dict = {}
     if args.config:
         try:
@@ -428,17 +438,15 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object of flag values")
-        for key in doc:
-            if key not in _COMMON_FLAGS:
-                raise ConfigError(f"config file {args.config}: unknown key {key!r}; "
-                                  f"keys are flag names: {', '.join(_COMMON_FLAGS)}")
+        for key, value in doc.items():
+            if key not in flags or value is None:
+                raise ConfigError(f"config file {args.config}: key {key!r} must be a flag of "
+                                  f"{args.command} ({', '.join(flags)}) with a non-null value")
         merged.update(doc)
-    for flag in _COMMON_FLAGS:
-        val = getattr(args, flag.replace("-", "_"), None)
-        if val is not None:
-            merged[flag] = val
-    return RunConfig(command=args.command, parameters=merged,
-                     output_path=args.out, expensive=args.expensive)
+    merged.update((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
+    if getattr(args, "expensive", False):
+        merged["expensive"] = True
+    return RunConfig(command=args.command, parameters=merged, output_path=args.out)
 
 
 def run(config: RunConfig) -> int:
@@ -451,7 +459,7 @@ def run(config: RunConfig) -> int:
     # overflow, division by zero or an invalid operation is a numeric failure,
     # never a silent inf or nan in the output
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        paths = handler(Params(config.parameters), out, config.expensive)
+        paths = handler(Params(config.parameters), out)
     for p in paths:
         print(p)
     return 0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,9 @@ class TestExitCodes:
         (["fig3d", "--rabi", "10MHz", "--tau-points", "1e12"], "--tau-points"),
         (["fig3d", "--rabi", "10MHz", "--omega-points", "2000", "--tau-points", "1000"],
          "--omega-points"),
+        (["optimal", "--rabi", "10MHz", "--signal-freq", "1MHz", "--points", "99",
+          "--max-freq", "1e300GHz"], "--max-freq"),
+        (["optimal", "--rabi", "10MHz", "--signal-freq", "1MHz", "--points", "5"], "--points"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_config_error_naming_flag(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -222,8 +226,11 @@ class TestExitCodes:
         ('{"config": "other.json"}', "'config'"),
         ('{"poinst": 5}', "'poinst'"),
         ('{"points": 0}', "--points"),
+        ('{"points": null}', "'points'"),
+        ('{"tau-max": "5ns"}', "'tau-max'"),
     ], ids=["array", "invalid-json", "model-number", "model-section", "stimulus-section",
-            "protocol-section", "config-key", "misspelt-key", "points-zero"])
+            "protocol-section", "config-key", "misspelt-key", "points-zero", "points-null",
+            "flag-of-another-command"])
     def test_config_document_holds_flag_values_only(self, tmp_path, capsys, document, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(document)
@@ -233,6 +240,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig3b", "--rabi", "10MHz", "--backend", "lab"], "--backend"),
+        (["qsl", "--rabi", "10MHz", "--backend", "bogus"], "--backend"),
+        (["metrics", "--rabi", "10MHz", "--alpha", "90deg", "--expensive"], "--expensive"),
+        (["offaxis", "--rabi", "10MHz"], "--rabi"),
+        (["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--tau-max", "5ns"], "--tau-max"),
+        (["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--poinst", "5"], "--poinst"),
+        (["fig2", "--rabi", "10MHz", "--tau", "5ns"], "--tau"),
+        (["--check", "kernel", "--rabi", "10MHz", "--alpha", "90deg"], "--check"),
+        (["qsl", "--rabi"], "--rabi"),
+        (["bogus"], "'bogus'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_flag_the_command_does_not_read_is_config_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_fig4d_expensive_reaches_the_handler(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "fig4d", lambda params, out: seen.append(params) or [])
+        assert main(["fig4d", "--expensive", "--points", "2"]) == 0
+        assert seen[0].has("expensive") and seen[0].get("points") == 2
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_lists_only_the_flags_the_command_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        own = {f"--{f}" for f in cli.COMMAND_FLAGS[command]} | {"--help", "--config", "--out"}
+        assert listed == own | ({"--expensive"} if command == "fig4d" else set())
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--rabi", "6MHz", "--alpha", "90deg", "--points", "5"],
