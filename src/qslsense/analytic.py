@@ -193,7 +193,8 @@ def transfer_value(omega_signal, omega_rabi: float, tau: float):
     The removable singularity at w = Om is evaluated by a series branch for
     |w - Om| < 1e-6 Om, where cancellation would otherwise dominate.  Each
     branch sees only the points it serves, so neither overflows on the
-    other's.  Accepts scalars or arrays for ``omega_signal``.
+    other's.  Accepts scalars or arrays for ``omega_signal``, or, at one
+    ``omega_signal``, an array for ``tau``.
     """
     w = np.asarray(omega_signal, dtype=float)
     om = omega_rabi
@@ -201,8 +202,8 @@ def transfer_value(omega_signal, omega_rabi: float, tau: float):
     h = w - om
     near = np.abs(h) < 1e-6 * om
     if w.ndim == 0:
-        return float(_transfer_series(h, om, tau, a) if near
-                     else _transfer_direct(w, om, tau, a))
+        out = _transfer_series(h, om, tau, a) if near else _transfer_direct(w, om, tau, a)
+        return float(out) if np.ndim(out) == 0 else out
     # zero the inputs a branch does not serve; the where discards its value there
     return np.where(near, _transfer_series(h * near, om, tau, a),
                     _transfer_direct(np.where(near, 0.0, w), om, tau, a))

@@ -152,13 +152,7 @@ class Stimulus:
     def value(self, t):
         """Field value (tesla) at time(s) ``t``; vectorized over arrays."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(t, self.amplitude)
-        elif self.kind == "gaussian":
-            out = self.amplitude * np.exp(
-                -4.0 * math.log(2.0) * (t - self.center) ** 2 / self.fwhm**2)
-        else:
-            out = self.amplitude * np.sin(self.frequency * t + self.phase)
+        out = stimulus_field([self])(t.ravel())[0].reshape(t.shape)
         return float(out) if out.ndim == 0 else out
 
     def area(self) -> float:
@@ -166,6 +160,43 @@ class Stimulus:
         if self.kind != "gaussian":
             raise ValueError(f"area is only defined for gaussian stimuli, not {self.kind!r}")
         return self.amplitude * self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
+
+
+def stimulus_field(stims):
+    """Return ``field(t)``, the field values (tesla) of a batch of stimuli, shape (runs, len(t)).
+
+    A None entry gives a row of zeros.  The stimuli's parameters are
+    gathered once, by kind, so a stepper can call ``field`` once per block
+    of times.  The stimuli of one kind are evaluated as one broadcast array
+    with elementwise operations only, so a row has the same bits in any
+    batch.  :meth:`Stimulus.value` is the one-row call.
+    """
+    rows_of = {}
+    for k, stim in enumerate(stims):
+        if stim is not None:
+            rows_of.setdefault(stim.kind, []).append(k)
+    groups = []
+    for kind, rows in rows_of.items():
+        # fwhm**2 stays a Python float power: pow(x, 2) and x*x differ in
+        # the last bit for about one value in 1200
+        params = np.array([[stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
+                            stims[k].frequency, stims[k].phase] for k in rows])
+        groups.append((kind, rows, *params.T[:, :, None]))  # one (rows, 1) column each
+
+    def field(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = np.zeros((len(stims), t.size))
+        for kind, rows, amplitude, center, fwhm_sq, frequency, phase in groups:
+            if kind == "constant":
+                out[rows] = amplitude
+            elif kind == "gaussian":
+                out[rows] = amplitude * np.exp(
+                    -4.0 * math.log(2.0) * (t - center) ** 2 / fwhm_sq)
+            else:
+                out[rows] = amplitude * np.sin(frequency * t + phase)
+        return out
+
+    return field
 
 
 @dataclass(frozen=True)
@@ -332,8 +363,9 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     against ``exp(-i H(t_m) h)`` is O(h^3), so the scheme is second order,
     and every factor is unitary up to rounding.
 
-    The diagonal phases and the rotation's cos/sin factors are computed in
-    blocks of :data:`_BLOCK_STEPS` steps, never for a whole span, so memory
+    The stimulus field (:func:`stimulus_field`), the diagonal phases and the
+    rotation's cos/sin factors are computed in blocks of
+    :data:`_BLOCK_STEPS` steps, never for a whole span, so memory
     does not grow with the span.  The state is held as one contiguous array
     per component, one entry per run, and updated by out-of-place
     elementwise operations only, so each run's arithmetic is independent of
@@ -341,8 +373,8 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     """
     psis = np.asarray(psis, dtype=complex)
     plus, zero, minus = psis.T.copy()
-    n_runs = psis.shape[0]
     cos_chi, sin_chi = math.cos(model.chi), math.sin(model.chi)
+    field = stimulus_field(stims)
     for a, b, on, phase in _spans(protocol, t0, t1):
         span = b - a
         if span <= 0:
@@ -351,10 +383,7 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
         h = span / n
         for i0 in range(0, n, _BLOCK_STEPS):
             tm = a + (np.arange(i0, min(i0 + _BLOCK_STEPS, n)) + 0.5) * h
-            bs = np.zeros((tm.size, n_runs))
-            for k, stim in enumerate(stims):
-                if stim is not None:
-                    bs[:, k] = stim.value(tm)
+            bs = np.ascontiguousarray(field(tm).T)
             z = model.gamma_e * (model.b0 + bs * cos_chi)
             ph_plus = np.exp(-0.5j * h * (model.d + z))
             ph_minus = np.exp(-0.5j * h * (model.d - z))

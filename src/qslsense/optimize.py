@@ -18,6 +18,7 @@ import numpy as np
 from .analytic import bipartite_sensitivity, transfer_value
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -75,7 +76,7 @@ def sinusoid_sensitivity(omega_signal, omega_rabi: float, tau: float):
     seconds.  Accepts arrays for ``omega_signal``.
     """
     alpha = 0.5 * omega_rabi * tau
-    return 0.5 * math.sin(alpha) * math.sqrt(2.0 * math.pi) * transfer_value(
+    return 0.5 * math.sin(alpha) * _SQRT_2PI * transfer_value(
         omega_signal, omega_rabi, tau)
 
 
@@ -121,13 +122,23 @@ def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, boo
     512-point grid refined by golden-section search to 1e-10 relative.  Returns
     ``(tau*, low_confidence)``; the flag is set when the objective is flat
     over the whole domain (huge signal frequencies), in which case the
-    smallest-tau maximizer is reported.
+    smallest-tau maximizer is reported.  A negative or non-finite signal
+    frequency, or a Rabi frequency that is not finite and > 0, raises
+    ValueError.
+
+    The coarse grid is one array call of :func:`transfer_value` over tau
+    (its series branch and overflow guard included) times the per-tau
+    ``math.sin`` prefactor, the arithmetic of :func:`sinusoid_sensitivity`
+    point by point; the golden-section refinement calls it per point.
     """
-    if omega_signal < 0:
-        raise ValueError("signal frequency must be >= 0")
+    if not (math.isfinite(omega_signal) and omega_signal >= 0):
+        raise ValueError(f"signal frequency must be finite and >= 0, got {omega_signal}")
+    if not (math.isfinite(omega_rabi) and omega_rabi > 0):
+        raise ValueError(f"Rabi frequency must be finite and > 0, got {omega_rabi}")
     tau_max = math.pi / omega_rabi
     taus = np.linspace(tau_max / 512, tau_max, 512)
-    vals = np.array([sinusoid_sensitivity(omega_signal, omega_rabi, t) for t in taus])
+    prefactor = np.array([0.5 * math.sin(0.5 * omega_rabi * t) * _SQRT_2PI for t in taus])
+    vals = prefactor * transfer_value(omega_signal, omega_rabi, taus)
     top = float(vals.max())
     if top <= 0 or (top - float(vals.min())) <= 1e-12 * top:
         return float(taus[int(np.argmax(vals))]), True

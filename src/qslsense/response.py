@@ -43,6 +43,8 @@ from .labframe import Stimulus
 
 TWO_PI = 2.0 * math.pi
 _GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))  # area = amp * fwhm * this
+#: time steps per block of SU(2) factors in RotatingFrameRunner.run_batch
+_BLOCK_STEPS = 32
 
 
 class FitError(RuntimeError):
@@ -100,6 +102,13 @@ class RotatingFrameRunner:
     [0, tau/2) and X on [tau/2, tau), matching :mod:`qslsense.sequence`.
     Stepping is exact per step (2x2 rotation about the midpoint-sampled
     axis), second order in the stimulus variation.
+
+    ``run_batch`` evaluates the stimuli and the SU(2) factors of
+    :data:`_BLOCK_STEPS` steps at a time, as one step-major (steps, runs)
+    array, then applies them step by step.  Every factor and state update
+    is elementwise and out of place, so a run's result has the same bits
+    in any batch as alone, and memory does not grow with the span.  An
+    empty batch gives an empty array, as for :class:`LabFrameRunner`.
     """
 
     chi = 0.0
@@ -129,22 +138,24 @@ class RotatingFrameRunner:
     def run_batch(self, stims) -> np.ndarray:
         """Transition probabilities for a batch of stimuli sharing the time grid."""
         n_runs = len(stims)
+        if n_runs == 0:
+            return np.empty(0)
         dt = min(self._step(s) for s in stims)
         psi0 = np.zeros(n_runs, dtype=complex)
         psi1 = np.zeros(n_runs, dtype=complex)
         psi0[:] = 1.0
+        field = labframe.stimulus_field(stims)
         for (t_a, t_b, wx, wy) in ((0.0, self.tau / 2, 0.0, self.omega),
                                    (self.tau / 2, self.tau, self.omega, 0.0)):
             n = max(1, int(math.ceil((t_b - t_a) / dt)))
             h = (t_b - t_a) / n
-            tm = t_a + (np.arange(n) + 0.5) * h
-            dw = np.zeros((n_runs, n))
-            for k, stim in enumerate(stims):
-                if stim is not None:
-                    dw[k] = self.gamma * stim.value(tm)
-            for i in range(n):
-                u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[:, i], h)
-                psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+            for i0 in range(0, n, _BLOCK_STEPS):
+                tm = t_a + (np.arange(i0, min(i0 + _BLOCK_STEPS, n)) + 0.5) * h
+                dw = self.gamma * np.ascontiguousarray(field(tm).T)
+                u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw, h)
+                for j in range(tm.size):
+                    psi0, psi1 = (u00[j] * psi0 + u01[j] * psi1,
+                                  u10[j] * psi0 + u11[j] * psi1)
         return 1.0 - np.abs(psi0) ** 2
 
 

@@ -234,6 +234,18 @@ class TestTransferValue:
         assert vals[0] == 0.0
         assert vals[1] == transfer_value(1.0, 1.0, math.pi)
 
+    @pytest.mark.parametrize("w_over_om", [0.0, 1.0, 1.0 + 5e-7, 3.0, 1e200])
+    def test_tau_array_equals_scalar_calls(self, w_over_om):
+        # an array of durations at one frequency, the series branch included,
+        # gives each scalar call's bits
+        om = TWO_PI * 10e6
+        taus = np.linspace(math.pi / om / 512, math.pi / om, 512)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = transfer_value(w_over_om * om, om, taus)
+            scalar = [transfer_value(w_over_om * om, om, t) for t in taus]
+        assert vals.tolist() == scalar
+
     @pytest.mark.parametrize("alpha_deg", [22.5, 45.0, 67.0, 90.0])
     def test_against_numeric_fourier_transform(self, alpha_deg):
         alpha = math.radians(alpha_deg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,55 @@ class TestOptimalDuration:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             optimal_duration(-1.0, 1.0)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                optimal_duration(w, TWO_PI * 10e6)
+
+    @pytest.mark.parametrize("om", [0.0, -1.0, math.nan, math.inf])
+    def test_rabi_frequency_must_be_finite_and_positive(self, om):
+        # before, -1 gave a negative duration, nan a nan and inf a zero one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Rabi frequency"):
+                optimal_duration(1.0, om)
+
+
+def scalar_optimal_duration(omega_signal, omega_rabi):
+    """The coarse scan as one scalar sinusoid_sensitivity call per grid point."""
+    tau_max = math.pi / omega_rabi
+    taus = np.linspace(tau_max / 512, tau_max, 512)
+    vals = np.array([sinusoid_sensitivity(omega_signal, omega_rabi, t) for t in taus])
+    top = float(vals.max())
+    if top <= 0 or (top - float(vals.min())) <= 1e-12 * top:
+        return float(taus[int(np.argmax(vals))]), True
+    i = int(np.argmax(vals))
+    lo = taus[max(i - 1, 0)]
+    hi = taus[min(i + 1, len(taus) - 1)]
+    tau_star, _ = golden_section_max(
+        lambda t: sinusoid_sensitivity(omega_signal, omega_rabi, t), lo, hi)
+    return float(tau_star), False
+
+
+class TestOptimalDurationScalarOracle:
+    OM = TWO_PI * 10e6
+
+    # DC, the Rabi rate, the series branch near it, far away, and the
+    # overflow guard
+    @pytest.mark.parametrize("w_over_om", [0.0, 1.0, 1.0 + 5e-7, 3.0, 1e200 / OM])
+    def test_special_frequencies_bit_identical(self, w_over_om):
+        w = w_over_om * self.OM
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = optimal_duration(w, self.OM)
+        assert got == scalar_optimal_duration(w, self.OM)
+
+    def test_grid_bit_identical(self):
+        for w in np.linspace(0.0, 4.0 * self.OM, 41):
+            assert optimal_duration(w, self.OM) == scalar_optimal_duration(w, self.OM), w
 
 
 class TestSurface:

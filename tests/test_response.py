@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qslsense import analytic, labframe
+from qslsense import analytic, labframe, spinlin
 from qslsense.analytic import NumericError, kernel_value
 from qslsense.labframe import Stimulus
 from qslsense.response import (
@@ -235,3 +235,106 @@ def test_lab_runner_agrees_with_rotating_runner():
     # lab reference p by a converged ~0.0119 that the rotating frame lacks
     dp_lab, dp_rot = p_lab[:-1] - p_lab[-1], p_rot[:-1] - p_rot[-1]
     assert dp_lab == pytest.approx(dp_rot, abs=2e-3)
+
+
+def parent_stimulus_value(stim, t):
+    """One stimulus's field at the times ``t``, written out per kind."""
+    if stim.kind == "constant":
+        return np.full_like(t, stim.amplitude)
+    if stim.kind == "gaussian":
+        return stim.amplitude * np.exp(
+            -4.0 * math.log(2.0) * (t - stim.center) ** 2 / stim.fwhm**2)
+    return stim.amplitude * np.sin(stim.frequency * t + stim.phase)
+
+
+def per_step_probabilities(sim, stims):
+    """RotatingFrameRunner.run_batch as one SU(2) factor per time step (the oracle)."""
+    n_runs = len(stims)
+    dt = min(sim._step(s) for s in stims)
+    psi0 = np.zeros(n_runs, dtype=complex)
+    psi1 = np.zeros(n_runs, dtype=complex)
+    psi0[:] = 1.0
+    for (t_a, t_b, wx, wy) in ((0.0, sim.tau / 2, 0.0, sim.omega),
+                               (sim.tau / 2, sim.tau, sim.omega, 0.0)):
+        n = max(1, int(math.ceil((t_b - t_a) / dt)))
+        h = (t_b - t_a) / n
+        tm = t_a + (np.arange(n) + 0.5) * h
+        dw = np.zeros((n_runs, n))
+        for k, stim in enumerate(stims):
+            if stim is not None:
+                dw[k] = sim.gamma * parent_stimulus_value(stim, tm)
+        for i in range(n):
+            u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[:, i], h)
+            psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+    return 1.0 - np.abs(psi0) ** 2
+
+
+class FixedStepRunner(RotatingFrameRunner):
+    """Rotating runner taking exactly ``steps`` steps per pulse window."""
+
+    def __init__(self, omega, tau, steps):
+        super().__init__(omega, tau)
+        self.steps = steps
+
+    def _step(self, stim):
+        return (self.tau / 2) / (self.steps - 0.5)
+
+
+def mixed_stimuli(sim, n_runs):
+    """``n_runs`` stimuli cycling through Gaussian, sinusoid, None and constant."""
+    bs = 1e-3 / (sim.gamma * sim.tau)
+    kinds = [
+        lambda k: None,
+        lambda k: Stimulus.constant(bs * (1 + 0.1 * k)),
+        lambda k: Stimulus.gaussian(3 * bs, sim.tau * (0.2 + 0.05 * k), sim.tau / 7),
+        lambda k: Stimulus.sinusoid(bs, sim.omega * (0.3 + 0.4 * k), phase=0.3 * k),
+    ]
+    return [kinds[(k + 2) % 4](k) for k in range(n_runs)]
+
+
+class TestRotatingBlocks:
+    @pytest.mark.parametrize("n_runs", [1, 2, 11])
+    @pytest.mark.parametrize("steps", [7, 64, 32 * 3 + 5, None])
+    def test_bit_identical_to_per_step_loop(self, n_runs, steps):
+        # step counts below one block, exactly two blocks, 32k + r, and the
+        # runner's own step rule
+        om = TWO_PI * 10e6
+        sim = (rotating_runner(rabi=om) if steps is None
+               else FixedStepRunner(om, math.pi / om, steps))
+        stims = mixed_stimuli(sim, n_runs)
+        p = sim.run_batch(stims)
+        assert p.tolist() == per_step_probabilities(sim, stims).tolist()
+
+    def test_batch_bit_identical_to_single_runs(self):
+        # every stimulus here leaves the step at tau/100, so a batch shares
+        # each single run's time grid
+        sim = rotating_runner()
+        bs = 1e-3 / (sim.gamma * sim.tau)
+        stims = [Stimulus.constant(bs), Stimulus.gaussian(bs, sim.tau / 3, sim.tau),
+                 None, Stimulus.sinusoid(-bs, 0.7 * sim.omega, phase=1.0)]
+        assert len({sim._step(s) for s in stims}) == 1
+        batch = sim.run_batch(stims)
+        singles = [sim.run_batch([s])[0] for s in stims]
+        assert batch.tolist() == singles
+
+    def test_empty_batch_is_empty_like_the_lab_runner(self):
+        sim = rotating_runner()
+        lab = LabFrameRunner(labframe.NvModel.resonant(sim.omega, 0.0))
+        for runner in (sim, lab):
+            p = runner.run_batch([])
+            assert p.shape == (0,) and p.dtype == float
+
+
+def test_stimulus_field_rows_equal_single_stimuli():
+    t = np.linspace(-3e-8, 8e-8, 77)
+    stims = [Stimulus.sinusoid(2e-4, 3e7, phase=0.4), None,
+             Stimulus.gaussian(1e-4, 2e-8, 7e-9), Stimulus.constant(-3e-4),
+             Stimulus.gaussian(5e-5, -1e-8, 3e-9), Stimulus.sinusoid(1e-4, 9e7), None]
+    field = labframe.stimulus_field(stims)(t)
+    assert field.shape == (len(stims), len(t))
+    for k, stim in enumerate(stims):
+        if stim is None:
+            assert not field[k].any()
+        else:
+            assert field[k].tolist() == stim.value(t).tolist()
+            assert field[k].tolist() == parent_stimulus_value(stim, t).tolist()
