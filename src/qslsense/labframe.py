@@ -41,9 +41,19 @@ driven ones.  The default step is 1/(100 f_max) where f_max is the largest
 cycle-frequency scale in the problem; steps coarser than 1/(50 f_max) are
 rejected.
 
-Batches of runs share the time grid.  Each run's arithmetic is elementwise
-and independent of the other runs, so a batched result is bit-identical to
-the same run on its own.
+Steps are not applied one at a time.  For a block of up to 1024 steps,
+each step's 3x3 unitary ``P R(theta) P`` (``P = exp(-i Delta h/2)``) is
+built in closed form for every run at once, the block's product is formed
+by pairwise (tree) reduction, and the product is applied to the states.
+Runs go through in chunks of a fixed number of steps x runs, so memory is
+bounded by one block of one chunk for any protocol and batch.  Batches of
+runs share the time grid, the block length does not depend on the batch,
+and each run's arithmetic is elementwise and independent of the other runs,
+so a batched result is bit-identical to the same run on its own.
+
+:func:`linear_response` gives the exact first-order response of this
+discrete integrator to a stimulus, from one reference run and its adjoint
+on the same blocks, for any number of stimuli.
 
 Carrier phase convention: the second pulse window of the two-pulse protocol
 is carrier-phase-shifted by -pi/2, which reproduces the rotating-frame axis
@@ -77,8 +87,18 @@ PHASE_JUMP = -math.pi / 2
 
 _BASIS_INDEX = {"ms_minus1": 0, "ms0": 1, "ms_plus1": 2}
 
-#: time steps per block of precomputed phases and rotation angles
-_BLOCK_STEPS = 64
+#: time steps per block of step unitaries (:func:`_blocks`)
+_BLOCK_STEPS = 1024
+#: runs per chunk of a block, 3072 steps x runs entries (4 runs, 4096
+#: entries, took about 0.5 MB more peak memory in `fig4d` plus `offaxis`)
+_CHUNK_RUNS = 3
+
+
+def _require_finite(**values) -> None:
+    """Raise ``ValueError`` naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +113,8 @@ class NvModel:
     chi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(d=self.d, gamma_e=self.gamma_e, b0=self.b0, b1=self.b1,
+                        carrier=self.carrier, chi=self.chi)
         if self.d <= 0:
             raise ValueError(f"zero-field splitting must be > 0, got {self.d}")
         if self.b0 < 0 or self.b1 < 0:
@@ -132,6 +154,8 @@ class Stimulus:
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian", "sinusoid"):
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
+        _require_finite(amplitude=self.amplitude, center=self.center, fwhm=self.fwhm,
+                        frequency=self.frequency, phase=self.phase)
         if self.kind == "gaussian" and self.fwhm <= 0:
             raise ValueError("gaussian stimulus needs fwhm > 0")
         if self.kind == "sinusoid" and self.frequency < 0:
@@ -232,6 +256,7 @@ def bipartite_protocol(tau: float, prep: str = "ms0") -> Protocol:
 
     Preparation and readout are both in the ``prep`` basis.
     """
+    _require_finite(tau=tau)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     windows = (PulseWindow(0.0, tau / 2, 0.0), PulseWindow(tau / 2, tau, PHASE_JUMP))
@@ -306,6 +331,8 @@ def default_timestep(model: NvModel, stim: Stimulus | None = None,
 
 
 def _check_timestep(model: NvModel, stim: Stimulus | None, dt: float) -> None:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be a finite step > 0 s, got {dt}")
     scales = frequency_scales(model, stim)
     name = max(scales, key=scales.get)
     fmax = scales[name]
@@ -313,6 +340,19 @@ def _check_timestep(model: NvModel, stim: Stimulus | None, dt: float) -> None:
         raise ConfigError(
             f"dt = {dt:.3e} s is too coarse: binding frequency scale '{name}' at "
             f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
+
+
+def _batch_timestep(model: NvModel, stims, dt: float | None) -> float:
+    """``dt``, or by default the finest default step of the batch, checked for every stimulus.
+
+    An empty batch is checked as one run without a stimulus.
+    """
+    stims = list(stims) or [None]
+    if dt is None:
+        dt = min(default_timestep(model, s) for s in stims)
+    for s in stims:
+        _check_timestep(model, s, dt)
+    return dt
 
 
 def _spans(protocol: Protocol, t0: float, t1: float):
@@ -335,23 +375,127 @@ def _spans(protocol: Protocol, t0: float, t1: float):
     return out
 
 
-def _rotate_sx(cos_t, g, q, plus, zero, minus):
-    """Apply ``R(theta) = exp(-i theta Sx)`` to the Sz = +1, 0, -1 components.
+def _step_unitaries(e_plus, e_minus, theta):
+    """Row-major components of each step's unitary ``P R(theta) P``, ``P = diag(e+, 1, e-)``.
 
-    Takes ``cos_t = cos(theta)``, ``g = sin(theta/2)^2`` and
-    ``q = -i sin(theta)/sqrt(2)``, all complex.  The spin-1 closed form
-    ``R = 1 - i sin(theta) Sx + (cos(theta) - 1) Sx^2`` maps, with
-    ``u = psi+ + psi-``, ``psi+- -> psi+- - g u + q psi0`` and
-    ``psi0 -> cos(theta) psi0 + q u``.
+    ``R(theta) = exp(-i theta Sx) = [[1-g, q, -g], [q, c, q], [-g, q, 1-g]]``
+    in the Sz = +1, 0, -1 order, with ``c = cos(theta)``,
+    ``g = sin(theta/2)^2`` and ``q = -i sin(theta)/sqrt(2)``.  All inputs
+    and outputs share one shape and every operation is elementwise.
     """
-    u = plus + minus
-    shift = q * zero - g * u
-    return plus + shift, cos_t * zero + q * u, minus + shift
+    g = np.sin(0.5 * theta) ** 2
+    q = (-1j / math.sqrt(2.0)) * np.sin(theta)
+    q_plus, q_minus = q * e_plus, q * e_minus
+    corner = -g * (e_plus * e_minus)
+    return ((1.0 - g) * (e_plus * e_plus), q_plus, corner,
+            q_plus, np.cos(theta).astype(complex), q_minus,
+            corner, q_minus, (1.0 - g) * (e_minus * e_minus))
+
+
+def _matmul(left, right):
+    """Component-wise 3x3 products ``left @ right`` of two row-major 9-tuples of arrays."""
+    return tuple(left[3 * i] * right[j] + left[3 * i + 1] * right[3 + j]
+                 + left[3 * i + 2] * right[6 + j] for i in range(3) for j in range(3))
+
+
+def _matvec(m, v, adjoint=False):
+    """``m @ v`` (or ``m^dagger @ v``) for a row-major 9-tuple ``m`` and a 3-tuple ``v``."""
+    if adjoint:
+        return tuple(np.conj(m[i]) * v[0] + np.conj(m[3 + i]) * v[1]
+                     + np.conj(m[6 + i]) * v[2] for i in range(3))
+    return tuple(m[3 * i] * v[0] + m[3 * i + 1] * v[1] + m[3 * i + 2] * v[2]
+                 for i in range(3))
+
+
+def _product_tree(us):
+    """Yield the levels of the pairwise product tree of a block's step unitaries.
+
+    ``us`` is a row-major 9-tuple of (2^L, runs) arrays in bit-reversed step
+    order (:func:`_block_factors`); it is the first level.  In that order
+    the neighbouring steps 2j and 2j+1 sit at the same position of the
+    first and the second half, so each next level is ``second @ first``
+    on contiguous halves, again in bit-reversed order.  The last level is
+    the block's product, shape (1, runs).
+    """
+    yield us
+    while len(us[0]) > 1:
+        half = len(us[0]) // 2
+        us = _matmul([u[half:] for u in us], [u[:half] for u in us])
+        yield us
+
+
+def _bit_reversal(size: int) -> np.ndarray:
+    """The bit-reversal permutation of ``range(size)``, ``size`` a power of two."""
+    perm = np.zeros(1, dtype=np.int64)
+    while perm.size < size:
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
+    return perm
+
+
+def _blocks(protocol: Protocol, t0: float, t1: float, dt: float):
+    """The step blocks of [t0, t1] as (a, h, pulse_on, phase, first, stop) tuples.
+
+    [t0, t1] is cut at window edges (:func:`_spans`) and each span [a, b]
+    into ``n = ceil((b - a)/dt)`` equal steps of size ``h = (b - a)/n``; a
+    block is up to :data:`_BLOCK_STEPS` consecutive steps ``first .. stop-1``
+    of one span, with midpoints ``a + (i + 1/2) h``.
+    """
+    out = []
+    for a, b, on, phase in _spans(protocol, t0, t1):
+        span = b - a
+        if span <= 0:
+            continue
+        n = max(1, int(math.ceil(span / dt)))
+        h = span / n
+        out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n))
+                   for i0 in range(0, n, _BLOCK_STEPS))
+    return out
+
+
+def _block_factors(model: NvModel, field, block):
+    """Step factors of one block for every run of ``field``, in bit-reversed step order.
+
+    The block is padded with identity steps to a power-of-two length and
+    put in bit-reversed order (:func:`_product_tree`).  Returns
+    ``(real, tm, e_plus, e_minus, us)``: ``real`` marks the block's own
+    steps among the positions, ``tm`` the (positions,) midpoints,
+    ``e+- = exp(-i h (D +- z)/2)`` (positions, runs), and the 9 components
+    of the unitaries (:func:`_step_unitaries`).  A padding step has
+    ``e+- = 1`` and ``theta = 0``, so its unitary is the identity and the
+    tree's products are exact over it.
+    """
+    a, h, on, phase, first, stop = block
+    perm = _bit_reversal(1 << (stop - first - 1).bit_length())
+    real = perm < stop - first
+    tm = a + (first + perm + 0.5) * h
+    bs = np.ascontiguousarray(field(tm).T)
+    z = model.gamma_e * (model.b0 + bs * math.cos(model.chi))
+    e_plus = np.exp(-0.5j * h * (model.d + z))
+    e_minus = np.exp(-0.5j * h * (model.d - z))
+    if on:
+        drive = model.gamma_e * model.b1 * np.cos(model.carrier * tm + phase)
+    else:
+        drive = np.zeros(tm.size)
+    theta = h * (drive[:, None] + model.gamma_e * bs * math.sin(model.chi))
+    if not real.all():
+        pad = ~real
+        e_plus[pad] = e_minus[pad] = 1.0
+        theta[pad] = 0.0
+    return real, tm, e_plus, e_minus, _step_unitaries(e_plus, e_minus, theta)
+
+
+def _block_products(model: NvModel, field, blocks):
+    """Yield the product of each block's step unitaries, for every run of ``field``."""
+    for block in blocks:
+        us = _block_factors(model, field, block)[-1]
+        for top in _product_tree(us):
+            pass
+        yield top
 
 
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
                   dt: float, psis: np.ndarray) -> np.ndarray:
-    """Strang-split stepping of a batch of runs sharing the time grid.
+    """Strang-split stepping of a batch of runs sharing the time grid, by block products.
 
     ``stims`` is a sequence of Stimulus or None, one per row of ``psis``.
     [t0, t1] is cut at window edges (:func:`_spans`) and each span into
@@ -363,46 +507,26 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     against ``exp(-i H(t_m) h)`` is O(h^3), so the scheme is second order,
     and every factor is unitary up to rounding.
 
-    The stimulus field (:func:`stimulus_field`), the diagonal phases and the
-    rotation's cos/sin factors are computed in blocks of
-    :data:`_BLOCK_STEPS` steps, never for a whole span, so memory
-    does not grow with the span.  The state is held as one contiguous array
-    per component, one entry per run, and updated by out-of-place
-    elementwise operations only, so each run's arithmetic is independent of
-    the batch around it: batched results are bit-identical to single runs.
+    The steps go in blocks of :data:`_BLOCK_STEPS` (:func:`_blocks`).  For
+    each block, every step's 3x3 unitary is built in closed form for all
+    runs at once, the block's product is formed by pairwise (tree)
+    reduction (:func:`_product_tree`), and the product is applied to the
+    states.  Runs go through in chunks of :data:`_CHUNK_RUNS` runs, so
+    memory is bounded by one block of one chunk for any span and batch.
+    The block length does not depend on the batch and every operation is
+    elementwise over runs, so a batched result has the same bits as the
+    same run on its own.
     """
     psis = np.asarray(psis, dtype=complex)
-    plus, zero, minus = psis.T.copy()
-    cos_chi, sin_chi = math.cos(model.chi), math.sin(model.chi)
-    field = stimulus_field(stims)
-    for a, b, on, phase in _spans(protocol, t0, t1):
-        span = b - a
-        if span <= 0:
-            continue
-        n = max(1, int(math.ceil(span / dt)))
-        h = span / n
-        for i0 in range(0, n, _BLOCK_STEPS):
-            tm = a + (np.arange(i0, min(i0 + _BLOCK_STEPS, n)) + 0.5) * h
-            bs = np.ascontiguousarray(field(tm).T)
-            z = model.gamma_e * (model.b0 + bs * cos_chi)
-            ph_plus = np.exp(-0.5j * h * (model.d + z))
-            ph_minus = np.exp(-0.5j * h * (model.d - z))
-            if on:
-                drive = model.gamma_e * model.b1 * np.cos(model.carrier * tm + phase)
-            else:
-                drive = np.zeros(tm.size)
-            theta = h * (drive[:, None] + model.gamma_e * bs * sin_chi)
-            cos_t = np.cos(theta).astype(complex)
-            g = (np.sin(0.5 * theta) ** 2).astype(complex)
-            q = (-1j / math.sqrt(2.0)) * np.sin(theta)
-            # out-of-place products: numpy's in-place complex multiply takes
-            # a different loop for one run than for several
-            for e_plus, e_minus, c, gj, qj in zip(ph_plus, ph_minus, cos_t, g, q):
-                plus, zero, minus = _rotate_sx(c, gj, qj, plus * e_plus, zero,
-                                               minus * e_minus)
-                plus = plus * e_plus
-                minus = minus * e_minus
-    return np.stack([plus, zero, minus], axis=1)
+    out = psis.copy()
+    blocks = _blocks(protocol, t0, t1, dt)
+    for r0 in range(0, len(stims), _CHUNK_RUNS):
+        field = stimulus_field(stims[r0:r0 + _CHUNK_RUNS])
+        state = tuple(psis[r0:r0 + _CHUNK_RUNS, k][None, :] for k in range(3))
+        for top in _block_products(model, field, blocks):
+            state = _matvec(top, state)
+        out[r0:r0 + _CHUNK_RUNS] = np.concatenate(state).T
+    return out
 
 
 def evolve(model: NvModel, stim: Stimulus | None, protocol: Protocol,
@@ -447,15 +571,82 @@ def run_protocol_batch(model: NvModel, stims, protocol: Protocol,
     Each entry of ``stims`` may be a Stimulus or None (reference run).  Runs
     are independent and results identical to serial single runs.
     """
-    if dt is None:
-        dt = min(default_timestep(model, s) for s in stims) if stims else default_timestep(model)
-    for s in stims:
-        _check_timestep(model, s, dt)
+    dt = _batch_timestep(model, stims, dt)
     psi0 = basis_state(protocol.prep)
     psis = np.tile(psi0, (len(stims), 1))
     psis = _evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
     idx = _BASIS_INDEX[protocol.readout]
     return 1.0 - np.abs(psis[:, idx]) ** 2
+
+
+def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
+    """First-order probability change of :func:`run_protocol_batch` for each stimulus.
+
+    This is the exact linear response of the discrete integrator, from one
+    reference run with no stimulus and its adjoint (forward and backward
+    propagation; Khaneja et al., J. Magn. Reson. 172, 296 (2005)).  With
+    ``a = <readout|psi(T)>``, the state ``psi_n`` after step n and
+    ``lam_n = U(T, t_n)^dagger |readout>``, the derivative of ``p = 1 - |a|^2``
+    by the stimulus field at the midpoint of step n is
+
+        G_n = -2 Re(conj(a) lam_n^dagger dU_n psi_{n-1}),
+
+    where ``dU_n`` differentiates the Strang step in both places the field
+    enters: the ``cos chi`` part in Delta and the ``sin chi`` part in theta.
+    A stimulus's response is ``sum_n G_n b(t_n)`` on the grid that
+    ``run_protocol_batch`` would use for the same stimuli (its default ``dt``).
+
+    The steps share :func:`_evolve_batch`'s blocks and product trees.  A
+    forward pass keeps the state at each block start; a backward pass over
+    the blocks rebuilds each tree and walks it down to the states before
+    and the adjoint states after every step.  The stimuli are evaluated one
+    block and :data:`_CHUNK_RUNS` stimuli at a time, so memory is bounded
+    per block for any protocol length and stimulus count.
+    """
+    dt = _batch_timestep(model, stims, None)
+    blocks = _blocks(protocol, 0.0, protocol.duration, dt)
+    no_field = stimulus_field([None])
+    psi = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
+    starts = []
+    for top in _block_products(model, no_field, blocks):
+        starts.append(psi)
+        psi = _matvec(top, psi)
+    a_conj = np.conj(psi[_BASIS_INDEX[protocol.readout]])
+    lam = tuple(np.full((1, 1), x) for x in basis_state(protocol.readout))
+    kappa = 0.5 * model.gamma_e * math.cos(model.chi)
+    sigma = model.gamma_e * math.sin(model.chi) / math.sqrt(2.0)
+    out = np.zeros(len(stims))
+    for block, psi_before in zip(reversed(blocks), reversed(starts)):
+        real, tm, e_plus, e_minus, us = _block_factors(model, no_field, block)
+        levels = list(_product_tree(us))
+        lam_after = lam
+        lam = _matvec(levels[-1], lam, adjoint=True)
+        for u in reversed(levels[:-1]):
+            half = len(u[0]) // 2
+            earlier, later = [x[:half] for x in u], [x[half:] for x in u]
+            psi_before = tuple(map(np.concatenate, zip(
+                psi_before, _matvec(earlier, psi_before))))
+            lam_after = tuple(map(np.concatenate, zip(
+                _matvec(later, lam_after, adjoint=True), lam_after)))
+        (pp, p0, pm), (lp, l0, lm) = _matvec(us, psi_before), lam_after
+        lam_before = _matvec(us, lam_after, adjoint=True)
+        # dU/db = -i h kappa (Sz U + U Sz) - i h sqrt(2) sigma P Sx R P, so
+        # lam_n^dagger dU psi_{n-1} = -i h (kappa sz + sigma sx) with
+        # sz = lam_n^dagger Sz psi_n + lam_{n-1}^dagger Sz psi_{n-1} and
+        # sx = sqrt(2) (P* lam_n)^dagger Sx (P* psi_n), as R P psi_{n-1} = P* psi_n
+        sz = (np.conj(lp) * pp - np.conj(lm) * pm + np.conj(lam_before[0]) * psi_before[0]
+              - np.conj(lam_before[2]) * psi_before[2])
+        sx = ((e_plus * np.conj(lp) + e_minus * np.conj(lm)) * p0
+              + np.conj(l0) * (np.conj(e_plus) * pp + np.conj(e_minus) * pm))
+        h = block[1]
+        grad = (-2.0 * h) * (a_conj * (kappa * sz + sigma * sx)).imag[:, 0]
+        grad[~real] = 0.0
+        # each chunk's parameters are gathered again for every block: one
+        # field kept per chunk for the whole pass holds about 1.4 kB per
+        # chunk, 0.9 MB more traced peak at 2000 stimuli
+        for j in range(0, len(stims), _CHUNK_RUNS):
+            out[j:j + _CHUNK_RUNS] += stimulus_field(stims[j:j + _CHUNK_RUNS])(tm) @ grad
+    return out
 
 
 def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,

@@ -15,9 +15,14 @@ tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
 along a delay grid and divides the probability change by the probe area.
-The raw estimate equals ``c * sin(Om(tau/2 - |t|))`` where the constant
-``c`` is calibrated against the DC (constant stimulus) response and stored
-in ``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
+Each runner says how it measures that change (``probe_responses``): the
+rotating runner runs every probe, while the lab runner takes the exact
+linear response of its integrator from one reference run and its adjoint
+(:func:`qslsense.labframe.linear_response`), so the lab probes cost the
+same two passes for any number of probes.  The raw estimate equals
+``c * sin(Om(tau/2 - |t|))`` where the constant ``c`` is calibrated against
+the DC (constant stimulus) response and stored in
+``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
 sign convention, -1/2 at alpha = pi/2); only the kernel's shape is
 convention-free.
 
@@ -115,8 +120,11 @@ class RotatingFrameRunner:
 
     def __init__(self, omega: float, tau: float,
                  gamma: float = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA):
-        if omega <= 0 or tau <= 0:
-            raise ValueError("omega and tau must be > 0")
+        for name, value in (("omega", omega), ("tau", tau)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         self.omega = omega
         self.tau = tau
         self.gamma = gamma
@@ -158,6 +166,11 @@ class RotatingFrameRunner:
                                   u10[j] * psi0 + u11[j] * psi1)
         return 1.0 - np.abs(psi0) ** 2
 
+    def probe_responses(self, probes) -> np.ndarray:
+        """Probability change caused by each probe, run as one batch with a reference run."""
+        p = self.run_batch(list(probes) + [None])
+        return p[:-1] - p[-1]
+
 
 class LabFrameRunner:
     """Protocol runner backed by the full spin-1 lab-frame model."""
@@ -174,6 +187,16 @@ class LabFrameRunner:
 
     def run_batch(self, stims) -> np.ndarray:
         return labframe.run_protocol_batch(self.model, stims, self.protocol)
+
+    def probe_responses(self, probes) -> np.ndarray:
+        """First-order probability change caused by each probe.
+
+        The exact linear response of the integrator
+        (:func:`~qslsense.labframe.linear_response`): one reference run and
+        its adjoint, on the grid the probe batch would use, for any number
+        of probes.
+        """
+        return labframe.linear_response(self.model, list(probes), self.protocol)
 
 
 def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
@@ -221,6 +244,13 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     The probe amplitude targets a peak phase of ~1e-3 rad so the response
     stays linear.  The DC calibration constant is measured with a constant
     stimulus and stored as ``normalization``.
+
+    The probe responses come from ``sim.probe_responses``.  On a
+    :class:`LabFrameRunner` they are the integrator's exact linear
+    response, so ``values`` is the probe field at the step midpoints
+    contracted with the kernel ``G_n = dp/db(t_n)``, over ``gamma * area``,
+    and no probe run is made.  On a :class:`RotatingFrameRunner` the probes
+    are run.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     alpha = 0.5 * sim.omega * sim.tau
@@ -231,10 +261,8 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
     amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
     stims = [Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid]
-    p = sim.run_batch(stims + [None])
-    p0 = p[-1]
     area = stims[0].area()
-    values = (p[:-1] - p0) / (sim.gamma * area)
+    values = sim.probe_responses(stims) / (sim.gamma * area)
 
     amp_dc = 1e-3 / (sim.gamma * sim.tau)
     p_dc = sim.run_batch([Stimulus.constant(amp_dc), None])

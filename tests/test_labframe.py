@@ -196,12 +196,9 @@ class TestEvolve:
 
 
 def sx_rotation_matrix(theta):
-    """``exp(-i theta Sx)`` assembled column by column from the stepper's closed form."""
-    factors = [np.array([x], dtype=complex) for x in (
-        math.cos(theta), math.sin(theta / 2) ** 2, -1j * math.sin(theta) / math.sqrt(2))]
-    columns = [labframe._rotate_sx(*factors, *(np.array([x], dtype=complex) for x in e))
-               for e in np.eye(3)]
-    return np.array([np.concatenate(c) for c in columns]).T
+    """``exp(-i theta Sx)`` from the stepper's closed-form step unitary with ``P = 1``."""
+    one = np.ones(1, dtype=complex)
+    return np.array(labframe._step_unitaries(one, one, np.array([theta]))).reshape(3, 3)
 
 
 class TestStrangStep:
@@ -223,6 +220,91 @@ class TestStrangStep:
             ham = hamiltonian_at(m, stim, True, 0.3, h / 2)
             errors.append(np.max(np.abs(step - spinlin.matexp_antihermitian(ham, h) @ psi)))
         assert 5.0 < errors[0] / errors[1] < 11.0
+
+
+def rotate_sx(cos_t, g, q, plus, zero, minus):
+    """``exp(-i theta Sx)`` on the Sz = +1, 0, -1 components, as the per-step stepper wrote it."""
+    u = plus + minus
+    shift = q * zero - g * u
+    return plus + shift, cos_t * zero + q * u, minus + shift
+
+
+def per_step_states(model, stims, protocol, t0, t1, dt, psis):
+    """Oracle: the Strang split applied one step at a time, as the stepper did before block products."""
+    plus, zero, minus = np.asarray(psis, dtype=complex).T.copy()
+    cos_chi, sin_chi = math.cos(model.chi), math.sin(model.chi)
+    field = labframe.stimulus_field(stims)
+    for a, b, on, phase in labframe._spans(protocol, t0, t1):
+        n = max(1, int(math.ceil((b - a) / dt)))
+        h = (b - a) / n
+        for i in range(n):
+            tm = a + (i + 0.5) * h
+            bs = field(np.array([tm]))[:, 0]
+            z = model.gamma_e * (model.b0 + bs * cos_chi)
+            e_plus = np.exp(-0.5j * h * (model.d + z))
+            e_minus = np.exp(-0.5j * h * (model.d - z))
+            drive = model.gamma_e * model.b1 * math.cos(model.carrier * tm + phase) if on else 0.0
+            theta = h * (drive + model.gamma_e * bs * sin_chi)
+            plus, zero, minus = rotate_sx(np.cos(theta), np.sin(0.5 * theta) ** 2,
+                                          (-1j / math.sqrt(2.0)) * np.sin(theta),
+                                          plus * e_plus, zero, minus * e_minus)
+            plus, minus = plus * e_plus, minus * e_minus
+    return np.stack([plus, zero, minus], axis=1)
+
+
+def offaxis_model(chi_deg):
+    """The offaxis command's model: 20 MHz Rabi rate, D = 0.5 GHz, 0.25 GHz Zeeman shift."""
+    return NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
+                            d=TWO_PI * 0.5e9, chi=math.radians(chi_deg))
+
+
+def mixed_stimuli(m, tau, n_runs):
+    """``n_runs`` stimuli cycling constant, Gaussian, sinusoid and None."""
+    bs = m.b1 / (10 * math.sqrt(2))
+    kinds = [Stimulus.constant(bs), Stimulus.gaussian(-bs, tau / 3, tau / 5),
+             Stimulus.sinusoid(bs, 1.3 * rabi_frequency(m), phase=0.2), None]
+    return [kinds[k % 4] for k in range(n_runs)]
+
+
+class TestBlockStepper:
+    """The block-product stepper against the per-step loop it replaced."""
+
+    @pytest.mark.parametrize("steps", [100, labframe._BLOCK_STEPS, 2500])
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_matches_per_step_loop(self, chi_deg, steps):
+        # a driven window of `steps` steps, then a drive-off span of about
+        # steps/2, from a state with all three components occupied
+        m = offaxis_model(chi_deg)
+        tau = math.pi / rabi_frequency(m)
+        protocol = Protocol(windows=(PulseWindow(0.0, tau, 0.3),), prep="ms0")
+        dt = tau / steps * (1 + 1e-9)
+        stims = mixed_stimuli(m, tau, 4)
+        psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (4, 1))
+        got = labframe._evolve_batch(m, stims, protocol, 0.0, 1.5 * tau, dt, psis)
+        want = per_step_states(m, stims, protocol, 0.0, 1.5 * tau, dt, psis)
+        assert math.ceil(tau / dt) == steps
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_batch_bit_identical_to_single_runs_across_chunks(self):
+        m = offaxis_model(45.0)
+        tau = math.pi / rabi_frequency(m)
+        protocol = bipartite_protocol(tau)
+        stims = mixed_stimuli(m, tau, 11)
+        assert len(stims) > 2 * labframe._CHUNK_RUNS
+        dt = min(default_timestep(m, s) for s in stims)
+        batch = run_protocol_batch(m, stims, protocol, dt=dt)
+        singles = [run_protocol_batch(m, [s], protocol, dt=dt)[0] for s in stims]
+        assert batch.tolist() == singles
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, dt):
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
+        protocol = bipartite_protocol(1e-8)
+        for stims in ([None], []):
+            with pytest.raises(ConfigError, match="dt"):
+                run_protocol_batch(m, stims, protocol, dt=dt)
+        with pytest.raises(ConfigError, match="dt"):
+            evolve(m, None, protocol, 0.0, 1e-9, dt, basis_state("ms0"))
 
 
 class TestRunProtocol:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,3 +339,80 @@ def test_stimulus_field_rows_equal_single_stimuli():
         else:
             assert field[k].tolist() == stim.value(t).tolist()
             assert field[k].tolist() == parent_stimulus_value(stim, t).tolist()
+
+
+def cli_lab_runner(alpha_deg, chi_deg=0.0, tau=10e-9):
+    """The model of `kernel --backend lab` (D = 2.87 GHz, Zeeman 1 GHz) at flip angle ``alpha_deg``."""
+    b0 = 1e9 / labframe.GAMMA_E_CYCLES_PER_TESLA
+    omega = 2 * math.radians(alpha_deg) / tau
+    return LabFrameRunner(labframe.NvModel.resonant(omega, b0, chi=math.radians(chi_deg)),
+                          tau=tau)
+
+
+class TestAdjointKernel:
+    """The lab kernel, computed by the integrator's adjoint, against direct runs."""
+
+    @pytest.mark.parametrize("alpha_deg, chi_deg", [(60.0, 0.0), (90.0, 0.0), (90.0, 20.0),
+                                                    (90.0, 45.0)])
+    def test_matches_central_differences(self, alpha_deg, chi_deg):
+        # +-probe central differences cancel the probe's second-order term,
+        # which the one-sided probe of the direct estimate keeps (up to 8e-5
+        # of the peak); what is left is third order, about 1.6e-7
+        sim = cli_lab_runner(alpha_deg, chi_deg)
+        alpha = 0.5 * sim.omega * sim.tau
+        probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
+        grid = np.linspace(-0.55, 0.55, 9) * sim.tau
+        est = estimate_kernel(sim, probe, grid)
+        amp = 1e-3 / (sim.gamma * probe * math.sqrt(math.pi / (4 * math.log(2))))
+        stims = [Stimulus.gaussian(sign * amp, sim.tau / 2 + t, probe)
+                 for sign in (1.0, -1.0) for t in grid]
+        p = sim.run_batch(stims)
+        central = (p[:len(grid)] - p[len(grid):]) / 2 / (sim.gamma * stims[0].area())
+        peak = np.max(np.abs(central))
+        assert np.max(np.abs(est.values - central)) <= 1e-6 * peak
+        # the normalization is measured with a one-sided DC stimulus; its
+        # second-order term is up to 3e-5 of it on these cases
+        amp_dc = 1e-3 / (sim.gamma * sim.tau)
+        p_dc = sim.run_batch([Stimulus.constant(amp_dc), Stimulus.constant(-amp_dc)])
+        shape_area = 2 * (1 - math.cos(alpha)) / sim.omega
+        norm = (p_dc[0] - p_dc[1]) / 2 / (sim.gamma * amp_dc * shape_area)
+        assert est.normalization == pytest.approx(norm, rel=1e-4)
+
+    def test_memory_does_not_grow_with_probe_count(self):
+        sim = cli_lab_runner(30.0, tau=2e-9)
+        probe = analytic.time_resolution_fwhm(sim.tau, math.radians(30.0)) / 12
+        peaks = []
+        for n in (20, 2000):
+            grid = np.linspace(-0.55, 0.55, n) * sim.tau
+            tracemalloc.start()
+            try:
+                estimate_kernel(sim, probe, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: RotatingFrameRunner(NAN, 1e-7), "omega"),
+    (lambda: RotatingFrameRunner(INF, 1e-7), "omega"),
+    (lambda: RotatingFrameRunner(1e7, NAN), "tau"),
+    (lambda: RotatingFrameRunner(1e7, 1e-7, gamma=INF), "gamma"),
+    (lambda: Stimulus.constant(NAN), "amplitude"),
+    (lambda: Stimulus.constant(INF), "amplitude"),
+    (lambda: Stimulus.gaussian(1e-4, 0.0, fwhm=NAN), "fwhm"),
+    (lambda: Stimulus.gaussian(1e-4, INF, fwhm=1e-9), "center"),
+    (lambda: Stimulus.sinusoid(1e-4, NAN), "frequency"),
+    (lambda: Stimulus.sinusoid(1e-4, 1e8, phase=-INF), "phase"),
+    (lambda: labframe.NvModel(d=NAN), "d"),
+    (lambda: labframe.NvModel(b1=INF), "b1"),
+    (lambda: labframe.NvModel(carrier=NAN), "carrier"),
+    (lambda: labframe.bipartite_protocol(NAN), "tau"),
+    (lambda: LabFrameRunner(labframe.NvModel.resonant(TWO_PI * 10e6, 0.03), NAN), "tau"),
+])
+def test_non_finite_inputs_rejected_by_name(make, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        make()
