@@ -187,13 +187,16 @@ class Stimulus:
 
 
 def stimulus_field(stims):
-    """Return ``field(t)``, the field values (tesla) of a batch of stimuli, shape (runs, len(t)).
+    """Return ``field(t)``, the field values (tesla) of a batch of stimuli.
 
-    A None entry gives a row of zeros.  The stimuli's parameters are
-    gathered once, by kind, so a stepper can call ``field`` once per block
-    of times.  The stimuli of one kind are evaluated as one broadcast array
-    with elementwise operations only, so a row has the same bits in any
-    batch.  :meth:`Stimulus.value` is the one-row call.
+    ``t`` is either one time axis shared by every run, shape (T,), giving
+    shape (runs, T), or one row of times per run for the first k runs,
+    shape (k, T), giving shape (k, T).  A None entry gives a row of zeros.
+    The stimuli's parameters are gathered once, by kind, so a stepper can
+    call ``field`` once per block of times.  The stimuli of one kind are
+    evaluated as one broadcast array with elementwise operations only, so a
+    row has the same bits in any batch and for either shape of ``t``.
+    :meth:`Stimulus.value` is the one-row call.
     """
     rows_of = {}
     for k, stim in enumerate(stims):
@@ -205,19 +208,25 @@ def stimulus_field(stims):
         # the last bit for about one value in 1200
         params = np.array([[stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
                             stims[k].frequency, stims[k].phase] for k in rows])
-        groups.append((kind, rows, *params.T[:, :, None]))  # one (rows, 1) column each
+        groups.append((kind, np.array(rows), *params.T[:, :, None]))  # (rows, 1) columns
 
     def field(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros((len(stims), t.size))
-        for kind, rows, amplitude, center, fwhm_sq, frequency, phase in groups:
+        n = len(t) if t.ndim == 2 else len(stims)
+        out = np.zeros((n, t.shape[-1]))
+        for kind, rows, *params in groups:
+            if rows[-1] >= n:  # keep the kind's rows among the first n
+                k = np.searchsorted(rows, n)
+                rows, params = rows[:k], [p[:k] for p in params]
+            amplitude, center, fwhm_sq, frequency, phase = params
+            tk = t[rows] if t.ndim == 2 else t
             if kind == "constant":
                 out[rows] = amplitude
             elif kind == "gaussian":
                 out[rows] = amplitude * np.exp(
-                    -4.0 * math.log(2.0) * (t - center) ** 2 / fwhm_sq)
+                    -4.0 * math.log(2.0) * (tk - center) ** 2 / fwhm_sq)
             else:
-                out[rows] = amplitude * np.sin(frequency * t + phase)
+                out[rows] = amplitude * np.sin(frequency * tk + phase)
         return out
 
     return field
@@ -230,6 +239,11 @@ class PulseWindow:
     start: float
     stop: float
     carrier_phase: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(start=self.start, stop=self.stop, carrier_phase=self.carrier_phase)
+        if self.stop < self.start:
+            raise ValueError(f"stop must be >= start, got start {self.start}, stop {self.stop}")
 
 
 @dataclass(frozen=True)

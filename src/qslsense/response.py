@@ -9,9 +9,12 @@ Two interchangeable protocol runners drive the estimators:
   :mod:`qslsense.labframe`, for strong-driving and off-axis studies.
 
 Both expose ``omega`` (Rabi, rad/s), ``tau`` (s), ``gamma`` (rad/s per
-tesla), ``chi`` (rad) and ``run_batch`` returning one transition
-probability per stimulus.  Kernel time runs from the sequence midpoint,
-tau/2.
+tesla), ``chi`` (rad) and ``run_batch(stims, sizes=None)`` returning one
+transition probability per stimulus.  ``sizes`` cuts the stimuli into
+consecutive groups, each run as a batch of its own (its own time grid);
+the rotating runner steps all groups in one pass, so a whole Bode sweep,
+its DC pair and every frequency's delays, is one call.  Kernel time runs
+from the sequence midpoint, tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
 along a delay grid and divides the probability change by the probe area.
@@ -37,6 +40,7 @@ spin's transition frequencies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +52,21 @@ from .labframe import Stimulus
 
 TWO_PI = 2.0 * math.pi
 _GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))  # area = amp * fwhm * this
-#: time steps per block of SU(2) factors in RotatingFrameRunner.run_batch
-_BLOCK_STEPS = 32
+#: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
+#: (one complex factor array is 64 kB; 2048 and 7744 entries were slower)
+_BLOCK_ENTRIES = 4096
+#: nonzero frequencies per run_batch call of bode_response; bounds the
+#: stimuli and per-run arrays held at once (about 5 kB per frequency)
+_SWEEP_FREQUENCIES = 200
+
+
+def _group_bounds(n_runs: int, sizes) -> list[tuple[int, int]]:
+    """(start, stop) of each consecutive group of ``sizes`` runs; one group if None."""
+    sizes = [n_runs] if sizes is None else list(sizes)
+    if any(s < 0 for s in sizes) or sum(sizes) != n_runs:
+        raise ValueError(f"group sizes must be >= 0 and sum to the {n_runs} runs, got {sizes}")
+    stops = list(itertools.accumulate(sizes))
+    return list(zip([0] + stops[:-1], stops))
 
 
 class FitError(RuntimeError):
@@ -108,12 +125,17 @@ class RotatingFrameRunner:
     Stepping is exact per step (2x2 rotation about the midpoint-sampled
     axis), second order in the stimulus variation.
 
-    ``run_batch`` evaluates the stimuli and the SU(2) factors of
-    :data:`_BLOCK_STEPS` steps at a time, as one step-major (steps, runs)
-    array, then applies them step by step.  Every factor and state update
-    is elementwise and out of place, so a run's result has the same bits
-    in any batch as alone, and memory does not grow with the span.  An
-    empty batch gives an empty array, as for :class:`LabFrameRunner`.
+    ``run_batch`` steps several groups of runs, each on its own time grid,
+    in one pass.  The runs are sorted by step count, longest first, so at
+    step j the runs still stepping are a prefix, and only that prefix is
+    updated: no run takes a step its own grid does not have.  The stimuli
+    (at per-run step times) and the SU(2) factors are evaluated for blocks
+    of at most :data:`_BLOCK_ENTRIES` steps x runs (one step if the runs
+    alone exceed it), as one step-major array, then applied step by step.
+    Every factor and state update is elementwise and out of place, so a
+    run's result has the same bits in any batch or group as alone on the
+    same grid, and memory does not grow with the span.
+    An empty batch gives an empty array, as for :class:`LabFrameRunner`.
     """
 
     chi = 0.0
@@ -143,28 +165,47 @@ class RotatingFrameRunner:
                 scales.append(1.0 / stim.fwhm)
         return min(1.0 / (100.0 * max(scales)), self.tau / 100.0)
 
-    def run_batch(self, stims) -> np.ndarray:
-        """Transition probabilities for a batch of stimuli sharing the time grid."""
-        n_runs = len(stims)
-        if n_runs == 0:
+    def run_batch(self, stims, sizes=None) -> np.ndarray:
+        """Transition probabilities for consecutive groups of stimuli, each on its own grid.
+
+        ``sizes`` cuts ``stims`` into consecutive groups of those sizes; the
+        default is one group.  A group is stepped on the grid it would get
+        alone: ``dt`` is the smallest :meth:`_step` of its stimuli, and each
+        half takes ``n = ceil((tau/2)/dt)`` steps of ``h = (tau/2)/n``.
+        """
+        bounds = _group_bounds(len(stims), sizes)
+        if len(stims) == 0:
             return np.empty(0)
-        dt = min(self._step(s) for s in stims)
-        psi0 = np.zeros(n_runs, dtype=complex)
-        psi1 = np.zeros(n_runs, dtype=complex)
-        psi0[:] = 1.0
-        field = labframe.stimulus_field(stims)
-        for (t_a, t_b, wx, wy) in ((0.0, self.tau / 2, 0.0, self.omega),
-                                   (self.tau / 2, self.tau, self.omega, 0.0)):
-            n = max(1, int(math.ceil((t_b - t_a) / dt)))
-            h = (t_b - t_a) / n
-            for i0 in range(0, n, _BLOCK_STEPS):
-                tm = t_a + (np.arange(i0, min(i0 + _BLOCK_STEPS, n)) + 0.5) * h
+        half = self.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
+        n_steps = np.empty(len(stims), dtype=np.int64)
+        h_steps = np.empty(len(stims))
+        for a, b in bounds:
+            if b > a:
+                n = max(1, int(math.ceil(half / min(self._step(s) for s in stims[a:b]))))
+                n_steps[a:b], h_steps[a:b] = n, half / n
+        # longest runs first, so the runs still stepping are always a prefix
+        order = np.argsort(-n_steps, kind="stable")
+        n_steps, h_steps = n_steps[order], h_steps[order]
+        field = labframe.stimulus_field([stims[k] for k in order])
+        psi0 = np.ones(len(stims), dtype=complex)
+        psi1 = np.zeros(len(stims), dtype=complex)
+        for t_a, wx, wy in ((0.0, 0.0, self.omega), (half, self.omega, 0.0)):
+            j0 = 0
+            while j0 < n_steps[0]:
+                m = int(np.count_nonzero(n_steps > j0))
+                j1 = min(int(n_steps[m - 1]), j0 + max(1, _BLOCK_ENTRIES // m))
+                h = h_steps[:m]
+                tm = t_a + (np.arange(j0, j1) + 0.5) * h[:, None]
                 dw = self.gamma * np.ascontiguousarray(field(tm).T)
                 u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw, h)
-                for j in range(tm.size):
-                    psi0, psi1 = (u00[j] * psi0 + u01[j] * psi1,
-                                  u10[j] * psi0 + u11[j] * psi1)
-        return 1.0 - np.abs(psi0) ** 2
+                a0, a1 = psi0[:m], psi1[:m]
+                for j in range(j1 - j0):
+                    a0, a1 = u00[j] * a0 + u01[j] * a1, u10[j] * a0 + u11[j] * a1
+                psi0[:m], psi1[:m] = a0, a1
+                j0 = j1
+        p = np.empty(len(stims))
+        p[order] = 1.0 - np.abs(psi0) ** 2
+        return p
 
     def probe_responses(self, probes) -> np.ndarray:
         """Probability change caused by each probe, run as one batch with a reference run."""
@@ -185,8 +226,11 @@ class LabFrameRunner:
         self.chi = model.chi
         self.protocol = labframe.bipartite_protocol(self.tau)
 
-    def run_batch(self, stims) -> np.ndarray:
-        return labframe.run_protocol_batch(self.model, stims, self.protocol)
+    def run_batch(self, stims, sizes=None) -> np.ndarray:
+        """Transition probabilities, one ``run_protocol_batch`` per group of ``sizes`` runs."""
+        return np.concatenate([np.empty(0)] + [
+            labframe.run_protocol_batch(self.model, stims[a:b], self.protocol)
+            for a, b in _group_bounds(len(stims), sizes)])
 
     def probe_responses(self, probes) -> np.ndarray:
         """First-order probability change caused by each probe.
@@ -279,29 +323,35 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     steps, the probability change is fit to a sinusoid in the delay, and
     |amplitude| is normalized to the DC (constant stimulus) response.  The
     w = 0 gain is 1 by definition.  Points whose fit residual exceeds
-    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.
+    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.  The DC
+    pair and every frequency's 10 delays go to ``sim.run_batch`` as one
+    call, one group each, so each group keeps its own time grid.  A sweep
+    of more than :data:`_SWEEP_FREQUENCIES` nonzero frequencies takes one
+    such call per that many, each with the DC pair again (the same bits).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(omega_grid < 0):
         raise ValueError("frequencies must be >= 0")
-    p_dc = sim.run_batch([Stimulus.constant(amplitude), None])
-    dp_dc = float(p_dc[0] - p_dc[1])
-    p0 = float(p_dc[1])
-    if dp_dc == 0.0:
-        raise NumericError("DC response vanished; cannot normalize Bode gains")
-    gains = np.empty(len(omega_grid))
+    gains = np.ones(len(omega_grid))
     flags = np.zeros(len(omega_grid), dtype=bool)
-    for i, w in enumerate(omega_grid):
-        if w == 0.0:
-            gains[i] = 1.0
-            continue
-        delays = np.arange(10) / 10 * TWO_PI / w
-        stims = [Stimulus.sinusoid(amplitude, w, phase=-w * d) for d in delays]
-        p = sim.run_batch(list(stims))
-        dp = p - p0
-        amp, _, resid = fit_sine_amplitude(np.column_stack([delays, dp]), w)
-        gains[i] = amp / abs(dp_dc)
-        flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
+    swept = np.flatnonzero(omega_grid)
+    # at least one call, which measures the DC pair
+    for c0 in range(0, max(len(swept), 1), _SWEEP_FREQUENCIES):
+        chunk = [(i, omega_grid[i], np.arange(10) / 10 * TWO_PI / omega_grid[i])
+                 for i in swept[c0:c0 + _SWEEP_FREQUENCIES]]
+        stims = [Stimulus.constant(amplitude), None]
+        for _, w, delays in chunk:
+            stims.extend(Stimulus.sinusoid(amplitude, w, phase=-w * d) for d in delays)
+        p = sim.run_batch(stims, [2] + [10] * len(chunk))
+        dp_dc = float(p[0] - p[1])
+        p0 = float(p[1])
+        if dp_dc == 0.0:
+            raise NumericError("DC response vanished; cannot normalize Bode gains")
+        for k, (i, w, delays) in enumerate(chunk):
+            dp = p[2 + 10 * k:12 + 10 * k] - p0
+            amp, _, resid = fit_sine_amplitude(np.column_stack([delays, dp]), w)
+            gains[i] = amp / abs(dp_dc)
+            flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
     return BodeSeries(frequencies=omega_grid, gains=gains, chi=getattr(sim, "chi", 0.0),
                       flagged=flags)
 

@@ -75,12 +75,13 @@ def check_state(psi: np.ndarray) -> None:
         raise ContractViolation(f"state is not normalized (||psi|| = {nrm:.12f})")
 
 
-def su2_propagator(wx, wy, wz, t: float):
+def su2_propagator(wx, wy, wz, t):
     """Elements ``(u00, u01, u10, u11)`` of ``exp(-i (wx Sx + wy Sy + wz Sz) t)``, spin-1/2.
 
     ``S = sigma/2``, so the rotation angle is ``|w| t``.  Vectorized: the
-    rates may be arrays of one shape (one propagator per element); a zero
-    rate gives the identity through the ``sin(x)/x -> 1`` limit.
+    rates and the duration may be arrays that broadcast together (one
+    propagator per element); a zero rate gives the identity through the
+    ``sin(x)/x -> 1`` limit.
     """
     wn = np.sqrt(wx * wx + wy * wy + wz * wz)
     th = 0.5 * wn * t

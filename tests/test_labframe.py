@@ -103,6 +103,24 @@ class TestStimulus:
             Stimulus.constant(1.0).area()
 
 
+@pytest.mark.parametrize("start, stop, phase, message", [
+    (math.nan, 1e-8, 0.0, "start must be finite"),
+    (-math.inf, 1e-8, 0.0, "start must be finite"),
+    (0.0, math.nan, 0.0, "stop must be finite"),
+    (0.0, math.inf, 0.0, "stop must be finite"),
+    (0.0, 1e-8, math.nan, "carrier_phase must be finite"),
+    (0.0, 1e-8, -math.inf, "carrier_phase must be finite"),
+    (2e-8, 1e-8, 0.0, "stop must be >= start"),
+])
+def test_pulse_window_rejects_bad_edges_by_name(start, stop, phase, message):
+    with pytest.raises(ValueError, match=rf"^{message}"):
+        PulseWindow(start, stop, phase)
+
+
+def test_pulse_window_of_zero_width_is_accepted():
+    assert PulseWindow(1e-8, 1e-8).stop == 1e-8
+
+
 class TestHamiltonian:
     def test_static_diagonal(self):
         m = NvModel(b0=0.1)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qslsense import analytic, labframe, spinlin
+from qslsense import analytic, labframe, response, spinlin
 from qslsense.analytic import NumericError, kernel_value
 from qslsense.labframe import Stimulus
 from qslsense.response import (
@@ -339,6 +339,138 @@ def test_stimulus_field_rows_equal_single_stimuli():
         else:
             assert field[k].tolist() == stim.value(t).tolist()
             assert field[k].tolist() == parent_stimulus_value(stim, t).tolist()
+
+
+def test_stimulus_field_per_run_times_for_the_first_runs():
+    stims = [Stimulus.sinusoid(2e-4, 3e7, phase=0.4), None,
+             Stimulus.gaussian(1e-4, 2e-8, 7e-9), Stimulus.constant(-3e-4),
+             Stimulus.gaussian(5e-5, -1e-8, 3e-9), Stimulus.sinusoid(1e-4, 9e7), None]
+    field = labframe.stimulus_field(stims)
+    for k in (0, 1, 3, 5, len(stims)):
+        t = np.linspace(-3e-8, 8e-8, 13) * (1 + 0.1 * np.arange(k))[:, None]
+        rows = field(t)
+        assert rows.shape == (k, 13)
+        for r in range(k):
+            assert rows[r].tolist() == field(t[r])[r].tolist()
+
+
+class TestPooledBatch:
+    """One run_batch call over consecutive groups, each on its own time grid."""
+
+    @staticmethod
+    def groups(sim):
+        bs = 1e-3 / (sim.gamma * sim.tau)
+        return [
+            [Stimulus.sinusoid(bs, 2.5 * sim.omega, phase=0.3 * k) for k in range(3)],
+            [Stimulus.sinusoid(-bs, 5.0 * sim.omega, phase=1.0)],
+            [None],
+            [Stimulus.constant(bs), None],
+            [],
+            [Stimulus.sinusoid(bs, 1.5 * sim.omega, phase=-0.2 * k) for k in range(4)],
+            [Stimulus.gaussian(3 * bs, sim.tau * 0.4, sim.tau / 40), None],
+            [Stimulus.sinusoid(bs, 3.7 * sim.omega)] * 2,
+        ]
+
+    def test_bit_identical_to_separate_batches_and_per_step_loop(self):
+        sim = rotating_runner()
+        groups = self.groups(sim)
+        counts = [math.ceil(sim.tau / 2 / min(sim._step(s) for s in g)) for g in groups if g]
+        # several step counts, not in sorted order
+        assert len(set(counts)) >= 4 and counts != sorted(counts, reverse=True)
+        flat = [s for g in groups for s in g]
+        pooled = sim.run_batch(flat, [len(g) for g in groups]).tolist()
+        assert pooled == [p for g in groups for p in sim.run_batch(g).tolist()]
+        assert pooled == [p for g in groups if g for p in per_step_probabilities(sim, g).tolist()]
+
+    def test_default_is_one_group(self):
+        sim = rotating_runner()
+        stims = mixed_stimuli(sim, 6)
+        assert sim.run_batch(stims, [6]).tolist() == sim.run_batch(stims).tolist()
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [3, 1, 2], [5, -1], [6, -1], []])
+    def test_sizes_must_be_non_negative_and_cover_the_runs(self, sizes):
+        sim = rotating_runner()
+        lab = LabFrameRunner(labframe.NvModel.resonant(sim.omega, 0.0))
+        stims = mixed_stimuli(sim, 5)
+        for runner in (sim, lab):
+            with pytest.raises(ValueError, match="group sizes"):
+                runner.run_batch(stims, sizes)
+
+    def test_memory_does_not_grow_with_run_count(self):
+        # a block holds at most _BLOCK_ENTRIES = 4096 (steps x runs)
+        # entries, 20 steps of 200 runs or 2 steps of 2000, so what grows
+        # with the run count is a few per-run arrays and the gathered
+        # stimulus parameters, about 150 B per run: the peaks are 0.88 and
+        # 1.14 MB
+        sim = rotating_runner()
+        bs = 1e-3 / (sim.gamma * sim.tau)
+        peaks = []
+        for n_groups in (20, 200):
+            freqs = np.linspace(0.1, 3.3, n_groups) * sim.omega
+            stims = [Stimulus.sinusoid(bs, w, phase=0.1 * k) for w in freqs for k in range(10)]
+            tracemalloc.start()
+            try:
+                sim.run_batch(stims, [10] * n_groups)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**20
+
+
+def per_frequency_bode(sim, omega_grid, amplitude):
+    """bode_response as one run_batch call per frequency (the oracle)."""
+    p_dc = sim.run_batch([Stimulus.constant(amplitude), None])
+    dp_dc = float(p_dc[0] - p_dc[1])
+    p0 = float(p_dc[1])
+    gains = np.empty(len(omega_grid))
+    flags = np.zeros(len(omega_grid), dtype=bool)
+    for i, w in enumerate(omega_grid):
+        if w == 0.0:
+            gains[i] = 1.0
+            continue
+        delays = np.arange(10) / 10 * TWO_PI / w
+        p = sim.run_batch([Stimulus.sinusoid(amplitude, w, phase=-w * d) for d in delays])
+        amp, _, resid = fit_sine_amplitude(np.column_stack([delays, p - p0]), w)
+        gains[i] = amp / abs(dp_dc)
+        flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
+    return gains, flags
+
+
+class TestPooledBode:
+    @pytest.mark.parametrize("alpha_deg, per_call", [(30.0, None), (90.0, None), (90.0, 3)])
+    def test_bit_identical_to_per_frequency_loop(self, alpha_deg, per_call, monkeypatch):
+        if per_call is not None:
+            monkeypatch.setattr(response, "_SWEEP_FREQUENCIES", per_call)
+        sim = rotating_runner(alpha=math.radians(alpha_deg))
+        grid = np.linspace(0.0, 3.3 * sim.omega, 17)
+        amp = 1e-3 / (sim.gamma * sim.tau)
+        series = bode_response(sim, grid, amp)
+        gains, flags = per_frequency_bode(sim, grid, amp)
+        assert series.gains.tolist() == gains.tolist()
+        assert series.flagged.tolist() == flags.tolist()
+
+    def test_memory_does_not_grow_with_frequency_count(self, monkeypatch):
+        # 10 frequencies per run_batch call: what grows with the grid is its
+        # gains, flags and index arrays (1.4 kB), not the stimuli and
+        # per-run arrays, which take 0.6 MB more at 200 frequencies than at
+        # 20 when the whole sweep is one call
+        monkeypatch.setattr(response, "_SWEEP_FREQUENCIES", 10)
+        sim = rotating_runner()
+        peaks = []
+        for n in (20, 200):
+            grid = np.linspace(0.0, 3.3 * sim.omega, n)
+            tracemalloc.start()
+            try:
+                bode_response(sim, grid, 1e-3 / (sim.gamma * sim.tau))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2**16
+
+    def test_vanishing_dc_response_raises(self):
+        sim = rotating_runner()
+        with pytest.raises(NumericError, match="DC response vanished"):
+            bode_response(sim, np.array([0.0, sim.omega]), 0.0)
 
 
 def cli_lab_runner(alpha_deg, chi_deg=0.0, tau=10e-9):

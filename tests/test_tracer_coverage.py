@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_PROBE = """
+_INSTALL = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import qslsense
@@ -23,15 +23,31 @@ from layers import Tracer
 
 tracer = Tracer()
 tracer.install(qslsense)
-print(json.dumps(tracer.missing))
 """
 
 
-def test_tracer_finds_every_timed_layer():
+def run_traced(script: str, *args: str):
+    """Install the tracer in a fresh interpreter, run ``script`` and parse its JSON line."""
     src = str(ROOT / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-c", _PROBE, str(ROOT / "perfbench")],
+    res = subprocess.run([sys.executable, "-c", _INSTALL + script, str(ROOT / "perfbench"),
+                          *args],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == []
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_tracer_finds_every_timed_layer():
+    assert run_traced("print(json.dumps(tracer.missing))") == []
+
+
+def test_bode_sweep_is_one_traced_run_batch_call(tmp_path):
+    # one call of the DC pair plus 10 delays at each of the 3 nonzero frequencies
+    code, stats = run_traced(
+        'code = qslsense.cli.main(["bode", "--rabi", "10MHz", "--alpha", "90deg",'
+        ' "--points", "4", "--out", sys.argv[2]])\n'
+        'print(json.dumps([code, tracer.report()["response.RotatingFrameRunner.run_batch"]]))',
+        str(tmp_path / "bode.csv"))
+    assert code == 0
+    assert (stats["calls"], stats["runs"]) == (1, 32)
