@@ -46,10 +46,15 @@ each step's 3x3 unitary ``P R(theta) P`` (``P = exp(-i Delta h/2)``) is
 built in closed form for every run at once, the block's product is formed
 by pairwise (tree) reduction, and the product is applied to the states.
 Runs go through in chunks of a fixed number of steps x runs, so memory is
-bounded by one block of one chunk for any protocol and batch.  Batches of
-runs share the time grid, the block length does not depend on the batch,
-and each run's arithmetic is elementwise and independent of the other runs,
-so a batched result is bit-identical to the same run on its own.
+bounded by one block of one chunk for any protocol and batch.  A run with
+no stimulus or a constant one sees an H that is periodic in the carrier
+inside a pulse window, so a window of at least two carrier periods is
+stepped on a grid commensurate with the carrier and one period's product
+is raised to the number of whole periods by repeated squaring (Shirley,
+Phys. Rev. 138, B979 (1965)).  Each run's grid depends only on the run,
+the block length does not depend on the batch, and each run's arithmetic
+is elementwise and independent of the other runs, so a batched result is
+bit-identical to the same run on its own.
 
 :func:`linear_response` gives the exact first-order response of this
 discrete integrator to a stimulus, from one reference run and its adjoint
@@ -63,6 +68,7 @@ signal-induced probability change.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -259,6 +265,11 @@ class Protocol:
             if name not in _BASIS_INDEX:
                 raise ValueError(f"basis label must be one of {sorted(_BASIS_INDEX)}, got {name!r}")
         object.__setattr__(self, "windows", tuple(self.windows))
+        # overlapping windows would leave the drive phase to the listing order
+        ordered = sorted((w for w in self.windows if w.stop > w.start), key=lambda w: w.start)
+        for prev, w in zip(ordered, ordered[1:]):
+            if w.start < prev.stop:
+                raise ValueError(f"pulse windows {prev} and {w} overlap")
 
     @property
     def duration(self) -> float:
@@ -438,31 +449,55 @@ def _product_tree(us):
         yield us
 
 
+def _power(m, p: int):
+    """``m^p`` for a row-major 9-tuple ``m`` and ``p >= 1``, by repeated squaring."""
+    out = None
+    while True:
+        if p & 1:
+            out = m if out is None else _matmul(m, out)
+        p >>= 1
+        if not p:
+            return out
+        m = _matmul(m, m)
+
+
+@functools.cache
 def _bit_reversal(size: int) -> np.ndarray:
-    """The bit-reversal permutation of ``range(size)``, ``size`` a power of two."""
+    """The bit-reversal permutation of ``range(size)``, ``size`` a power of two; read-only."""
     perm = np.zeros(1, dtype=np.int64)
     while perm.size < size:
         perm = np.concatenate([2 * perm, 2 * perm + 1])
+    perm.flags.writeable = False
     return perm
 
 
-def _blocks(protocol: Protocol, t0: float, t1: float, dt: float):
-    """The step blocks of [t0, t1] as (a, h, pulse_on, phase, first, stop) tuples.
+def _blocks(protocol: Protocol, t0: float, t1: float, dt: float, period: float = math.inf):
+    """The step blocks of [t0, t1] as (a, h, pulse_on, phase, first, stop, power) tuples.
 
     [t0, t1] is cut at window edges (:func:`_spans`) and each span [a, b]
     into ``n = ceil((b - a)/dt)`` equal steps of size ``h = (b - a)/n``; a
     block is up to :data:`_BLOCK_STEPS` consecutive steps ``first .. stop-1``
-    of one span, with midpoints ``a + (i + 1/2) h``.
+    of one span, with midpoints ``a + (i + 1/2) h``, applied once
+    (``power`` 1).  A driven span of at least two carrier periods ``period``
+    starts with one period of ``k = ceil(period/dt)`` steps of
+    ``h = period/k``; the product of its blocks (``power`` 0 on all but the
+    last) is applied ``power = floor((b - a)/period)`` times, and the rest
+    of the span is stepped as above.
     """
     out = []
     for a, b, on, phase in _spans(protocol, t0, t1):
-        span = b - a
-        if span <= 0:
-            continue
-        n = max(1, int(math.ceil(span / dt)))
-        h = span / n
-        out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n))
-                   for i0 in range(0, n, _BLOCK_STEPS))
+        pieces = [(a, b, 1)]
+        if on and b - a >= 2.0 * period:
+            reps = int((b - a) // period)
+            pieces = [(a, a + period, reps), (a + reps * period, b, 1)]
+        for a, b, power in pieces:
+            if b - a <= 0:
+                continue
+            n = max(1, int(math.ceil((b - a) / dt)))
+            h = (b - a) / n
+            out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n),
+                        power if power == 1 or i0 + _BLOCK_STEPS >= n else 0)
+                       for i0 in range(0, n, _BLOCK_STEPS))
     return out
 
 
@@ -478,7 +513,7 @@ def _block_factors(model: NvModel, field, block):
     ``e+- = 1`` and ``theta = 0``, so its unitary is the identity and the
     tree's products are exact over it.
     """
-    a, h, on, phase, first, stop = block
+    a, h, on, phase, first, stop, _ = block
     perm = _bit_reversal(1 << (stop - first - 1).bit_length())
     real = perm < stop - first
     tm = a + (first + perm + 0.5) * h
@@ -499,12 +534,25 @@ def _block_factors(model: NvModel, field, block):
 
 
 def _block_products(model: NvModel, field, blocks):
-    """Yield the product of each block's step unitaries, for every run of ``field``."""
+    """Yield the product of each block's step unitaries, for every run of ``field``.
+
+    The product of a block with ``power`` 0 is carried into the next
+    block's; a block's product (with any carried in) is raised to its
+    ``power`` (:func:`_blocks`).
+    """
+    carried = None
     for block in blocks:
         us = _block_factors(model, field, block)[-1]
         for top in _product_tree(us):
             pass
-        yield top
+        if carried is not None:
+            top = _matmul(top, carried)
+        power = block[-1]
+        if power:
+            yield _power(top, power)
+            carried = None
+        else:
+            carried = top
 
 
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
@@ -521,25 +569,36 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     against ``exp(-i H(t_m) h)`` is O(h^3), so the scheme is second order,
     and every factor is unitary up to rounding.
 
+    A run whose stimulus is None or constant steps each driven span of at
+    least two carrier periods T on a grid commensurate with the carrier
+    instead: ``k = ceil(T/dt)`` steps of ``T/k`` per period from the span
+    start, one period's product raised to the ``floor(span/T)``-th power
+    by repeated squaring, then the rest of the span as above.
+
     The steps go in blocks of :data:`_BLOCK_STEPS` (:func:`_blocks`).  For
     each block, every step's 3x3 unitary is built in closed form for all
     runs at once, the block's product is formed by pairwise (tree)
     reduction (:func:`_product_tree`), and the product is applied to the
-    states.  Runs go through in chunks of :data:`_CHUNK_RUNS` runs, so
-    memory is bounded by one block of one chunk for any span and batch.
-    The block length does not depend on the batch and every operation is
-    elementwise over runs, so a batched result has the same bits as the
-    same run on its own.
+    states.  The periodic runs and then the others go through in chunks of
+    :data:`_CHUNK_RUNS` runs, so memory is bounded by one block of one
+    chunk for any span and batch.  A run's grid and the block length do not
+    depend on the batch and every operation is elementwise over runs, so a
+    batched result has the same bits as the same run on its own.
     """
     psis = np.asarray(psis, dtype=complex)
     out = psis.copy()
-    blocks = _blocks(protocol, t0, t1, dt)
-    for r0 in range(0, len(stims), _CHUNK_RUNS):
-        field = stimulus_field(stims[r0:r0 + _CHUNK_RUNS])
-        state = tuple(psis[r0:r0 + _CHUNK_RUNS, k][None, :] for k in range(3))
-        for top in _block_products(model, field, blocks):
-            state = _matvec(top, state)
-        out[r0:r0 + _CHUNK_RUNS] = np.concatenate(state).T
+    periodic = [s is None or s.kind == "constant" for s in stims]
+    for flag in (True, False):
+        rows = [r for r, f in enumerate(periodic) if f == flag]
+        period = TWO_PI / model.carrier if flag and model.carrier > 0 else math.inf
+        blocks = _blocks(protocol, t0, t1, dt, period)
+        for r0 in range(0, len(rows), _CHUNK_RUNS):
+            chunk = rows[r0:r0 + _CHUNK_RUNS]
+            field = stimulus_field([stims[r] for r in chunk])
+            state = tuple(psis[chunk, k][None, :] for k in range(3))
+            for top in _block_products(model, field, blocks):
+                state = _matvec(top, state)
+            out[chunk] = np.concatenate(state).T
     return out
 
 
@@ -607,8 +666,9 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
 
     where ``dU_n`` differentiates the Strang step in both places the field
     enters: the ``cos chi`` part in Delta and the ``sin chi`` part in theta.
-    A stimulus's response is ``sum_n G_n b(t_n)`` on the grid that
-    ``run_protocol_batch`` would use for the same stimuli (its default ``dt``).
+    A stimulus's response is ``sum_n G_n b(t_n)`` on the plain grid of
+    :func:`_blocks` at ``run_protocol_batch``'s default ``dt`` for the same
+    stimuli, the grid it steps every stimulus on but a constant one.
 
     The steps share :func:`_evolve_batch`'s blocks and product trees.  A
     forward pass keeps the state at each block start; a backward pass over

@@ -10,6 +10,7 @@ equal sensitivity).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,16 @@ def scan_timeshare_phase(omega: float, tau: float, k_grid=None,
     return k_best, th_best, eta_best
 
 
+@functools.lru_cache(maxsize=8)
+def _coarse_grid(omega_rabi: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`optimal_duration`'s 512 durations in (0, pi/Om] and their prefactors; read-only."""
+    tau_max = math.pi / omega_rabi
+    taus = np.linspace(tau_max / 512, tau_max, 512)
+    prefactor = np.array([0.5 * math.sin(0.5 * omega_rabi * t) * _SQRT_2PI for t in taus])
+    taus.flags.writeable = prefactor.flags.writeable = False
+    return taus, prefactor
+
+
 def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, bool]:
     """Duration maximizing :func:`sinusoid_sensitivity` at one signal frequency.
 
@@ -129,15 +140,14 @@ def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, boo
     The coarse grid is one array call of :func:`transfer_value` over tau
     (its series branch and overflow guard included) times the per-tau
     ``math.sin`` prefactor, the arithmetic of :func:`sinusoid_sensitivity`
-    point by point; the golden-section refinement calls it per point.
+    point by point; the durations and prefactors are built once per Rabi
+    rate.  The golden-section refinement calls it per point.
     """
     if not (math.isfinite(omega_signal) and omega_signal >= 0):
         raise ValueError(f"signal frequency must be finite and >= 0, got {omega_signal}")
     if not (math.isfinite(omega_rabi) and omega_rabi > 0):
         raise ValueError(f"Rabi frequency must be finite and > 0, got {omega_rabi}")
-    tau_max = math.pi / omega_rabi
-    taus = np.linspace(tau_max / 512, tau_max, 512)
-    prefactor = np.array([0.5 * math.sin(0.5 * omega_rabi * t) * _SQRT_2PI for t in taus])
+    taus, prefactor = _coarse_grid(omega_rabi)
     vals = prefactor * transfer_value(omega_signal, omega_rabi, taus)
     top = float(vals.max())
     if top <= 0 or (top - float(vals.min())) <= 1e-12 * top:

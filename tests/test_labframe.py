@@ -121,6 +121,24 @@ def test_pulse_window_of_zero_width_is_accepted():
     assert PulseWindow(1e-8, 1e-8).stop == 1e-8
 
 
+@pytest.mark.parametrize("windows, overlap", [
+    ([(0.0, 20e-9, 0.0), (10e-9, 30e-9, 1.0)], True),
+    ([(10e-9, 30e-9, 1.0), (0.0, 20e-9, 0.0)], True),
+    ([(0.0, 30e-9, 0.0), (10e-9, 20e-9, 1.0)], True),
+    ([(0.0, 10e-9, 0.0), (0.0, 20e-9, 1.0)], True),
+    ([(0.0, 10e-9, 0.0), (10e-9, 20e-9, 1.0)], False),
+    ([(20e-9, 30e-9, 0.0), (0.0, 10e-9, 1.0), (10e-9, 15e-9, 0.5)], False),
+], ids=["overlap", "overlap-reversed", "nested", "shared-start", "touching", "unsorted"])
+def test_overlapping_pulse_windows_are_rejected(windows, overlap):
+    windows = [PulseWindow(*w) for w in windows]
+    if overlap:
+        with pytest.raises(ValueError, match="overlap") as exc:
+            Protocol(windows)
+        assert all(repr(w) in str(exc.value) for w in windows[:2])
+    else:
+        assert Protocol(windows).windows == tuple(windows)
+
+
 class TestHamiltonian:
     def test_static_diagonal(self):
         m = NvModel(b0=0.1)
@@ -247,17 +265,39 @@ def rotate_sx(cos_t, g, q, plus, zero, minus):
     return plus + shift, cos_t * zero + q * u, minus + shift
 
 
+def step_grid(model, stim, protocol, t0, t1, dt):
+    """The stepper's grid for one run as (midpoint, h, pulse_on, phase) per step.
+
+    A run with no stimulus or a constant one steps a driven span [a, b] of at
+    least two carrier periods T as floor((b - a)/T) periods of ceil(T/dt)
+    equal steps from a, then the rest of the span; every other span is
+    ``ceil(span/dt)`` equal steps.
+    """
+    periodic = stim is None or stim.kind == "constant"
+    period = TWO_PI / model.carrier if periodic and model.carrier > 0 else math.inf
+    for a, b, on, phase in labframe._spans(protocol, t0, t1):
+        pieces = [(a, b, 1)]
+        if on and b - a >= 2 * period:
+            reps = int((b - a) // period)
+            pieces = [(a, a + period, reps), (a + reps * period, b, 1)]
+        for a, b, reps in pieces:
+            if b - a <= 0:
+                continue
+            n = max(1, int(math.ceil((b - a) / dt)))
+            h = (b - a) / n
+            for i in range(reps * n):
+                yield a + (i + 0.5) * h, h, on, phase
+
+
 def per_step_states(model, stims, protocol, t0, t1, dt, psis):
     """Oracle: the Strang split applied one step at a time, as the stepper did before block products."""
-    plus, zero, minus = np.asarray(psis, dtype=complex).T.copy()
     cos_chi, sin_chi = math.cos(model.chi), math.sin(model.chi)
-    field = labframe.stimulus_field(stims)
-    for a, b, on, phase in labframe._spans(protocol, t0, t1):
-        n = max(1, int(math.ceil((b - a) / dt)))
-        h = (b - a) / n
-        for i in range(n):
-            tm = a + (i + 0.5) * h
-            bs = field(np.array([tm]))[:, 0]
+    out = []
+    for stim, psi in zip(stims, psis):
+        plus, zero, minus = np.asarray(psi, dtype=complex)
+        field = labframe.stimulus_field([stim])
+        for tm, h, on, phase in step_grid(model, stim, protocol, t0, t1, dt):
+            bs = field(np.array([tm]))[0, 0]
             z = model.gamma_e * (model.b0 + bs * cos_chi)
             e_plus = np.exp(-0.5j * h * (model.d + z))
             e_minus = np.exp(-0.5j * h * (model.d - z))
@@ -267,13 +307,22 @@ def per_step_states(model, stims, protocol, t0, t1, dt, psis):
                                           (-1j / math.sqrt(2.0)) * np.sin(theta),
                                           plus * e_plus, zero, minus * e_minus)
             plus, minus = plus * e_plus, minus * e_minus
-    return np.stack([plus, zero, minus], axis=1)
+        out.append([plus, zero, minus])
+    return np.array(out)
 
 
 def offaxis_model(chi_deg):
     """The offaxis command's model: 20 MHz Rabi rate, D = 0.5 GHz, 0.25 GHz Zeeman shift."""
     return NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
                             d=TWO_PI * 0.5e9, chi=math.radians(chi_deg))
+
+
+def fig4d_model(rabi_over_d, b0=None):
+    """The fig4d command's model at Rabi rate ``rabi_over_d`` D, scaled bias ge B0 = 60 D by default."""
+    d = TWO_PI * labframe.D_NV_CYCLES
+    if b0 is None:
+        b0 = 60 * d / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA)
+    return NvModel.resonant(rabi_over_d * d, b0)
 
 
 def mixed_stimuli(m, tau, n_runs):
@@ -313,6 +362,79 @@ class TestBlockStepper:
         batch = run_protocol_batch(m, stims, protocol, dt=dt)
         singles = [run_protocol_batch(m, [s], protocol, dt=dt)[0] for s in stims]
         assert batch.tolist() == singles
+
+    def test_powered_periods_match_per_step_loop(self):
+        # fig4d's lowest Rabi rate: a 152.5-period window, so one period's
+        # product is squared up to the 128th power (measured gap 5.2e-13)
+        m = fig4d_model(0.1)
+        tau = math.pi / rabi_frequency(m)
+        protocol = Protocol(windows=(PulseWindow(0.0, tau / 2, 0.3),), prep="ms0")
+        bs = m.b1 / (10 * math.sqrt(2))
+        stims = [Stimulus.constant(bs), None, Stimulus.constant(-bs)]
+        dt = min(default_timestep(m, s) for s in stims)
+        psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (3, 1))
+        got = labframe._evolve_batch(m, stims, protocol, 0.0, tau / 2, dt, psis)
+        want = per_step_states(m, stims, protocol, 0.0, tau / 2, dt, psis)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_period_longer_than_a_block_matches_per_step_loop(self):
+        # 2500 steps per period: each period's product spans three blocks
+        m = offaxis_model(45.0)
+        period = TWO_PI / m.carrier
+        protocol = Protocol(windows=(PulseWindow(0.0, 3.5 * period, 0.3),), prep="ms0")
+        stims = mixed_stimuli(m, 3.5 * period, 4)
+        dt = period / 2500 * (1 + 1e-9)
+        psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (4, 1))
+        got = labframe._evolve_batch(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
+        want = per_step_states(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
+        assert math.ceil(period / dt) > 2 * labframe._BLOCK_STEPS
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_norm_preserved_over_powered_window(self):
+        # fig4d --expensive's lowest Rabi rate: about 980 carrier periods
+        m = fig4d_model(0.1, b0=40.0)
+        tau = math.pi / rabi_frequency(m)
+        stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
+        protocol = Protocol(windows=(PulseWindow(0.0, tau / 2, 0.0),), prep="ms0")
+        assert tau / 2 * m.carrier / TWO_PI > 900
+        for s in (stim, None):
+            psi = evolve(m, s, protocol, 0.0, tau / 2, default_timestep(m, stim),
+                         basis_state("ms0"))
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    @pytest.mark.parametrize("constant", [True, False], ids=["constant", "none"])
+    def test_powered_grid_against_dt_over_4(self, chi_deg, constant):
+        m = offaxis_model(chi_deg)
+        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2))) if constant else None
+        dt = default_timestep(m, stim)
+        p = run_protocol_batch(m, [stim], protocol, dt=dt)[0]
+        assert protocol.duration / 2 > 2 * TWO_PI / m.carrier
+        assert abs(p - midpoint_exponential_probability(m, stim, protocol, dt / 4)) < 3e-5
+
+    @pytest.mark.parametrize("case", ["carrier-free", "drive-off", "short-window"])
+    def test_unpowered_spans_keep_the_plain_grid(self, case):
+        # a sinusoid of frequency 0 holds the same field but always steps on
+        # the plain ceil(span/dt) grid, so the runs must agree bit for bit
+        m = offaxis_model(45.0)
+        period = TWO_PI / m.carrier
+        windows = (PulseWindow(0.0, 40 * period, 0.3),)
+        if case == "carrier-free":
+            m = NvModel(d=m.d, gamma_e=m.gamma_e, b0=m.b0, b1=m.b1, chi=m.chi)
+        elif case == "drive-off":
+            windows = ()
+        else:
+            windows = (PulseWindow(0.0, 1.99 * period, 0.3),)
+        protocol = Protocol(windows=windows, prep="ms0")
+        bs = m.b1 / (10 * math.sqrt(2))
+        stims = [Stimulus.constant(bs), None]
+        plain = [Stimulus.sinusoid(bs, 0.0, math.pi / 2), Stimulus.sinusoid(0.0, 0.0)]
+        dt = default_timestep(offaxis_model(45.0), stims[0])
+        psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (2, 1))
+        got = labframe._evolve_batch(m, stims, protocol, 0.0, 40 * period, dt, psis)
+        want = labframe._evolve_batch(m, plain, protocol, 0.0, 40 * period, dt, psis)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, dt):

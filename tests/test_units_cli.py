@@ -141,6 +141,20 @@ class TestCliCommands:
         assert header == ["omega_rad_s", "tau_star_s"]
         assert len(ridge_rows) == 5
 
+    def test_fig4d_scaled_bias_matches_the_40_tesla_run(self, tmp_path):
+        # the scaled bias stands in for the full 40 T run; the 13-point
+        # sweeps differ by at most 0.0164
+        cols = {}
+        for flags in ([], ["--expensive"]):
+            out = tmp_path / f"fig4d{len(flags)}.csv"
+            assert main(["fig4d", "--points", "3", *flags, "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            cols[bool(flags)] = np.array(rows, dtype=float)
+        assert header[1:] == ["p_plus_ms0", "p_minus_ms0", "p_ref_ms0",
+                              "p_plus_msm1", "p_minus_msm1", "p_ref_msm1"]
+        assert np.array_equal(cols[False][:, 0], cols[True][:, 0])
+        assert np.max(np.abs(cols[False][:, 1:] - cols[True][:, 1:])) <= 0.02
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
