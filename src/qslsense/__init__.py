@@ -29,7 +29,6 @@ from .labframe import (
     Stimulus,
     bipartite_protocol,
     evolve,
-    hamiltonian_at,
     rabi_frequency,
     run_protocol,
     run_protocol_batch,
@@ -51,13 +50,11 @@ from .response import (
     bode_response,
     estimate_kernel,
     fit_sine_amplitude,
-    numeric_metrics,
 )
 from .sequence import (
     ControlSequence,
     PulseSegment,
     make_bipartite,
-    make_ramsey_with_delay,
     propagate,
     transition_probability,
 )

@@ -19,7 +19,7 @@ first-order sign at once; no other convention leaks out of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,29 +34,22 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class BipartiteParams:
-    """Parameters of the two-segment control sequence.
+    """Parameters of the equal-timeshare, 90-degree-jump two-pulse sequence.
 
     rabi: angular Rabi frequency (rad/s), > 0.
     duration: total sequence duration tau (s), >= 0.
     detuning: angular detuning of the qubit from the drive (rad/s).
-    timeshare: fraction of tau spent in the first segment, in [0, 1].
-    phase_jump: phase of the second rotation axis (rad); pi/2 is the
-        orthogonal-axis sequence all closed forms below refer to.
     """
 
     rabi: float
     duration: float
     detuning: float = 0.0
-    timeshare: float = 0.5
-    phase_jump: float = math.pi / 2
 
     def __post_init__(self):
         if self.rabi <= 0:
             raise ValueError(f"rabi must be > 0, got {self.rabi}")
         if self.duration < 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if not 0.0 <= self.timeshare <= 1.0:
-            raise ValueError(f"timeshare must lie in [0, 1], got {self.timeshare}")
 
     @property
     def flip_angle(self) -> float:
@@ -69,8 +62,9 @@ class MetricsReport:
     """Resolution and bandwidth metrics of one sequence configuration.
 
     Time metrics are seconds, bandwidths rad/s.  Fields not computed by a
-    given producer (e.g. the sample-based estimator fills no bandwidths)
-    are left as None.
+    given producer (e.g. the sample-based estimator of the test suite,
+    ``numeric_metrics`` in tests/oracles.py, fills no bandwidths) are left
+    as None.
     """
 
     t_fwhm: float | None = None
@@ -95,13 +89,10 @@ class QslInput:
 def exact_transition_probability(params: BipartiteParams) -> float:
     """Exact transition probability of the equal-timeshare, 90-degree-jump sequence.
 
-    Valid for any detuning (not restricted to detuning << rabi).  Only the
-    ``timeshare = 1/2``, ``phase_jump = pi/2`` member of the family has this
-    closed form; other parameters raise ValueError (use the sequence
-    propagator for those).
+    Valid for any detuning (not restricted to detuning << rabi).  Other
+    timeshares and phase jumps have no such closed form; the sequence
+    propagator (:func:`qslsense.sequence.make_bipartite`) covers them.
     """
-    if abs(params.timeshare - 0.5) > 1e-12 or abs(params.phase_jump - math.pi / 2) > 1e-12:
-        raise ValueError("closed form requires timeshare = 1/2 and phase_jump = pi/2")
     om = params.rabi
     dw = params.detuning
     tau = params.duration
@@ -250,9 +241,10 @@ def rise_time(tau: float, omega: float, band: str) -> float:
 
     ``band`` is "r20_80" or "r10_90".  At alpha = pi/2 these evaluate to
     tau (1 - arccos(1/5)/pi) ~ 0.564 tau and tau (1 - arccos(3/5)/pi) ~ 0.704 tau.
-    Note: the sample-based estimator in response.numeric_metrics reads rise
-    times off cumulative-area threshold crossings, a definition that agrees
-    with these closed forms only in the alpha -> 0 limit.
+    Note: the sample-based estimator of the test suite (``numeric_metrics``
+    in tests/oracles.py) reads rise times off cumulative-area threshold
+    crossings, a definition that agrees with these closed forms only in the
+    alpha -> 0 limit.
     """
     alpha = omega * tau / 2.0
     check_alpha_quadrant(alpha)

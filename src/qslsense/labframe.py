@@ -48,13 +48,14 @@ by pairwise (tree) reduction, and the product is applied to the states.
 Runs go through in chunks of a fixed number of steps x runs, so memory is
 bounded by one block of one chunk for any protocol and batch.  A run with
 no stimulus or a constant one sees an H that is periodic in the carrier
-inside a pulse window, so a window of at least two carrier periods is
-stepped on a grid commensurate with the carrier and one period's product
-is raised to the number of whole periods by repeated squaring (Shirley,
-Phys. Rev. 138, B979 (1965)).  Each run's grid depends only on the run,
-the block length does not depend on the batch, and each run's arithmetic
-is elementwise and independent of the other runs, so a batched result is
-bit-identical to the same run on its own.
+inside a pulse window, so a window of at least two carrier periods, whose
+period fits in one block, is stepped on a grid commensurate with the
+carrier and one period's product is raised to the number of whole periods
+by repeated squaring (Shirley, Phys. Rev. 138, B979 (1965)).  Each run's
+grid depends only on the run, the block length does not depend on the
+batch, and each run's arithmetic is elementwise and independent of the
+other runs, so a batched result is bit-identical to the same run on its
+own.
 
 :func:`linear_response` gives the exact first-order response of this
 discrete integrator to a stimulus, from one reference run and its adjoint
@@ -82,11 +83,6 @@ TWO_PI = 2.0 * math.pi
 
 GAMMA_E_CYCLES_PER_TESLA = 28.0345e9   # Hz/T, cycle frequency
 D_NV_CYCLES = 2.87e9                   # Hz, cycle frequency
-
-SX1, SY1, SZ1 = spinlin.spin_operators("one")
-_SX = SX1.real.copy()
-_SZ = SZ1.real.copy()
-_SZ2 = (_SZ @ _SZ)
 
 #: carrier phase of the second pulse window relative to the first
 PHASE_JUMP = -math.pi / 2
@@ -221,6 +217,8 @@ def stimulus_field(stims):
         n = len(t) if t.ndim == 2 else len(stims)
         out = np.zeros((n, t.shape[-1]))
         for kind, rows, *params in groups:
+            if rows[0] >= n:  # none of the kind's rows is among the first n
+                continue
             if rows[-1] >= n:  # keep the kind's rows among the first n
                 k = np.searchsorted(rows, n)
                 rows, params = rows[:k], [p[:k] for p in params]
@@ -314,19 +312,6 @@ def transition_frequencies(model: NvModel) -> tuple[float, float]:
     upper = model.d + model.gamma_e * model.b0
     lower = abs(model.d - model.gamma_e * model.b0)
     return upper, lower
-
-
-def hamiltonian_at(model: NvModel, stim: Stimulus | None, pulse_on: bool,
-                   carrier_phase: float, t: float) -> np.ndarray:
-    """Instantaneous 3x3 Hermitian Hamiltonian (rad/s) at time ``t``."""
-    h = model.d * _SZ2 + model.gamma_e * model.b0 * _SZ
-    if pulse_on:
-        m = math.cos(model.carrier * t + carrier_phase)
-        h = h + model.gamma_e * model.b1 * m * _SX
-    if stim is not None:
-        bs = stim.value(t)
-        h = h + model.gamma_e * bs * (math.cos(model.chi) * _SZ + math.sin(model.chi) * _SX)
-    return h.astype(complex)
 
 
 def frequency_scales(model: NvModel, stim: Stimulus | None = None) -> dict[str, float]:
@@ -479,15 +464,17 @@ def _blocks(protocol: Protocol, t0: float, t1: float, dt: float, period: float =
     block is up to :data:`_BLOCK_STEPS` consecutive steps ``first .. stop-1``
     of one span, with midpoints ``a + (i + 1/2) h``, applied once
     (``power`` 1).  A driven span of at least two carrier periods ``period``
-    starts with one period of ``k = ceil(period/dt)`` steps of
-    ``h = period/k``; the product of its blocks (``power`` 0 on all but the
-    last) is applied ``power = floor((b - a)/period)`` times, and the rest
-    of the span is stepped as above.
+    whose period of ``k = ceil(period/dt)`` steps fits in one block
+    (``k <= _BLOCK_STEPS``) starts with one period of k steps of
+    ``h = period/k``, one block applied ``power = floor((b - a)/period)``
+    times; the rest of the span is stepped as above.
     """
     out = []
     for a, b, on, phase in _spans(protocol, t0, t1):
         pieces = [(a, b, 1)]
-        if on and b - a >= 2.0 * period:
+        # the period piece's own step count: (a + period) - a need not be period
+        if (on and b - a >= 2.0 * period
+                and math.ceil((a + period - a) / dt) <= _BLOCK_STEPS):
             reps = int((b - a) // period)
             pieces = [(a, a + period, reps), (a + reps * period, b, 1)]
         for a, b, power in pieces:
@@ -495,8 +482,7 @@ def _blocks(protocol: Protocol, t0: float, t1: float, dt: float, period: float =
                 continue
             n = max(1, int(math.ceil((b - a) / dt)))
             h = (b - a) / n
-            out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n),
-                        power if power == 1 or i0 + _BLOCK_STEPS >= n else 0)
+            out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n), power)
                        for i0 in range(0, n, _BLOCK_STEPS))
     return out
 
@@ -534,25 +520,14 @@ def _block_factors(model: NvModel, field, block):
 
 
 def _block_products(model: NvModel, field, blocks):
-    """Yield the product of each block's step unitaries, for every run of ``field``.
+    """Yield the product of each block's step unitaries, raised to the block's ``power``.
 
-    The product of a block with ``power`` 0 is carried into the next
-    block's; a block's product (with any carried in) is raised to its
-    ``power`` (:func:`_blocks`).
+    Each product holds every run of ``field`` (:func:`_blocks`).
     """
-    carried = None
     for block in blocks:
-        us = _block_factors(model, field, block)[-1]
-        for top in _product_tree(us):
+        for top in _product_tree(_block_factors(model, field, block)[-1]):
             pass
-        if carried is not None:
-            top = _matmul(top, carried)
-        power = block[-1]
-        if power:
-            yield _power(top, power)
-            carried = None
-        else:
-            carried = top
+        yield _power(top, block[-1])
 
 
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
@@ -570,10 +545,11 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     and every factor is unitary up to rounding.
 
     A run whose stimulus is None or constant steps each driven span of at
-    least two carrier periods T on a grid commensurate with the carrier
-    instead: ``k = ceil(T/dt)`` steps of ``T/k`` per period from the span
-    start, one period's product raised to the ``floor(span/T)``-th power
-    by repeated squaring, then the rest of the span as above.
+    least two carrier periods T, when ``k = ceil(T/dt)`` is at most
+    :data:`_BLOCK_STEPS`, on a grid commensurate with the carrier instead:
+    k steps of ``T/k`` per period from the span start, one period's
+    product raised to the ``floor(span/T)``-th power by repeated squaring,
+    then the rest of the span as above.
 
     The steps go in blocks of :data:`_BLOCK_STEPS` (:func:`_blocks`).  For
     each block, every step's 3x3 unitary is built in closed form for all
@@ -721,28 +697,3 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
         for j in range(0, len(stims), _CHUNK_RUNS):
             out[j:j + _CHUNK_RUNS] += stimulus_field(stims[j:j + _CHUNK_RUNS])(tm) @ grad
     return out
-
-
-def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
-                   dt: float | None = None, n_samples: int = 200):
-    """Populations and <Sz> sampled along one protocol run.
-
-    Returns ``(t, populations, sz)`` with populations of shape (n, 3) in
-    basis order (ms-1, ms0, ms+1).
-    """
-    if dt is None:
-        dt = default_timestep(model, stim)
-    _check_timestep(model, stim, dt)
-    duration = protocol.duration
-    times = np.linspace(0.0, duration, n_samples)
-    psi = basis_state(protocol.prep)
-    pops = np.empty((n_samples, 3))
-    sz = np.empty(n_samples)
-    pops[0] = np.abs(psi) ** 2
-    sz[0] = spinlin.expectation(SZ1, psi)
-    for i in range(1, n_samples):
-        psi = _evolve_batch(model, [stim], protocol, times[i - 1], times[i], dt,
-                            psi[None, :])[0]
-        pops[i] = np.abs(psi) ** 2
-        sz[i] = spinlin.expectation(SZ1, psi)
-    return times, pops, sz

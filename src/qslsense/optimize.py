@@ -81,24 +81,16 @@ def sinusoid_sensitivity(omega_signal, omega_rabi: float, tau: float):
         omega_signal, omega_rabi, tau)
 
 
-def scan_timeshare_phase(omega: float, tau: float, k_grid=None,
-                         theta_grid=None) -> tuple[float, float, float]:
+def scan_timeshare_phase(omega: float, tau: float) -> tuple[float, float, float]:
     """Locate the (timeshare, phase-jump) pair maximizing |sensitivity|.
 
-    Scans the grids (defaults: 41 points over [0, 1] and [0, pi]), then
-    refines each axis with golden-section search to 1e-9 relative.  The
-    objective is separable in (k, theta), so one refinement pass per axis
-    suffices.
+    Scans 41 points over [0, 1] and 41 over [0, pi], then refines each axis
+    with golden-section search to 1e-9 relative.  The objective is
+    separable in (k, theta), so one refinement pass per axis suffices.
     Returns (k*, theta*, |eta|*).
     """
-    k_grid = np.linspace(0.0, 1.0, 41) if k_grid is None else np.asarray(k_grid, float)
-    theta_grid = (np.linspace(0.0, math.pi, 41) if theta_grid is None
-                  else np.asarray(theta_grid, float))
-    # restricted grids are allowed (they find the restricted optimum), out-of-range ones are not
-    if k_grid[0] < 0.0 or k_grid[-1] > 1.0:
-        raise ValueError("k_grid must lie within [0, 1]")
-    if theta_grid[0] < 0.0 or theta_grid[-1] > math.pi + 1e-12:
-        raise ValueError("theta_grid must lie within [0, pi]")
+    k_grid = np.linspace(0.0, 1.0, 41)
+    theta_grid = np.linspace(0.0, math.pi, 41)
 
     def objective(k: float, theta: float) -> float:
         return abs(bipartite_sensitivity(omega, tau, k, theta))

@@ -18,8 +18,9 @@ from the sequence midpoint, tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
 along a delay grid and divides the probability change by the probe area.
-Each runner says how it measures that change (``probe_responses``): the
-rotating runner runs every probe, while the lab runner takes the exact
+Each runner says how it measures that change, and the change a constant
+(DC) stimulus causes (``probe_responses``): the rotating runner runs every
+probe and the DC pair in one call, while the lab runner takes the exact
 linear response of its integrator from one reference run and its adjoint
 (:func:`qslsense.labframe.linear_response`), so the lab probes cost the
 same two passes for any number of probes.  The raw estimate equals
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, labframe, spinlin
-from .analytic import MetricsReport, NumericError
+from .analytic import NumericError
 from .labframe import Stimulus
 
 TWO_PI = 2.0 * math.pi
@@ -139,17 +140,14 @@ class RotatingFrameRunner:
     """
 
     chi = 0.0
+    gamma = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA
 
-    def __init__(self, omega: float, tau: float,
-                 gamma: float = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA):
+    def __init__(self, omega: float, tau: float):
         for name, value in (("omega", omega), ("tau", tau)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
         self.omega = omega
         self.tau = tau
-        self.gamma = gamma
 
     @property
     def alpha(self) -> float:
@@ -207,10 +205,15 @@ class RotatingFrameRunner:
         p[order] = 1.0 - np.abs(psi0) ** 2
         return p
 
-    def probe_responses(self, probes) -> np.ndarray:
-        """Probability change caused by each probe, run as one batch with a reference run."""
-        p = self.run_batch(list(probes) + [None])
-        return p[:-1] - p[-1]
+    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
+        """Probability changes caused by each probe and by the constant stimulus ``dc``.
+
+        One :meth:`run_batch` call of two groups: the probes with a
+        reference run, and ``dc`` with a reference run on its own grid.
+        """
+        probes = list(probes)
+        p = self.run_batch(probes + [None, dc, None], [len(probes) + 1, 2])
+        return p[:-3] - p[-3], float(p[-2] - p[-1])
 
 
 class LabFrameRunner:
@@ -232,15 +235,17 @@ class LabFrameRunner:
             labframe.run_protocol_batch(self.model, stims[a:b], self.protocol)
             for a, b in _group_bounds(len(stims), sizes)])
 
-    def probe_responses(self, probes) -> np.ndarray:
-        """First-order probability change caused by each probe.
+    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
+        """First-order probability change caused by each probe, and the change caused by ``dc``.
 
-        The exact linear response of the integrator
+        The probes' changes are the exact linear response of the integrator
         (:func:`~qslsense.labframe.linear_response`): one reference run and
         its adjoint, on the grid the probe batch would use, for any number
-        of probes.
+        of probes.  ``dc`` is run with a reference run.
         """
-        return labframe.linear_response(self.model, list(probes), self.protocol)
+        p = self.run_batch([dc, None])
+        return (labframe.linear_response(self.model, list(probes), self.protocol),
+                float(p[0] - p[1]))
 
 
 def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
@@ -289,7 +294,7 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     stays linear.  The DC calibration constant is measured with a constant
     stimulus and stored as ``normalization``.
 
-    The probe responses come from ``sim.probe_responses``.  On a
+    The probe and DC responses come from ``sim.probe_responses``.  On a
     :class:`LabFrameRunner` they are the integrator's exact linear
     response, so ``values`` is the probe field at the step midpoints
     contracted with the kernel ``G_n = dp/db(t_n)``, over ``gamma * area``,
@@ -306,12 +311,11 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
     stims = [Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid]
     area = stims[0].area()
-    values = sim.probe_responses(stims) / (sim.gamma * area)
-
     amp_dc = 1e-3 / (sim.gamma * sim.tau)
-    p_dc = sim.run_batch([Stimulus.constant(amp_dc), None])
+    dp, dp_dc = sim.probe_responses(stims, Stimulus.constant(amp_dc))
+    values = dp / (sim.gamma * area)
     shape_area = 2.0 * (1.0 - math.cos(alpha)) / sim.omega
-    norm = float((p_dc[0] - p_dc[1]) / (sim.gamma * amp_dc * shape_area))
+    norm = dp_dc / (sim.gamma * amp_dc * shape_area)
     return KernelEstimate(times=t_grid, values=values, tau=sim.tau,
                           omega=sim.omega, normalization=norm)
 
@@ -354,72 +358,3 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
             flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
     return BodeSeries(frequencies=omega_grid, gains=gains, chi=getattr(sim, "chi", 0.0),
                       flagged=flags)
-
-
-def _crossings(t: np.ndarray, y: np.ndarray, level: float) -> list[float]:
-    """Times where the piecewise-linear interpolant of y crosses ``level``."""
-    out = []
-    for i in range(len(t) - 1):
-        y0, y1 = y[i] - level, y[i + 1] - level
-        if y0 == 0.0:
-            out.append(float(t[i]))
-        elif y0 * y1 < 0:
-            out.append(float(t[i] + (t[i + 1] - t[i]) * y0 / (y0 - y1)))
-    if len(t) and y[-1] == level:
-        out.append(float(t[-1]))
-    return out
-
-
-def numeric_metrics(kernel: KernelEstimate) -> MetricsReport:
-    """Sample-based kernel metrics: FWHM, rise times, and equivalent duration.
-
-    FWHM comes from half-peak threshold crossings with linear interpolation,
-    the equivalent duration from trapezoid quadrature divided by the peak,
-    and the rise times from the 20/80% and 10/90% crossings of the
-    cumulative (step-response) integral.  The cumulative definition matches
-    the closed forms of :func:`qslsense.analytic.rise_time` only as
-    alpha -> 0; see that docstring.  Bandwidths, epsilon and p0 are not
-    estimated from samples and stay None.
-    """
-    t = kernel.times
-    y = kernel.values.copy()
-    peak_idx = int(np.argmax(np.abs(y)))
-    if y[peak_idx] < 0:
-        y = -y
-    peak = y[peak_idx]
-    if peak <= 0:
-        raise ValueError("kernel has no positive peak after sign normalization")
-    if int(np.sum(y > peak / 2)) < 10:
-        raise ValueError("kernel peak not resolvable: fewer than 10 samples above half maximum")
-
-    # multimodality: distinct runs of samples above half maximum
-    above = y > peak / 2
-    starts = np.nonzero(above[1:] & ~above[:-1])[0]
-    n_runs = int(above[0]) + len(starts)
-    if n_runs > 1:
-        peaks = []
-        run_start = 0 if above[0] else None
-        for i in range(1, len(above)):
-            if above[i] and not above[i - 1]:
-                run_start = i
-            elif not above[i] and above[i - 1] and run_start is not None:
-                seg = slice(run_start, i)
-                peaks.append(float(t[seg][np.argmax(y[seg])]))
-                run_start = None
-        if run_start is not None:
-            seg = slice(run_start, len(above))
-            peaks.append(float(t[seg][np.argmax(y[seg])]))
-        raise NumericError(f"kernel is multi-modal; candidate peaks at t = {peaks}")
-
-    half_cross = _crossings(t, y, peak / 2)
-    t_fwhm = half_cross[-1] - half_cross[0] if len(half_cross) >= 2 else None
-
-    total = float(np.trapezoid(y, t))
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))]) / total
-    levels = {q: _crossings(t, cum, q) for q in (0.1, 0.2, 0.8, 0.9)}
-    t_20_80 = (levels[0.8][0] - levels[0.2][0]
-               if levels[0.2] and levels[0.8] else None)
-    t_10_90 = (levels[0.9][0] - levels[0.1][0]
-               if levels[0.1] and levels[0.9] else None)
-    return MetricsReport(t_fwhm=t_fwhm, t_20_80=t_20_80, t_10_90=t_10_90,
-                         t_square=total / peak)

@@ -82,23 +82,6 @@ def make_bipartite(omega: float, tau: float, timeshare: float = 0.5,
     return ControlSequence(segs)
 
 
-def make_ramsey_with_delay(omega: float, t_r: float, tau: float,
-                           detuning: float = 0.0) -> ControlSequence:
-    """Ramsey sequence with finite pulse duration: pulse, free evolution, pulse.
-
-    Segments (t_r, phase 0), (tau - 2 t_r, drive off), (t_r, phase pi/2), all
-    at the given detuning.  The flip angle per pulse is omega * t_r; the
-    ideal-Ramsey limit is approached by shrinking t_r at fixed omega * t_r.
-    Requires tau >= 2 t_r.
-    """
-    if t_r < 0 or tau < 2 * t_r:
-        raise ValueError(f"need 0 <= 2*t_r <= tau, got t_r={t_r}, tau={tau}")
-    segs = (PulseSegment(t_r, omega, 0.0, detuning),
-            PulseSegment(tau - 2 * t_r, 0.0, 0.0, detuning),
-            PulseSegment(t_r, omega, math.pi / 2, detuning))
-    return ControlSequence(segs)
-
-
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
     """Rotating-frame generator ``dw Sz + Om (Sy cos(theta) + Sx sin(theta))``."""
     return (seg.detuning * _SZ

@@ -2,8 +2,8 @@
 
 States are numpy complex128 vectors of length 2 or 3, operators are dense
 complex128 matrices.  No sparse structure is used anywhere: every matrix in
-this package is at most 3x3, so closed forms and direct eigendecompositions
-beat any general-purpose machinery.
+this package is at most 3x3, so closed forms beat any general-purpose
+machinery.
 
 Conventions
 -----------
@@ -11,8 +11,9 @@ Conventions
 * Propagators are ``U = exp(-i H t)``.
 * 2x2 exponentials use the exact Pauli decomposition
   ``exp(-i(aI + v.sigma)t) = e^{-iat}(cos|v|t I - i sin|v|t vhat.sigma)``,
-  3x3 exponentials use a Hermitian eigendecomposition.  Both are free of
-  series-truncation error, which matters in long step products.
+  free of series-truncation error, which matters in long step products.
+  The spin-1 lab frame builds its 3x3 step unitaries in closed form
+  (:func:`qslsense.labframe._step_unitaries`).
 """
 
 from __future__ import annotations
@@ -93,25 +94,21 @@ def su2_propagator(wx, wy, wz, t):
 
 
 def matexp_antihermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary propagator ``exp(-i H t)`` for a Hermitian ``h`` (2x2 or 3x3).
+    """Unitary propagator ``exp(-i H t)`` for a Hermitian 2x2 ``h``.
 
-    Raises :class:`ContractViolation` for non-Hermitian input.  The 2x2 case
-    uses the closed Pauli form of :func:`su2_propagator`, the 3x3 case a
-    Hermitian eigendecomposition; both return a matrix unitary to machine
-    precision.
+    Raises :class:`ContractViolation` for non-Hermitian input or any other
+    dimension.  Uses the closed Pauli form of :func:`su2_propagator`, so the
+    matrix is unitary to machine precision.
     """
     h = np.asarray(h, dtype=complex)
     check_hermitian(h)
-    if h.shape[0] == 2:
-        # H = a I + wx Sx + wy Sy + wz Sz
-        a = 0.5 * (h[0, 0] + h[1, 1]).real
-        u00, u01, u10, u11 = su2_propagator(2.0 * h[0, 1].real, -2.0 * h[0, 1].imag,
-                                            (h[0, 0] - h[1, 1]).real, t)
-        return np.exp(-1j * a * t) * np.array([[u00, u01], [u10, u11]])
-    if h.shape[0] == 3:
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-    raise ContractViolation(f"only dimensions 2 and 3 are supported, got {h.shape[0]}")
+    if h.shape[0] != 2:
+        raise ContractViolation(f"only dimension 2 is supported, got {h.shape[0]}")
+    # H = a I + wx Sx + wy Sy + wz Sz
+    a = 0.5 * (h[0, 0] + h[1, 1]).real
+    u00, u01, u10, u11 = su2_propagator(2.0 * h[0, 1].real, -2.0 * h[0, 1].imag,
+                                        (h[0, 0] - h[1, 1]).real, t)
+    return np.exp(-1j * a * t) * np.array([[u00, u01], [u10, u11]])
 
 
 def expectation(h: np.ndarray, psi: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 Internally every frequency is angular (rad/s): cycle-frequency suffixes (Hz
 and multiples) are multiplied by 2 pi on ingestion, rad/s suffixes pass
-through.  Times are seconds, fields tesla, angles radians.  A value without
+through.  Times are seconds, angles radians.  A value without
 a unit suffix is only accepted for dimensionless quantities; everything else
 raises :class:`ConfigError` naming the offending field.
 """
@@ -24,9 +24,8 @@ _FREQ = {"Hz": TWO_PI, "kHz": TWO_PI * 1e3, "MHz": TWO_PI * 1e6,
          "rad/s": 1.0, "krad/s": 1e3, "Mrad/s": 1e6, "Grad/s": 1e9}
 _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9, "ps": 1e-12}
 _ANGLE = {"rad": 1.0, "mrad": 1e-3, "deg": math.pi / 180.0}
-_FIELD = {"T": 1.0, "mT": 1e-3, "uT": 1e-6, "µT": 1e-6, "nT": 1e-9}
 
-_TABLES = {"frequency": _FREQ, "time": _TIME, "angle": _ANGLE, "field": _FIELD}
+_TABLES = {"frequency": _FREQ, "time": _TIME, "angle": _ANGLE}
 
 _NUMBER = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s*$")
 
@@ -34,10 +33,10 @@ _NUMBER = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*?)\s
 def parse_quantity(text: str, kind: str, field: str = "value") -> float:
     """Parse ``text`` like "10MHz", "50 ns", "90deg" into internal units.
 
-    ``kind`` is one of "frequency", "time", "angle", "field",
-    "dimensionless".  Frequencies come back in rad/s regardless of whether a
-    cycle (Hz) or angular (rad/s) suffix was given.  A value that overflows
-    to infinity, as written or once converted, raises :class:`ConfigError`.
+    ``kind`` is one of "frequency", "time", "angle", "dimensionless".
+    Frequencies come back in rad/s regardless of whether a cycle (Hz) or
+    angular (rad/s) suffix was given.  A value that overflows to infinity,
+    as written or once converted, raises :class:`ConfigError`.
     """
     m = _NUMBER.match(str(text))
     if not m:

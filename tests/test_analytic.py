@@ -37,7 +37,6 @@ class TestBipartiteParams:
     @pytest.mark.parametrize("kwargs", [
         dict(rabi=0.0, duration=1.0),
         dict(rabi=1.0, duration=-1.0),
-        dict(rabi=1.0, duration=1.0, timeshare=1.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,10 +67,6 @@ class TestExactProbability:
                     p2 = sequence.transition_probability(
                         sequence.make_bipartite(om, tau, detuning=ratio * om))
                     assert abs(p1 - p2) <= 1e-10
-
-    def test_requires_canonical_sequence(self):
-        with pytest.raises(ValueError):
-            exact_transition_probability(BipartiteParams(1.0, 1.0, timeshare=0.3))
 
 
 class TestFirstOrder:

@@ -13,15 +13,15 @@ from qslsense.labframe import (
     bipartite_protocol,
     default_timestep,
     evolve,
-    hamiltonian_at,
     rabi_frequency,
     resonant_carrier,
     run_protocol,
     run_protocol_batch,
-    simulate_trace,
     transition_frequencies,
 )
 from qslsense.units import ConfigError
+
+from oracles import SX1, SZ1, hamiltonian_at, matexp_antihermitian, simulate_trace
 
 TWO_PI = 2 * math.pi
 
@@ -43,7 +43,7 @@ def midpoint_exponential_probability(m, stim, protocol, dt):
         h = (w.stop - w.start) / n
         for i in range(n):
             ham = hamiltonian_at(m, stim, True, w.carrier_phase, w.start + (i + 0.5) * h)
-            psi = spinlin.matexp_antihermitian(ham, h) @ psi
+            psi = matexp_antihermitian(ham, h) @ psi
     return 1.0 - abs(psi[labframe._BASIS_INDEX[protocol.readout]]) ** 2
 
 
@@ -150,13 +150,13 @@ class TestHamiltonian:
         m = NvModel(b0=0.1, chi=0.0)
         stim = Stimulus.constant(1e-3)
         dh = hamiltonian_at(m, stim, False, 0.0, 0.0) - hamiltonian_at(m, None, False, 0.0, 0.0)
-        assert np.allclose(dh, m.gamma_e * 1e-3 * labframe.SZ1)
+        assert np.allclose(dh, m.gamma_e * 1e-3 * SZ1)
 
     def test_transverse_stimulus_couples_through_sx(self):
         m = NvModel(b0=0.1, chi=math.pi / 2)
         stim = Stimulus.constant(1e-3)
         dh = hamiltonian_at(m, stim, False, 0.0, 0.0) - hamiltonian_at(m, None, False, 0.0, 0.0)
-        assert np.allclose(dh, m.gamma_e * 1e-3 * labframe.SX1)
+        assert np.allclose(dh, m.gamma_e * 1e-3 * SX1)
 
     def test_hermitian(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ, chi=0.3)
@@ -173,7 +173,7 @@ class TestEvolve:
         span = 2e-9
         psi = evolve(m, stim, protocol, 0.0, span, dt, basis_state("ms0"))
         h = hamiltonian_at(m, stim, False, 0.0, 0.0)
-        ref = spinlin.matexp_antihermitian(h, span) @ basis_state("ms0")
+        ref = matexp_antihermitian(h, span) @ basis_state("ms0")
         assert np.max(np.abs(psi - ref)) <= 1e-10
 
     def test_norm_preserved(self):
@@ -240,7 +240,7 @@ def sx_rotation_matrix(theta):
 class TestStrangStep:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 3, -math.pi / 3, math.pi, 2.5 * math.pi])
     def test_rotation_matches_matexp(self, theta):
-        ref = spinlin.matexp_antihermitian(theta * labframe.SX1, 1.0)
+        ref = matexp_antihermitian(theta * SX1, 1.0)
         assert np.max(np.abs(sx_rotation_matrix(theta) - ref)) <= 1e-13
 
     @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
@@ -254,7 +254,7 @@ class TestStrangStep:
         for h in (h0, h0 / 2):
             step = labframe._evolve_batch(m, [stim], protocol, 0.0, h, h, psi[None, :])[0]
             ham = hamiltonian_at(m, stim, True, 0.3, h / 2)
-            errors.append(np.max(np.abs(step - spinlin.matexp_antihermitian(ham, h) @ psi)))
+            errors.append(np.max(np.abs(step - matexp_antihermitian(ham, h) @ psi)))
         assert 5.0 < errors[0] / errors[1] < 11.0
 
 
@@ -269,15 +269,17 @@ def step_grid(model, stim, protocol, t0, t1, dt):
     """The stepper's grid for one run as (midpoint, h, pulse_on, phase) per step.
 
     A run with no stimulus or a constant one steps a driven span [a, b] of at
-    least two carrier periods T as floor((b - a)/T) periods of ceil(T/dt)
-    equal steps from a, then the rest of the span; every other span is
-    ``ceil(span/dt)`` equal steps.
+    least two carrier periods T, when one period's ceil(T/dt) steps fit in
+    one block, as floor((b - a)/T) periods of ceil(T/dt) equal steps from a,
+    then the rest of the span; every other span is ``ceil(span/dt)`` equal
+    steps.
     """
     periodic = stim is None or stim.kind == "constant"
     period = TWO_PI / model.carrier if periodic and model.carrier > 0 else math.inf
     for a, b, on, phase in labframe._spans(protocol, t0, t1):
         pieces = [(a, b, 1)]
-        if on and b - a >= 2 * period:
+        if (on and b - a >= 2 * period
+                and math.ceil((a + period - a) / dt) <= labframe._BLOCK_STEPS):
             reps = int((b - a) // period)
             pieces = [(a, a + period, reps), (a + reps * period, b, 1)]
         for a, b, reps in pieces:
@@ -375,10 +377,14 @@ class TestBlockStepper:
         psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (3, 1))
         got = labframe._evolve_batch(m, stims, protocol, 0.0, tau / 2, dt, psis)
         want = per_step_states(m, stims, protocol, 0.0, tau / 2, dt, psis)
+        powers = [b[-1] for b in labframe._blocks(protocol, 0.0, tau / 2, dt,
+                                                  TWO_PI / m.carrier)]
+        assert min(powers) == 1 and max(powers) == 152
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_period_longer_than_a_block_matches_per_step_loop(self):
-        # 2500 steps per period: each period's product spans three blocks
+        # 2500 steps per period: a period does not fit in one block, so the
+        # 3.5-period window falls back to the plain grid and nothing is powered
         m = offaxis_model(45.0)
         period = TWO_PI / m.carrier
         protocol = Protocol(windows=(PulseWindow(0.0, 3.5 * period, 0.3),), prep="ms0")
@@ -388,6 +394,8 @@ class TestBlockStepper:
         got = labframe._evolve_batch(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
         want = per_step_states(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
         assert math.ceil(period / dt) > 2 * labframe._BLOCK_STEPS
+        blocks = labframe._blocks(protocol, 0.0, 3.5 * period, dt, period)
+        assert [b[-1] for b in blocks] == [1] * len(blocks)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_norm_preserved_over_powered_window(self):
@@ -435,6 +443,21 @@ class TestBlockStepper:
         got = labframe._evolve_batch(m, stims, protocol, 0.0, 40 * period, dt, psis)
         want = labframe._evolve_batch(m, plain, protocol, 0.0, 40 * period, dt, psis)
         assert np.array_equal(got, want)
+
+    def test_patched_default_timestep_sets_the_batch_step(self, monkeypatch):
+        # perfbench/make_refs.py halves the lab step by patching the module's
+        # default_timestep, which run_protocol_batch looks up at call time
+        m = offaxis_model(45.0)
+        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        stims = mixed_stimuli(m, protocol.duration, 4)
+        half = min(default_timestep(m, s) for s in stims) / 2
+        plain = run_protocol_batch(m, stims, protocol)
+        monkeypatch.setattr(labframe, "default_timestep",
+                            lambda model, stim=None, factor=100.0:
+                            default_timestep(model, stim, 2 * factor))
+        patched = run_protocol_batch(m, stims, protocol)
+        assert patched.tolist() == run_protocol_batch(m, stims, protocol, dt=half).tolist()
+        assert patched.tolist() != plain.tolist()
 
     @pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, dt):

@@ -39,21 +39,6 @@ class TestScanTimesharePhase:
         assert eta == pytest.approx(
             abs(analytic.bipartite_sensitivity(om, x / om, 0.5, math.pi / 2)), rel=1e-9)
 
-    def test_restricted_theta_grid_is_degenerate(self):
-        _, th, eta = scan_timeshare_phase(1.0, 2.0, theta_grid=np.array([0.0]))
-        assert th == 0.0
-        assert eta == 0.0
-
-    def test_out_of_range_grid_rejected(self):
-        with pytest.raises(ValueError):
-            scan_timeshare_phase(1.0, 2.0, k_grid=np.array([0.0, 1.5]))
-
-    def test_refinement_not_pushed_off_center(self):
-        # asymmetric grid around the optimum still refines to 0.5
-        k_grid = np.concatenate([np.linspace(0, 0.45, 10), np.linspace(0.52, 1.0, 13)])
-        k, _, _ = scan_timeshare_phase(1.0, 2.0, k_grid=k_grid)
-        assert abs(k - 0.5) <= 1e-6
-
 
 class TestSinusoidSensitivity:
     def test_dc_matches_two_segment_sensitivity(self):

@@ -9,10 +9,11 @@ from qslsense.sequence import (
     ControlSequence,
     PulseSegment,
     make_bipartite,
-    make_ramsey_with_delay,
     propagate,
     transition_probability,
 )
+
+from oracles import make_ramsey_with_delay
 
 TWO_PI = 2 * math.pi
 

