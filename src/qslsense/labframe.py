@@ -653,6 +653,8 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     block and :data:`_CHUNK_RUNS` stimuli at a time, so memory is bounded
     per block for any protocol length and stimulus count.
     """
+    if len(stims) == 0:
+        return np.empty(0)
     dt = _batch_timestep(model, stims, None)
     blocks = _blocks(protocol, 0.0, protocol.duration, dt)
     no_field = stimulus_field([None])

@@ -12,21 +12,22 @@ Both expose ``omega`` (Rabi, rad/s), ``tau`` (s), ``gamma`` (rad/s per
 tesla), ``chi`` (rad) and ``run_batch(stims, sizes=None)`` returning one
 transition probability per stimulus.  ``sizes`` cuts the stimuli into
 consecutive groups, each run as a batch of its own (its own time grid);
-the rotating runner steps all groups in one pass, so a whole Bode sweep,
-its DC pair and every frequency's delays, is one call.  Kernel time runs
+the rotating runner steps all groups in one pass.  Kernel time runs
 from the sequence midpoint, tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
-along a delay grid and divides the probability change by the probe area.
-Each runner says how it measures that change, and the change a constant
+along a delay grid and divides the probability change by the probe area;
+the Bode estimator sine-fits the change over 10 delays of a sinusoid.
+Each runner says how it measures these changes, and the change a constant
 (DC) stimulus causes (``probe_responses``): the rotating runner runs every
-probe and the DC pair in one call, while the lab runner takes the exact
-linear response of its integrator from one reference run and its adjoint
-(:func:`qslsense.labframe.linear_response`), so the lab probes cost the
-same two passes for any number of probes.  The raw estimate equals
-``c * sin(Om(tau/2 - |t|))`` where the constant ``c`` is calibrated against
-the DC (constant stimulus) response and stored in
-``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
+probe and the DC pair in one ``run_batch`` call (a whole Bode sweep, each
+frequency's delays a group), while the lab runner runs the DC pair and
+takes the exact linear response of its integrator from one reference run
+and its adjoint (:func:`qslsense.labframe.linear_response`), so the lab
+probes cost the same two passes for any number of probes.  The raw
+kernel estimate equals ``c * sin(Om(tau/2 - |t|))`` where the constant
+``c`` is calibrated against the DC (constant stimulus) response and stored
+in ``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
 sign convention, -1/2 at alpha = pi/2); only the kernel's shape is
 convention-free.
 
@@ -56,8 +57,8 @@ _GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))  # area = amp * fwhm * 
 #: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
 #: (one complex factor array is 64 kB; 2048 and 7744 entries were slower)
 _BLOCK_ENTRIES = 4096
-#: nonzero frequencies per run_batch call of bode_response; bounds the
-#: stimuli and per-run arrays held at once (about 5 kB per frequency)
+#: nonzero frequencies per probe_responses call of bode_response; bounds
+#: the stimuli and per-run arrays held at once (about 5 kB per frequency)
 _SWEEP_FREQUENCIES = 200
 
 
@@ -205,15 +206,21 @@ class RotatingFrameRunner:
         p[order] = 1.0 - np.abs(psi0) ** 2
         return p
 
-    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
+    def probe_responses(self, probes, dc: Stimulus, sizes=None) -> tuple[np.ndarray, float]:
         """Probability changes caused by each probe and by the constant stimulus ``dc``.
 
-        One :meth:`run_batch` call of two groups: the probes with a
-        reference run, and ``dc`` with a reference run on its own grid.
+        One :meth:`run_batch` call.  Without ``sizes`` it holds two groups:
+        the probes with a reference run, then ``dc`` with a reference run
+        on its own grid.  With ``sizes`` it holds ``dc`` and a reference run,
+        then the probes in groups of ``sizes``, each on its own grid, and
+        every change is taken against the DC pair's reference run.
         """
         probes = list(probes)
-        p = self.run_batch(probes + [None, dc, None], [len(probes) + 1, 2])
-        return p[:-3] - p[-3], float(p[-2] - p[-1])
+        if sizes is None:
+            p = self.run_batch(probes + [None, dc, None], [len(probes) + 1, 2])
+            return p[:-3] - p[-3], float(p[-2] - p[-1])
+        p = self.run_batch([dc, None] + probes, [2] + list(sizes))
+        return p[2:] - p[1], float(p[0] - p[1])
 
 
 class LabFrameRunner:
@@ -235,16 +242,19 @@ class LabFrameRunner:
             labframe.run_protocol_batch(self.model, stims[a:b], self.protocol)
             for a, b in _group_bounds(len(stims), sizes)])
 
-    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
+    def probe_responses(self, probes, dc: Stimulus, sizes=None) -> tuple[np.ndarray, float]:
         """First-order probability change caused by each probe, and the change caused by ``dc``.
 
         The probes' changes are the exact linear response of the integrator
         (:func:`~qslsense.labframe.linear_response`): one reference run and
-        its adjoint, on the grid the probe batch would use, for any number
-        of probes.  ``dc`` is run with a reference run.
+        its adjoint, on the finest grid any probe needs, for any number of
+        probes.  ``sizes`` is checked as in :meth:`run_batch` but does not
+        split the grid.  ``dc`` is run with a reference run.
         """
+        probes = list(probes)
+        _group_bounds(len(probes), sizes)
         p = self.run_batch([dc, None])
-        return (labframe.linear_response(self.model, list(probes), self.protocol),
+        return (labframe.linear_response(self.model, probes, self.protocol),
                 float(p[0] - p[1]))
 
 
@@ -327,11 +337,17 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     steps, the probability change is fit to a sinusoid in the delay, and
     |amplitude| is normalized to the DC (constant stimulus) response.  The
     w = 0 gain is 1 by definition.  Points whose fit residual exceeds
-    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.  The DC
-    pair and every frequency's 10 delays go to ``sim.run_batch`` as one
-    call, one group each, so each group keeps its own time grid.  A sweep
-    of more than :data:`_SWEEP_FREQUENCIES` nonzero frequencies takes one
-    such call per that many, each with the DC pair again (the same bits).
+    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.
+
+    The changes come from ``sim.probe_responses`` with one group of 10
+    delays per frequency: the rotating runner runs the DC pair and every
+    group in one ``run_batch`` call, each group on its own grid; the lab
+    runner runs the DC pair and takes every delay's first-order change
+    from one :func:`~qslsense.labframe.linear_response` pass.  These are
+    sinusoidal in the delay to rounding, so on the lab runner ``flagged``
+    does not detect nonlinearity.  A sweep of more than
+    :data:`_SWEEP_FREQUENCIES` nonzero frequencies makes one such call per
+    that many, each measuring the DC pair again (the same bits).
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(omega_grid < 0):
@@ -343,17 +359,14 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     for c0 in range(0, max(len(swept), 1), _SWEEP_FREQUENCIES):
         chunk = [(i, omega_grid[i], np.arange(10) / 10 * TWO_PI / omega_grid[i])
                  for i in swept[c0:c0 + _SWEEP_FREQUENCIES]]
-        stims = [Stimulus.constant(amplitude), None]
-        for _, w, delays in chunk:
-            stims.extend(Stimulus.sinusoid(amplitude, w, phase=-w * d) for d in delays)
-        p = sim.run_batch(stims, [2] + [10] * len(chunk))
-        dp_dc = float(p[0] - p[1])
-        p0 = float(p[1])
+        stims = [Stimulus.sinusoid(amplitude, w, phase=-w * d)
+                 for _, w, delays in chunk for d in delays]
+        dp, dp_dc = sim.probe_responses(stims, Stimulus.constant(amplitude), [10] * len(chunk))
         if dp_dc == 0.0:
             raise NumericError("DC response vanished; cannot normalize Bode gains")
         for k, (i, w, delays) in enumerate(chunk):
-            dp = p[2 + 10 * k:12 + 10 * k] - p0
-            amp, _, resid = fit_sine_amplitude(np.column_stack([delays, dp]), w)
+            amp, _, resid = fit_sine_amplitude(
+                np.column_stack([delays, dp[10 * k:10 * k + 10]]), w)
             gains[i] = amp / abs(dp_dc)
             flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
     return BodeSeries(frequencies=omega_grid, gains=gains, chi=getattr(sim, "chi", 0.0),

@@ -397,6 +397,8 @@ class TestPooledBatch:
         for runner in (sim, lab):
             with pytest.raises(ValueError, match="group sizes"):
                 runner.run_batch(stims, sizes)
+            with pytest.raises(ValueError, match="group sizes"):
+                runner.probe_responses(stims, Stimulus.constant(1e-6), sizes)
 
     def test_memory_does_not_grow_with_run_count(self):
         # a block holds at most _BLOCK_ENTRIES = 4096 (steps x runs)
@@ -525,6 +527,50 @@ class TestAdjointKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 2**20
+
+    def test_no_stimuli_builds_no_block(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(labframe, "_block_products", fail)
+        monkeypatch.setattr(labframe, "_block_factors", fail)
+        sim = cli_lab_runner(90.0)
+        assert labframe.linear_response(sim.model, [], sim.protocol).shape == (0,)
+
+
+def offaxis_runner(chi_deg):
+    """The scaled model of the `offaxis` command (transition near 0.75 GHz) at tilt ``chi_deg``."""
+    model = labframe.NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
+                                      d=TWO_PI * 0.5e9, chi=math.radians(chi_deg))
+    return LabFrameRunner(model)
+
+
+class TestLabBode:
+    """The lab Bode gains, from the integrator's adjoint response, against direct runs."""
+
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_matches_central_differences(self, chi_deg):
+        # the fit over 10 delays drops the runs' second-order terms (constant
+        # and at 2w in the delay), and the central differences drop them
+        # again; what is left is the third-order term, up to 2.1e-6 relative
+        sim = offaxis_runner(chi_deg)
+        larmor = labframe.resonant_carrier(sim.model)
+        grid = np.array([0.0, 0.25 * sim.omega, sim.omega, 2.5 * sim.omega,
+                         0.5 * larmor, 0.95 * larmor])
+        amp = sim.model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
+        series = bode_response(sim, grid, amp)
+        dc = Stimulus.constant(amp)
+        p_dc = sim.run_batch([dc, None])
+        # the DC normalization is still the one-sided pair difference
+        assert sim.probe_responses([], dc, [])[1] == float(p_dc[0] - p_dc[1])
+        for w, gain in zip(grid[1:], series.gains[1:]):
+            delays = np.arange(10) / 10 * TWO_PI / w
+            p = sim.run_batch([Stimulus.sinusoid(sign * amp, w, phase=-w * d)
+                               for sign in (1.0, -1.0) for d in delays])
+            central, _, _ = fit_sine_amplitude(
+                np.column_stack([delays, (p[:10] - p[10:]) / 2]), w)
+            assert gain == pytest.approx(central / abs(p_dc[0] - p_dc[1]), rel=1e-5)
+        assert not series.flagged.any()
 
 
 NAN, INF = math.nan, math.inf

@@ -62,3 +62,18 @@ def test_rotating_kernel_is_one_traced_run_batch_call(tmp_path):
         str(tmp_path / "kernel.csv"))
     assert code == 0
     assert (stats["calls"], stats["runs"]) == (1, 8)
+
+
+def test_offaxis_runs_only_the_dc_pairs(tmp_path):
+    # the delayed sinusoids are the adjoint's linear response, so each tilt
+    # runs only its DC pair; the 7 frequencies (1 + 1 + 1 plus the 4 near
+    # the Larmor frequency at 45 deg) are still sine-fitted
+    code, report = run_traced(
+        'code = qslsense.cli.main(["offaxis", "--points", "1", "--out", sys.argv[2]])\n'
+        'print(json.dumps([code, tracer.report()]))',
+        str(tmp_path / "offaxis.csv"))
+    assert code == 0
+    batch = report["labframe.run_protocol_batch"]
+    assert (batch["calls"], batch["runs"]) == (3, 6)
+    assert report["response.fit_sine_amplitude"]["calls"] == 7
+    assert report["response.RotatingFrameRunner.run_batch"]["calls"] == 0
