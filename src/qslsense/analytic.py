@@ -90,8 +90,8 @@ def exact_transition_probability(params: BipartiteParams) -> float:
     """Exact transition probability of the equal-timeshare, 90-degree-jump sequence.
 
     Valid for any detuning (not restricted to detuning << rabi).  Other
-    timeshares and phase jumps have no such closed form; the sequence
-    propagator (:func:`qslsense.sequence.make_bipartite`) covers them.
+    timeshares and phase jumps have no such closed form; the tests build
+    them for the sequence propagator (:func:`qslsense.sequence.propagate`).
     """
     om = params.rabi
     dw = params.detuning

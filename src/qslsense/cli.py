@@ -21,6 +21,7 @@ a floating-point overflow, division by zero or invalid operation).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -56,13 +57,14 @@ class RunConfig:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers (or strings) with %.12g formatting."""
+    """Write rows with %.12g numbers; the columns that hold strings in the first row as is."""
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                cells = [c if isinstance(c, str) else "%.12g" % c for c in row]
-                fh.write(",".join(cells) + "\n")
+            fmt = None
+            for row in map(tuple, rows):
+                fmt = fmt or ",".join("%s" if isinstance(c, str) else "%.12g" for c in row) + "\n"
+                fh.write(fmt % row)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
@@ -389,6 +391,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qslsense", allow_abbrev=False,
                      description="Regenerate sensing-at-the-speed-limit figure datasets as CSV.")

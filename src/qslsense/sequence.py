@@ -63,23 +63,15 @@ class ControlSequence:
         return sum(s.duration for s in self.segments)
 
 
-def make_bipartite(omega: float, tau: float, timeshare: float = 0.5,
-                   phase_jump: float = math.pi / 2, detuning: float = 0.0) -> ControlSequence:
-    """Two-segment sequence: (k tau, phase 0) then ((1-k) tau, phase theta_jump).
+def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> ControlSequence:
+    """Equal halves of ``tau``, the second with its drive axis turned by pi/2.
 
-    Defaults reproduce the equal-timeshare, orthogonal-axes sequence.  The
-    degenerate splits k = 0 and k = 1 collapse to a single segment.
+    Other timeshares and phase jumps are in the tests' oracles
+    (``tests/oracles.py``), the reference for
+    :func:`qslsense.analytic.bipartite_sensitivity`.
     """
-    if not 0.0 <= timeshare <= 1.0:
-        raise ValueError(f"timeshare must lie in [0, 1], got {timeshare}")
-    if timeshare == 0.0:
-        segs = (PulseSegment(tau, omega, phase_jump, detuning),)
-    elif timeshare == 1.0:
-        segs = (PulseSegment(tau, omega, 0.0, detuning),)
-    else:
-        segs = (PulseSegment(timeshare * tau, omega, 0.0, detuning),
-                PulseSegment((1.0 - timeshare) * tau, omega, phase_jump, detuning))
-    return ControlSequence(segs)
+    return ControlSequence((PulseSegment(0.5 * tau, omega, 0.0, detuning),
+                            PulseSegment(0.5 * tau, omega, math.pi / 2, detuning)))
 
 
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Independent oracles for the package's integrators and kernels: the lab-frame
 Hamiltonian and its exponential by eigendecomposition, a sampled population
-trace, the finite-pulse Ramsey sequence, the sample-based kernel metrics and
+trace, the two-segment sequence at any timeshare and phase jump, the
+finite-pulse Ramsey sequence, the sample-based kernel metrics and
 a reader for the CSVs the CLI writes.
 """
 
@@ -74,6 +75,26 @@ def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
         pops[i] = np.abs(psi) ** 2
         sz[i] = spinlin.expectation(SZ1, psi)
     return times, pops, sz
+
+
+def make_split_bipartite(omega: float, tau: float, timeshare: float, phase_jump: float,
+                         detuning: float = 0.0) -> ControlSequence:
+    """Two-segment sequence: (k tau, phase 0) then ((1-k) tau, phase theta_jump).
+
+    ``timeshare = 0.5`` and ``phase_jump = pi/2`` give
+    :func:`qslsense.sequence.make_bipartite`.  The degenerate splits k = 0
+    and k = 1 collapse to a single segment.
+    """
+    if not 0.0 <= timeshare <= 1.0:
+        raise ValueError(f"timeshare must lie in [0, 1], got {timeshare}")
+    if timeshare == 0.0:
+        segs = (PulseSegment(tau, omega, phase_jump, detuning),)
+    elif timeshare == 1.0:
+        segs = (PulseSegment(tau, omega, 0.0, detuning),)
+    else:
+        segs = (PulseSegment(timeshare * tau, omega, 0.0, detuning),
+                PulseSegment((1.0 - timeshare) * tau, omega, phase_jump, detuning))
+    return ControlSequence(segs)
 
 
 def make_ramsey_with_delay(omega: float, t_r: float, tau: float,

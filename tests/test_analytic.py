@@ -26,6 +26,8 @@ from qslsense.analytic import (
     transfer_value,
 )
 
+from oracles import make_split_bipartite
+
 TWO_PI = 2 * math.pi
 
 
@@ -169,8 +171,8 @@ class TestBipartiteSensitivity:
             k = rng.uniform(0, 1)
             th = rng.uniform(0, math.pi)
             h = 1e-7
-            seq_p = sequence.make_bipartite(om, tau, k, th, detuning=h)
-            seq_m = sequence.make_bipartite(om, tau, k, th, detuning=-h)
+            seq_p = make_split_bipartite(om, tau, k, th, detuning=h)
+            seq_m = make_split_bipartite(om, tau, k, th, detuning=-h)
             fd = (sequence.transition_probability(seq_p)
                   - sequence.transition_probability(seq_m)) / (2 * h)
             assert abs(fd - bipartite_sensitivity(om, tau, k, th)) <= 1e-6

@@ -485,6 +485,15 @@ def cli_lab_runner(alpha_deg, chi_deg=0.0, tau=10e-9):
                           tau=tau)
 
 
+def kernel_probes(sim, n):
+    """The Gaussian probes :func:`estimate_kernel` steps over ``n`` delays, as the CLI's ``kernel``."""
+    alpha = 0.5 * sim.omega * sim.tau
+    fwhm = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
+    amp = 1e-3 / (sim.gamma * fwhm * math.sqrt(math.pi / (4 * math.log(2))))
+    return [Stimulus.gaussian(amp, sim.tau / 2 + t, fwhm)
+            for t in np.linspace(-0.55, 0.55, n) * sim.tau]
+
+
 class TestAdjointKernel:
     """The lab kernel, computed by the integrator's adjoint, against direct runs."""
 
@@ -527,6 +536,45 @@ class TestAdjointKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 2**20
+
+    @pytest.mark.parametrize("alpha_deg, chi_deg", [(60.0, 0.0), (90.0, 0.0), (60.0, 45.0),
+                                                    (90.0, 45.0)])
+    def test_windowed_probes_match_the_full_grid(self, alpha_deg, chi_deg):
+        # each probe is summed only near its centre; the full-grid sum of
+        # every probe at every step is the reference
+        sim = cli_lab_runner(alpha_deg, chi_deg)
+        probes = kernel_probes(sim, 121)
+        dt = labframe._batch_timestep(sim.model, probes, None)
+        t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
+        full = labframe.stimulus_field(probes)(t) @ g
+        got = labframe.linear_response(sim.model, probes, sim.protocol)
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+
+    def test_probes_are_evaluated_only_near_their_centres(self, monkeypatch):
+        sim = cli_lab_runner(30.0, tau=2e-9)
+        probes = kernel_probes(sim, 2000)
+        dt = labframe._batch_timestep(sim.model, probes, None)
+        steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
+        window = math.ceil(12 * probes[0].fwhm / dt) + 1  # steps within 6 FWHM of a centre
+        entries = []
+        stimulus_field = labframe.stimulus_field
+
+        def counting_field(stims):
+            field = stimulus_field(stims)
+
+            def counted(t):
+                values = field(t)
+                entries.append(values.size)
+                return values
+            # the reference run's empty field is not a stimulus
+            return counted if any(s is not None for s in stims) else field
+
+        monkeypatch.setattr(labframe, "stimulus_field", counting_field)
+        labframe.linear_response(sim.model, probes, sim.protocol)
+        # a chunk of neighbouring probes spans their windows and the few steps
+        # between their centres; every probe at every step would be twice as many
+        assert window < 0.6 * steps
+        assert sum(entries) <= 1.05 * len(probes) * window
 
     def test_no_stimuli_builds_no_block(self, monkeypatch):
         def fail(*args):
@@ -571,6 +619,24 @@ class TestLabBode:
                 np.column_stack([delays, (p[:10] - p[10:]) / 2]), w)
             assert gain == pytest.approx(central / abs(p_dc[0] - p_dc[1]), rel=1e-5)
         assert not series.flagged.any()
+
+
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_grouped_sinusoids_match_each_stimulus_on_the_full_grid(self, chi_deg):
+        # the 10 delays of a frequency come from one sine and one cosine sum
+        sim = offaxis_runner(chi_deg)
+        larmor = labframe.resonant_carrier(sim.model)
+        grid = np.concatenate([np.linspace(0.25, 2.5, 11) * sim.omega,
+                               np.array([0.5, 0.8, 0.9, 0.95]) * larmor])
+        amp = sim.model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
+        stims = [Stimulus.sinusoid(amp, w, phase=-w * d)
+                 for w in grid for d in np.arange(10) / 10 * TWO_PI / w]
+        stims += [Stimulus.constant(amp), None, Stimulus.sinusoid(amp, 0.0, phase=0.3)]
+        dt = labframe._batch_timestep(sim.model, stims, None)
+        t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
+        full = np.array([labframe.stimulus_field([s])(t)[0] @ g for s in stims])
+        got = labframe.linear_response(sim.model, stims, sim.protocol)
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 NAN, INF = math.nan, math.inf

@@ -13,7 +13,7 @@ from qslsense.sequence import (
     transition_probability,
 )
 
-from oracles import make_ramsey_with_delay
+from oracles import make_ramsey_with_delay, make_split_bipartite
 
 TWO_PI = 2 * math.pi
 
@@ -27,10 +27,13 @@ class TestConstruction:
         assert seq.total_duration == pytest.approx(2.0)
 
     def test_degenerate_timeshares(self):
-        lo = make_bipartite(1.0, 2.0, timeshare=0.0, phase_jump=0.7)
-        hi = make_bipartite(1.0, 2.0, timeshare=1.0, phase_jump=0.7)
+        lo = make_split_bipartite(1.0, 2.0, timeshare=0.0, phase_jump=0.7)
+        hi = make_split_bipartite(1.0, 2.0, timeshare=1.0, phase_jump=0.7)
         assert len(lo.segments) == 1 and lo.segments[0].phase == 0.7
         assert len(hi.segments) == 1 and hi.segments[0].phase == 0.0
+        # the oracle's equal split with a quarter-turn jump is the package's sequence
+        assert (make_split_bipartite(1.0, 2.0, 0.5, math.pi / 2, detuning=0.1)
+                == make_bipartite(1.0, 2.0, detuning=0.1))
 
     def test_ramsey_structure(self):
         seq = make_ramsey_with_delay(1.0, 0.5, 3.0, detuning=0.2)

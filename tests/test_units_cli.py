@@ -172,6 +172,16 @@ class TestCliCommands:
         for cell in rows[0]:
             assert "%.12g" % float(cell) == cell
 
+    def test_csv_rows_match_per_cell_formatting(self, tmp_path):
+        rows = [[0.1, 1 / 3, "solid", np.float64(2.0) / 3, 7],
+                (np.float64(1e-300), -0.0, "dashed", 1e22, np.int64(-4)),
+                np.array([math.pi, 2.5, 1e-7]).tolist()[:2] + ["x", np.float32(0.1), True]]
+        out = tmp_path / "rows.csv"
+        cli.write_csv(out, ["a", "b", "c", "d", "e"], rows)
+        per_cell = "".join(",".join(c if isinstance(c, str) else "%.12g" % c for c in row) + "\n"
+                           for row in rows)
+        assert out.read_text() == "a,b,c,d,e\n" + per_cell
+
     def test_outdir_environment_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         assert main(["qsl", "--rabi", "1MHz"]) == 0
@@ -282,6 +292,29 @@ class TestExitCodes:
         monkeypatch.setitem(cli.COMMANDS, "fig4d", lambda params, out: seen.append(params) or [])
         assert main(["fig4d", "--expensive", "--points", "2"]) == 0
         assert seen[0].has("expensive") and seen[0].get("points") == 2
+
+    def test_one_parser_per_process_parses_like_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        # a value, a default or an error of one call must not reach the next
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+        calls = [["kernel", "--rabi", "10MHz", "--alpha", "90deg", "--points", "5"],
+                 ["metrics", "--rabi", "10MHz", "--alpha", "90deg", "--points", "5"],
+                 ["fig4d", "--expensive", "--points", "1"],
+                 ["kernel", "--rabi", "10MHz", "--tau", "50ns", "--points", "5"]]
+
+        def outcomes():
+            got = []
+            for argv in calls:
+                args, extra = cli.build_parser().parse_known_args(argv)
+                got.append((vars(args), extra, main(argv), capsys.readouterr()))
+            return got
+
+        assert cli.build_parser() is cli.build_parser()
+        cached = outcomes()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert cli.build_parser() is not cli.build_parser()
+        assert cached == outcomes()
+        assert [rc for _, _, rc, _ in cached] == [0, 2, 0, 0]
+        assert cached[3][0]["alpha"] is None and "expensive" not in cached[3][0]
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_help_lists_only_the_flags_the_command_reads(self, capsys, command):
