@@ -284,15 +284,14 @@ def bandwidth_3db(omega: float, alpha: float) -> float:
     """
     check_alpha_quadrant(alpha)
 
-    def f(y: float) -> float:
+    def f(y, cos=math.cos):
         return ((y * y - 1.0) * (1.0 - math.cos(alpha)) / math.sqrt(2.0)
-                - abs(math.cos(alpha) - math.cos(y * alpha)))
+                - abs(math.cos(alpha) - cos(y * alpha)))
 
     lo = 1.0 + 1e-9
     hi = 2.0 * math.pi / alpha
-    n_scan = 4096
-    ys = np.linspace(lo, hi, n_scan)
-    fs = np.array([f(y) for y in ys])
+    ys = np.linspace(lo, hi, 4096)
+    fs = f(ys, np.cos)  # the scan as one array expression; the bisection stays scalar
     idx = np.nonzero((fs[:-1] < 0) & (fs[1:] >= 0))[0]
     if len(idx) == 0:
         raise NumericError(

@@ -158,12 +158,9 @@ def cmd_metrics(params: Params, out: str) -> list[str]:
     return [out]
 
 
-def _kernel(sim, tau: float, alpha: float, n: int):
-    """(t, normalized kernel) pairs on n delays over 1.1 tau, probed at fwhm/12."""
-    probe = analytic.time_resolution_fwhm(tau, alpha) / 12.0
-    grid = np.linspace(-0.55 * tau, 0.55 * tau, n)
-    est = response.estimate_kernel(sim, probe, grid)
-    return zip(est.times, est.values / est.normalization)
+def _kernel_probes(tau: float, alpha: float, n: int):
+    """Probe fwhm (the kernel's fwhm/12) and the n probe delays over 1.1 tau."""
+    return analytic.time_resolution_fwhm(tau, alpha) / 12.0, np.linspace(-0.55 * tau, 0.55 * tau, n)
 
 
 def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
@@ -175,8 +172,8 @@ def cmd_kernel(params: Params, out: str) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
     _check_flip_angle(alpha)
     n = params.get("points", 121)
-    rows = _kernel(_make_runner(params, omega, tau), tau, alpha, n)
-    write_csv(out, ["t_s", "k_norm"], rows)
+    est = response.estimate_kernel(_make_runner(params, omega, tau), *_kernel_probes(tau, alpha, n))
+    write_csv(out, ["t_s", "k_norm"], zip(est.times, est.values / est.normalization))
     return [out]
 
 
@@ -212,13 +209,14 @@ def cmd_fig2(params: Params, out: str) -> list[str]:
 def cmd_fig3b(params: Params, out: str) -> list[str]:
     omega = params.get("rabi")
     n = params.get("points", 101)
-    rows = []
-    for deg in FIG3_ANGLES_DEG:
-        alpha = math.radians(deg)
-        tau = 2.0 * alpha / omega
-        sim = response.RotatingFrameRunner(omega, tau)
-        rows.extend((alpha, t, v) for t, v in _kernel(sim, tau, alpha, n))
-    write_csv(out, ["alpha_rad", "t_s", "k_norm"], rows)
+    alphas = [math.radians(deg) for deg in FIG3_ANGLES_DEG]
+    sims = [response.RotatingFrameRunner(omega, 2.0 * alpha / omega) for alpha in alphas]
+    # all four angles' probes and DC pairs are stepped in one pass
+    ests = response.estimate_kernels(
+        sims, *zip(*(_kernel_probes(sim.tau, alpha, n) for sim, alpha in zip(sims, alphas))))
+    write_csv(out, ["alpha_rad", "t_s", "k_norm"],
+              [(alpha, t, v) for alpha, est in zip(alphas, ests)
+               for t, v in zip(est.times, est.values / est.normalization)])
     return [out]
 
 

@@ -140,7 +140,7 @@ class NvModel:
                    carrier=d + gamma_e * b0, chi=chi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stimulus:
     """Time-domain field waveform to be sensed, amplitude in tesla.
 
@@ -210,9 +210,10 @@ def stimulus_field(stims):
     groups = []
     for kind, rows in rows_of.items():
         # fwhm**2 stays a Python float power: pow(x, 2) and x*x differ in
-        # the last bit for about one value in 1200
-        params = np.array([[stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
-                            stims[k].frequency, stims[k].phase] for k in rows])
+        # the last bit for about one value in 1200; a tuple per row, not a
+        # list, as fig3b gathers 616 rows at once
+        params = np.array([(stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
+                            stims[k].frequency, stims[k].phase) for k in rows])
         groups.append((kind, np.array(rows), *params.T[:, :, None]))  # (rows, 1) columns
 
     def field(t) -> np.ndarray:
@@ -538,31 +539,12 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     """Strang-split stepping of a batch of runs sharing the time grid, by block products.
 
     ``stims`` is a sequence of Stimulus or None, one per row of ``psis``.
-    [t0, t1] is cut at window edges (:func:`_spans`) and each span into
-    ``n = ceil(span/dt)`` equal steps of size h.  A step with midpoint t_m is
-    ``psi <- exp(-i Delta h/2) R(theta) exp(-i Delta h/2) psi`` with
-    ``Delta = diag(D + z, 0, D - z)``, ``z = ge (B0 + b_s(t_m) cos chi)`` and
-    ``theta = h (ge B1 cos(carrier t_m + phase) + ge b_s(t_m) sin chi)``,
-    the drive term counting only inside a pulse window.  Its local error
-    against ``exp(-i H(t_m) h)`` is O(h^3), so the scheme is second order,
-    and every factor is unitary up to rounding.
-
-    A run whose stimulus is None or constant steps each driven span of at
-    least two carrier periods T, when ``k = ceil(T/dt)`` is at most
-    :data:`_BLOCK_STEPS`, on a grid commensurate with the carrier instead:
-    k steps of ``T/k`` per period from the span start, one period's
-    product raised to the ``floor(span/T)``-th power by repeated squaring,
-    then the rest of the span as above.
-
-    The steps go in blocks of :data:`_BLOCK_STEPS` (:func:`_blocks`).  For
-    each block, every step's 3x3 unitary is built in closed form for all
-    runs at once, the block's product is formed by pairwise (tree)
-    reduction (:func:`_product_tree`), and the product is applied to the
-    states.  The periodic runs and then the others go through in chunks of
-    :data:`_CHUNK_RUNS` runs, so memory is bounded by one block of one
-    chunk for any span and batch.  A run's grid and the block length do not
-    depend on the batch and every operation is elementwise over runs, so a
-    batched result has the same bits as the same run on its own.
+    The steps, the carrier-period powers of the runs whose stimulus is None
+    or constant, and the block products are those of the module docstring
+    (:func:`_blocks`, :func:`_product_tree`).  The periodic runs and then
+    the others go through in chunks of :data:`_CHUNK_RUNS` runs, so memory
+    is bounded by one block of one chunk; every operation is elementwise
+    over runs, so a batched result has the same bits as the run alone.
     """
     psis = np.asarray(psis, dtype=complex)
     out = psis.copy()

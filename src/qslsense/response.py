@@ -55,7 +55,8 @@ from .labframe import Stimulus
 TWO_PI = 2.0 * math.pi
 _GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))  # area = amp * fwhm * this
 #: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
-#: (one complex factor array is 64 kB; 2048 and 7744 entries were slower)
+#: (one complex factor array is 64 kB; 2048 and 7744 entries were slower and 16384
+#: raised peak RSS by 2.8 MB; pooling fig3c's 1728 runs added 0.13 MB traced peak)
 _BLOCK_ENTRIES = 4096
 #: nonzero frequencies per probe_responses call of bode_response; bounds
 #: the stimuli and per-run arrays held at once (about 5 kB per frequency)
@@ -127,13 +128,14 @@ class RotatingFrameRunner:
     Stepping is exact per step (2x2 rotation about the midpoint-sampled
     axis), second order in the stimulus variation.
 
-    ``run_batch`` steps several groups of runs, each on its own time grid,
-    in one pass.  The runs are sorted by step count, longest first, so at
-    step j the runs still stepping are a prefix, and only that prefix is
-    updated: no run takes a step its own grid does not have.  The stimuli
-    (at per-run step times) and the SU(2) factors are evaluated for blocks
-    of at most :data:`_BLOCK_ENTRIES` steps x runs (one step if the runs
-    alone exceed it), as one step-major array, then applied step by step.
+    ``run_batch`` steps several groups of runs, each on its own time grid
+    (and possibly another runner's ``tau``), in one pass.  The runs are
+    sorted by step count, longest first, so at step j the runs still
+    stepping are a prefix, and only that prefix is updated: no run takes a
+    step its own grid does not have.  The stimuli (at per-run step times)
+    and the SU(2) factors are evaluated for blocks of at most
+    :data:`_BLOCK_ENTRIES` steps x runs (one step if the runs alone exceed
+    it), as one step-major array, then applied step by step.
     Every factor and state update is elementwise and out of place, so a
     run's result has the same bits in any batch or group as alone on the
     same grid, and memory does not grow with the span.
@@ -164,37 +166,44 @@ class RotatingFrameRunner:
                 scales.append(1.0 / stim.fwhm)
         return min(1.0 / (100.0 * max(scales)), self.tau / 100.0)
 
-    def run_batch(self, stims, sizes=None) -> np.ndarray:
+    def run_batch(self, stims, sizes=None, runners=None) -> np.ndarray:
         """Transition probabilities for consecutive groups of stimuli, each on its own grid.
 
         ``sizes`` cuts ``stims`` into consecutive groups of those sizes; the
         default is one group.  A group is stepped on the grid it would get
-        alone: ``dt`` is the smallest :meth:`_step` of its stimuli, and each
-        half takes ``n = ceil((tau/2)/dt)`` steps of ``h = (tau/2)/n``.
+        alone on its runner (``runners``, one per group, sharing this one's
+        Rabi rate and ``gamma``; default this one): ``dt`` is the runner's
+        smallest ``_step`` of its stimuli, and each half takes
+        ``n = ceil((tau/2)/dt)`` steps of ``h = (tau/2)/n``.
         """
         bounds = _group_bounds(len(stims), sizes)
+        runners = [self] * len(bounds) if runners is None else list(runners)
+        if len(runners) != len(bounds) or any(
+                (r.omega, r.gamma) != (self.omega, self.gamma) for r in runners):
+            raise ValueError("runners must give one runner per group, at this Rabi rate and gamma")
         if len(stims) == 0:
             return np.empty(0)
-        half = self.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
         n_steps = np.empty(len(stims), dtype=np.int64)
         h_steps = np.empty(len(stims))
-        for a, b in bounds:
+        halves = np.empty(len(stims))
+        for (a, b), sim in zip(bounds, runners):
             if b > a:
-                n = max(1, int(math.ceil(half / min(self._step(s) for s in stims[a:b]))))
-                n_steps[a:b], h_steps[a:b] = n, half / n
+                half = sim.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
+                n = max(1, int(math.ceil(half / min(sim._step(s) for s in stims[a:b]))))
+                n_steps[a:b], h_steps[a:b], halves[a:b] = n, half / n, half
         # longest runs first, so the runs still stepping are always a prefix
         order = np.argsort(-n_steps, kind="stable")
-        n_steps, h_steps = n_steps[order], h_steps[order]
+        n_steps, h_steps, halves = n_steps[order], h_steps[order], halves[order, None]
         field = labframe.stimulus_field([stims[k] for k in order])
         psi0 = np.ones(len(stims), dtype=complex)
         psi1 = np.zeros(len(stims), dtype=complex)
-        for t_a, wx, wy in ((0.0, 0.0, self.omega), (half, self.omega, 0.0)):
+        for t_a, wx, wy in ((np.zeros_like(halves), 0.0, self.omega), (halves, self.omega, 0.0)):
             j0 = 0
             while j0 < n_steps[0]:
                 m = int(np.count_nonzero(n_steps > j0))
                 j1 = min(int(n_steps[m - 1]), j0 + max(1, _BLOCK_ENTRIES // m))
                 h = h_steps[:m]
-                tm = t_a + (np.arange(j0, j1) + 0.5) * h[:, None]
+                tm = t_a[:m] + (np.arange(j0, j1) + 0.5) * h[:, None]
                 dw = self.gamma * np.ascontiguousarray(field(tm).T)
                 u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw, h)
                 a0, a1 = psi0[:m], psi1[:m]
@@ -304,14 +313,32 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     stays linear.  The DC calibration constant is measured with a constant
     stimulus and stored as ``normalization``.
 
-    The probe and DC responses come from ``sim.probe_responses``.  On a
-    :class:`LabFrameRunner` they are the integrator's exact linear
-    response, so ``values`` is the probe field at the step midpoints
-    contracted with the kernel ``G_n = dp/db(t_n)``, over ``gamma * area``,
-    and no probe run is made.  On a :class:`RotatingFrameRunner` the probes
-    are run.
+    The changes come from ``sim.probe_responses``: the rotating runner runs
+    the probes, the lab runner contracts them with its integrator's kernel.
+    :func:`kernel_stimuli` and :func:`kernel_from_changes` are the halves
+    around that call.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    probes, dc = kernel_stimuli(sim, probe_fwhm, t_grid)
+    return kernel_from_changes(sim, t_grid, probes, dc, *sim.probe_responses(probes, dc))
+
+
+def estimate_kernels(sims, probe_fwhms, t_grids) -> list[KernelEstimate]:
+    """:func:`estimate_kernel` for rotating runners at one Rabi rate, in one ``run_batch`` call.
+
+    Each runner adds the groups of :meth:`RotatingFrameRunner.probe_responses`
+    on its own grid, so each estimate has the same bits as alone.
+    """
+    parts = [kernel_stimuli(*args) for args in zip(sims, probe_fwhms, t_grids)]
+    p = sims[0].run_batch([s for probes, dc in parts for s in (*probes, None, dc, None)],
+                          [k for probes, _ in parts for k in (len(probes) + 1, 2)],
+                          [sim for sim in sims for _ in range(2)])
+    ends = np.cumsum([len(probes) + 3 for probes, _ in parts])
+    return [kernel_from_changes(sim, grid, probes, dc, q[:-3] - q[-3], float(q[-2] - q[-1]))
+            for sim, grid, (probes, dc), q in zip(sims, t_grids, parts, np.split(p, ends[:-1]))]
+
+
+def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
+    """The Gaussian probes along ``t_grid`` and the DC stimulus of :func:`estimate_kernel`."""
     alpha = 0.5 * sim.omega * sim.tau
     expected = analytic.time_resolution_fwhm(sim.tau, alpha)
     if probe_fwhm > expected / 10.0:
@@ -319,15 +346,18 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
             f"probe fwhm {probe_fwhm:.3e} s too wide: expected kernel fwhm "
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
     amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
-    stims = [Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid]
-    area = stims[0].area()
-    amp_dc = 1e-3 / (sim.gamma * sim.tau)
-    dp, dp_dc = sim.probe_responses(stims, Stimulus.constant(amp_dc))
-    values = dp / (sim.gamma * area)
-    shape_area = 2.0 * (1.0 - math.cos(alpha)) / sim.omega
-    norm = dp_dc / (sim.gamma * amp_dc * shape_area)
-    return KernelEstimate(times=t_grid, values=values, tau=sim.tau,
-                          omega=sim.omega, normalization=norm)
+    # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
+    return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm)
+             for t in np.asarray(t_grid, dtype=float).tolist()],
+            Stimulus.constant(1e-3 / (sim.gamma * sim.tau)))
+
+
+def kernel_from_changes(sim, t_grid, probes, dc: Stimulus, dp, dp_dc: float) -> KernelEstimate:
+    """:func:`estimate_kernel`'s estimate from the probability changes ``dp`` and ``dp_dc``."""
+    shape_area = 2.0 * (1.0 - math.cos(0.5 * sim.omega * sim.tau)) / sim.omega
+    return KernelEstimate(times=t_grid, values=dp / (sim.gamma * probes[0].area()), tau=sim.tau,
+                          omega=sim.omega,
+                          normalization=dp_dc / (sim.gamma * dc.amplitude * shape_area))
 
 
 def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:

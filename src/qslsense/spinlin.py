@@ -81,16 +81,24 @@ def su2_propagator(wx, wy, wz, t):
 
     ``S = sigma/2``, so the rotation angle is ``|w| t``.  Vectorized: the
     rates and the duration may be arrays that broadcast together (one
-    propagator per element); a zero rate gives the identity through the
-    ``sin(x)/x -> 1`` limit.
+    propagator per element, 0-d arrays for scalars); a zero rate gives the
+    identity through the ``sin(x)/x -> 1`` limit.
     """
     wn = np.sqrt(wx * wx + wy * wy + wz * wz)
     th = 0.5 * wn * t
     c = np.cos(th)
     # sin(th)/wn with the wn -> 0 limit t/2
-    s = np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * t)
-    return (c - 1j * (s * wz), -1j * s * (wx - 1j * wy),
-            -1j * s * (wx + 1j * wy), c + 1j * (s * wz))
+    s = (np.sin(th) / wn if np.all(wn > 0)
+         else np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * t))
+    sx, sy, sz = s * wx, s * wy, s * wz
+    u00, u01, u10, u11 = (np.empty(np.shape(c), dtype=complex) for _ in range(4))
+    u00.real = u11.real = c
+    u11.imag, u10.real = sz, sy
+    np.negative(sz, out=u00.imag)
+    np.negative(sy, out=u01.real)
+    np.negative(sx, out=u01.imag)
+    u10.imag = u01.imag
+    return u00, u01, u10, u11
 
 
 def matexp_antihermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Reference code that only the tests call.
 
 Independent oracles for the package's integrators and kernels: the lab-frame
-Hamiltonian and its exponential by eigendecomposition, a sampled population
-trace, the two-segment sequence at any timeshare and phase jump, the
-finite-pulse Ramsey sequence, the sample-based kernel metrics and
-a reader for the CSVs the CLI writes.
+Hamiltonian and its exponential by eigendecomposition, the SU(2) step as
+complex expressions, a sampled population trace, the two-segment sequence
+at any timeshare and phase jump, the finite-pulse Ramsey sequence, the
+sample-based kernel metrics and a reader for the CSVs the CLI writes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,16 @@ def matexp_antihermitian(h: np.ndarray, t: float) -> np.ndarray:
     spinlin.check_hermitian(h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def su2_propagator(wx, wy, wz, t):
+    """:func:`qslsense.spinlin.su2_propagator` as complex expressions (its former form)."""
+    wn = np.sqrt(wx * wx + wy * wy + wz * wz)
+    th = 0.5 * wn * t
+    c = np.cos(th)
+    s = np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * t)
+    return (c - 1j * (s * wz), -1j * s * (wx - 1j * wy),
+            -1j * s * (wx + 1j * wy), c + 1j * (s * wz))
 
 
 def hamiltonian_at(model: NvModel, stim: Stimulus | None, pulse_on: bool,

@@ -367,6 +367,25 @@ class TestBandwidth:
         i = int(np.argmax(ks < target))
         assert abs(ws[i] - bandwidth_3db(om, alpha)) <= ws[1] - ws[0]
 
+    def test_3db_array_scan_equals_scalar_scan(self):
+        # the former scan: f evaluated one y at a time with math.cos
+        def scalar_bandwidth_3db(omega, alpha):
+            def f(y):
+                return ((y * y - 1.0) * (1.0 - math.cos(alpha)) / math.sqrt(2.0)
+                        - abs(math.cos(alpha) - math.cos(y * alpha)))
+            ys = np.linspace(1.0 + 1e-9, 2.0 * math.pi / alpha, 4096)
+            fs = np.array([f(y) for y in ys])
+            i = np.nonzero((fs[:-1] < 0) & (fs[1:] >= 0))[0][0]
+            a, b = float(ys[i]), float(ys[i + 1])
+            while (b - a) > 1e-12 * b:
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if f(mid) < 0 else (a, mid)
+            return 0.5 * (a + b) * omega
+
+        for alpha in np.linspace(1e-3, math.pi / 2, 61):
+            om = TWO_PI * 10e6
+            assert bandwidth_3db(om, float(alpha)) == scalar_bandwidth_3db(om, float(alpha))
+
 
 class TestQsl:
     def test_driven_rotation(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -101,6 +102,12 @@ class TestStimulus:
             Stimulus("ramp", 1.0)
         with pytest.raises(ValueError):
             Stimulus.constant(1.0).area()
+
+    def test_frozen_without_instance_dict(self):
+        s = Stimulus.gaussian(1.0, center=0.0, fwhm=2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.amplitude = 2.0
+        assert not hasattr(s, "__dict__")
 
 
 @pytest.mark.parametrize("start, stop, phase, message", [

@@ -421,6 +421,51 @@ class TestPooledBatch:
         assert peaks[1] - peaks[0] <= 2**20
 
 
+class TestPooledKernels:
+    """estimate_kernels steps several runners' kernels in one run_batch call."""
+
+    @staticmethod
+    def fig3b_setup(rabi, n):
+        # the CLI's fig3b: four flip angles, probes at fwhm/12 over 1.1 tau
+        sims, fwhms, grids = [], [], []
+        for deg in (22.5, 45.0, 67.0, 90.0):
+            alpha = math.radians(deg)
+            sims.append(RotatingFrameRunner(rabi, 2.0 * alpha / rabi))
+            fwhms.append(analytic.time_resolution_fwhm(sims[-1].tau, alpha) / 12.0)
+            grids.append(np.linspace(-0.55 * sims[-1].tau, 0.55 * sims[-1].tau, n))
+        return sims, fwhms, grids
+
+    @staticmethod
+    def assert_same_bits(pooled, singles):
+        assert len(pooled) == len(singles)
+        for a, b in zip(pooled, singles):
+            assert a.values.tolist() == b.values.tolist()
+            assert a.times.tolist() == b.times.tolist()
+            assert (a.normalization, a.tau, a.omega) == (b.normalization, b.tau, b.omega)
+
+    @pytest.mark.parametrize("rabi_mhz, n", [(10.0, 21), (17.0, 5), (6.0, 1)])
+    def test_fig3b_angles_equal_single_estimates(self, rabi_mhz, n):
+        sims, fwhms, grids = self.fig3b_setup(TWO_PI * rabi_mhz * 1e6, n)
+        self.assert_same_bits(response.estimate_kernels(sims, fwhms, grids),
+                              [estimate_kernel(*args) for args in zip(sims, fwhms, grids)])
+
+    def test_groups_take_their_own_runners_step(self):
+        sims, fwhms, grids = self.fig3b_setup(TWO_PI * 10e6, 9)
+        # a subclass overriding _step rides in the same pass on its own grid
+        sims[1] = FixedStepRunner(sims[1].omega, sims[1].tau, 37)
+        sims[3] = FixedStepRunner(sims[3].omega, sims[3].tau, 211)
+        self.assert_same_bits(response.estimate_kernels(sims, fwhms, grids),
+                              [estimate_kernel(*args) for args in zip(sims, fwhms, grids)])
+
+    def test_runners_must_match_the_groups_and_the_rabi_rate(self):
+        sim = rotating_runner()
+        stims = mixed_stimuli(sim, 4)
+        other = RotatingFrameRunner(1.5 * sim.omega, sim.tau)
+        for runners in ([sim], [sim, sim, sim], [sim, other]):
+            with pytest.raises(ValueError, match="runners"):
+                sim.run_batch(stims, [2, 2], runners)
+
+
 def per_frequency_bode(sim, omega_grid, amplitude):
     """bode_response as one run_batch call per frequency (the oracle)."""
     p_dc = sim.run_batch([Stimulus.constant(amplitude), None])

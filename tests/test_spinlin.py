@@ -9,6 +9,7 @@ from qslsense.spinlin import (
     spin_operators,
 )
 
+import oracles
 # spinlin's closed form for 2x2 generators, an eigendecomposition for 3x3
 from oracles import matexp_antihermitian
 
@@ -122,6 +123,38 @@ class TestMatexp:
         for dim in (3, 4):
             with pytest.raises(ContractViolation, match="only dimension 2"):
                 spinlin.matexp_antihermitian(np.eye(dim, dtype=complex), 1.0)
+
+
+class TestSu2Propagator:
+    """The real/imaginary-part construction equals the complex-expression oracle."""
+
+    @staticmethod
+    def assert_equal(args):
+        new, old = spinlin.su2_propagator(*args), oracles.su2_propagator(*args)
+        for a, b in zip(new, old):
+            assert np.shape(a) == np.shape(b)
+            # == compares -0.0 equal to 0.0: only the sign of zeros may differ
+            assert np.array_equal(a, b)
+
+    def test_arrays(self):
+        rng = np.random.default_rng(5)
+        dw = rng.normal(size=(7, 33)) * 1e7
+        h = rng.uniform(1e-10, 1e-9, 33)
+        for wx, wy in ((0.0, 6e7), (6e7, 0.0), (-3e7, 2e7)):
+            self.assert_equal((wx, wy, dw, h))
+        self.assert_equal((rng.normal(size=33), rng.normal(size=33), rng.normal(size=33), 0.7))
+
+    def test_scalars(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            self.assert_equal((*rng.normal(size=3), rng.uniform(0, 5)))
+
+    def test_zero_rate_is_identity(self):
+        self.assert_equal((0.0, 0.0, 0.0, 0.3))
+        wz = np.array([0.0, 1.0, 0.0, -2.0])
+        self.assert_equal((0.0, 0.0, wz, np.array([0.5, 0.5, 0.0, 1.0])))
+        u00, u01, u10, u11 = spinlin.su2_propagator(0.0, 0.0, wz, 0.5)
+        assert u00[[0, 2]].tolist() == [1.0, 1.0] and not u01[[0, 2]].any()
 
 
 class TestExpectation:

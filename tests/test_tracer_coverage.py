@@ -64,6 +64,18 @@ def test_rotating_kernel_is_one_traced_run_batch_call(tmp_path):
     assert (stats["calls"], stats["runs"]) == (1, 8)
 
 
+def test_fig3b_is_one_traced_run_batch_call(tmp_path):
+    # one call for the four flip angles: each angle's 5 probes with a
+    # reference run, then its DC pair
+    code, stats = run_traced(
+        'code = qslsense.cli.main(["fig3b", "--rabi", "10MHz", "--points", "5",'
+        ' "--out", sys.argv[2]])\n'
+        'print(json.dumps([code, tracer.report()["response.RotatingFrameRunner.run_batch"]]))',
+        str(tmp_path / "fig3b.csv"))
+    assert code == 0
+    assert (stats["calls"], stats["runs"]) == (1, 4 * (5 + 3))
+
+
 def test_offaxis_runs_only_the_dc_pairs(tmp_path):
     # the delayed sinusoids are the adjoint's linear response, so each tilt
     # runs only its DC pair; the 7 frequencies (1 + 1 + 1 plus the 4 near
