@@ -28,9 +28,6 @@ from .labframe import (
     PulseWindow,
     Stimulus,
     bipartite_protocol,
-    evolve,
-    rabi_frequency,
-    run_protocol,
     run_protocol_batch,
 )
 from .optimize import (

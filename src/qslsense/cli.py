@@ -11,8 +11,9 @@ flag is a configuration error naming it.  Flag values may also come from
 ``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag given on the
 command line wins over the document.  ``--backend lab`` always
 uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate;
-other lab-frame models are built through the Python API
-(:class:`~qslsense.labframe.NvModel`, :class:`~qslsense.response.LabFrameRunner`).
+other models are :meth:`NvModel.resonant <qslsense.labframe.NvModel.resonant>`
+at any ``d``, ``b0`` and ``chi``, run through the Python API
+(:class:`~qslsense.response.LabFrameRunner`).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
 a floating-point overflow, division by zero or invalid operation).
@@ -139,8 +140,7 @@ def _make_runner(params: Params, omega: float, tau: float):
         return response.RotatingFrameRunner(omega, tau)
     if backend == "lab":
         # moderate field: the Zeeman shift ge B0 is 1 GHz
-        model = labframe.NvModel.resonant(
-            omega, TWO_PI * 1e9 / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
+        model = labframe.NvModel.resonant(omega, TWO_PI * 1e9 / labframe.GAMMA_E)
         return response.LabFrameRunner(model, tau=tau)
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
@@ -266,8 +266,7 @@ def cmd_fig4d(params: Params, out: str) -> list[str]:
     """
     n = params.get("points", 13)
     d = TWO_PI * labframe.D_NV_CYCLES
-    gamma = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA
-    b0 = 40.0 if params.has("expensive") else 60.0 * d / gamma
+    b0 = 40.0 if params.has("expensive") else 60.0 * d / labframe.GAMMA_E
     rows = []
     for omega in np.geomspace(0.1 * d, 8.0 * d, n):
         model = labframe.NvModel.resonant(omega, b0)
@@ -298,8 +297,7 @@ def cmd_offaxis(params: Params, out: str) -> list[str]:
         amp = model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
         grid = np.linspace(0.25 * sim.omega, 2.5 * sim.omega, n)
         if deg == 45.0:
-            larmor = labframe.resonant_carrier(model)
-            grid = np.concatenate([grid, np.array([0.5, 0.8, 0.9, 0.95]) * larmor])
+            grid = np.concatenate([grid, np.array([0.5, 0.8, 0.9, 0.95]) * model.carrier])
         series = response.bode_response(sim, grid, amp)
         for w, g, fl in zip(series.frequencies, series.gains, series.flagged):
             rows.append([series.chi, w, g, float(fl)])

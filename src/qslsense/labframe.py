@@ -13,14 +13,14 @@ Basis and labels
 ----------------
 States are ordered by Sz eigenvalue (+1, 0, -1).  The axial bias is taken
 anti-parallel to the NV axis, which places the m_S = -1 sensing level at the
-*upper* Zeeman branch: its energy is D + ge B0 and the resonant carrier for
-the ms0 <-> ms-1 transition is ``carrier = D + ge B0``.  Index map:
-ms_minus1 -> 0, ms0 -> 1, ms_plus1 -> 2.
+*upper* Zeeman branch: its energy is D + ge B0, so :class:`NvModel`'s carrier
+is resonant with ms0 <-> ms-1 by construction, ``carrier = D + ge B0`` with
+ge = :data:`GAMMA_E`.  Index map: ms_minus1 -> 0, ms0 -> 1, ms_plus1 -> 2.
 
-The driven Rabi frequency is ``ge B1 / sqrt(2)``: the spin-1 Sx matrix
-element between ms0 and ms+-1 is 1/sqrt(2), i.e. sqrt(2) larger than the
-spin-1/2 element, and the rotating-wave factor 1/2 of the cosine drive
-leaves ge B1 / sqrt(2) as the observed oscillation frequency.
+The driven Rabi frequency is ``ge B1 / sqrt(2)`` (:attr:`NvModel.rabi`): the
+spin-1 Sx matrix element between ms0 and ms+-1 is 1/sqrt(2), i.e. sqrt(2)
+larger than the spin-1/2 element, and the rotating-wave factor 1/2 of the
+cosine drive leaves ge B1 / sqrt(2) as the observed oscillation frequency.
 
 Integration uses a symmetric (Strang) split of H, sampled at the step
 midpoint t_m, into its diagonal part and its one Sx term:
@@ -59,7 +59,8 @@ own.
 
 :func:`linear_response` gives the exact first-order response of this
 discrete integrator to a stimulus, from one reference run and its adjoint
-on the same blocks, for any number of stimuli in 16 B per step.
+on the same blocks, for any number of stimuli in 16 B per step and up to
+:data:`MAX_RUN_STEPS` steps.
 
 Carrier phase convention: the second pulse window of the two-pulse protocol
 is carrier-phase-shifted by -pi/2, which reproduces the rotating-frame axis
@@ -71,18 +72,22 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import spinlin
 from .units import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
 GAMMA_E_CYCLES_PER_TESLA = 28.0345e9   # Hz/T, cycle frequency
 D_NV_CYCLES = 2.87e9                   # Hz, cycle frequency
+#: electron gyromagnetic ratio ge (rad/s per tesla)
+GAMMA_E = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
+#: a Gaussian's area over amplitude * fwhm, sqrt(pi / (4 ln 2))
+GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))
+#: most steps one run of :func:`linear_response` (or a rotating-frame run) may take
+MAX_RUN_STEPS = 10**6
 
 #: carrier phase of the second pulse window relative to the first
 PHASE_JUMP = -math.pi / 2
@@ -108,18 +113,16 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class NvModel:
-    """Static model parameters, stored in angular units (rad/s, rad, tesla)."""
+    """Static model parameters in angular units (rad/s, rad, tesla); the carrier is derived."""
 
     d: float = TWO_PI * D_NV_CYCLES
-    gamma_e: float = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
     b0: float = 0.0
     b1: float = 0.0
-    carrier: float = 0.0
     chi: float = 0.0
 
     def __post_init__(self):
-        _require_finite(d=self.d, gamma_e=self.gamma_e, b0=self.b0, b1=self.b1,
-                        carrier=self.carrier, chi=self.chi)
+        _require_finite(d=self.d, b0=self.b0, b1=self.b1, chi=self.chi,
+                        carrier=self.carrier, rabi=self.rabi)
         if self.d <= 0:
             raise ValueError(f"zero-field splitting must be > 0, got {self.d}")
         if self.b0 < 0 or self.b1 < 0:
@@ -127,17 +130,21 @@ class NvModel:
         if not 0.0 <= self.chi <= math.pi / 2:
             raise ValueError(f"chi must lie in [0, pi/2], got {self.chi}")
 
+    @property
+    def carrier(self) -> float:
+        """The drive's carrier, resonant with ms0 <-> ms-1: ``D + ge B0`` (rad/s)."""
+        return self.d + GAMMA_E * self.b0
+
+    @property
+    def rabi(self) -> float:
+        """Observed ms0 <-> ms-1 oscillation frequency, ``ge B1 / sqrt(2)`` (rad/s)."""
+        return GAMMA_E * self.b1 / math.sqrt(2.0)
+
     @classmethod
     def resonant(cls, rabi: float, b0: float, d: float = TWO_PI * D_NV_CYCLES,
                  chi: float = 0.0) -> "NvModel":
-        """Model driven at Rabi rate ``rabi`` (rad/s) by a carrier resonant with ms0 <-> ms-1.
-
-        ``b0`` is the axial bias in tesla; b1 comes from :func:`b1_for_rabi`
-        and the carrier is :func:`resonant_carrier`'s ``D + ge B0``.
-        """
-        gamma_e = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
-        return cls(d=d, gamma_e=gamma_e, b0=b0, b1=b1_for_rabi(rabi, gamma_e),
-                   carrier=d + gamma_e * b0, chi=chi)
+        """Model driven at Rabi rate ``rabi`` (rad/s) with axial bias ``b0`` (tesla)."""
+        return cls(d=d, b0=b0, b1=math.sqrt(2.0) * rabi / GAMMA_E, chi=chi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,17 +185,11 @@ class Stimulus:
     def sinusoid(cls, amplitude: float, frequency: float, phase: float = 0.0) -> "Stimulus":
         return cls("sinusoid", amplitude, frequency=frequency, phase=phase)
 
-    def value(self, t):
-        """Field value (tesla) at time(s) ``t``; vectorized over arrays."""
-        t = np.asarray(t, dtype=float)
-        out = stimulus_field([self])(t.ravel())[0].reshape(t.shape)
-        return float(out) if out.ndim == 0 else out
-
     def area(self) -> float:
         """Integral of the waveform over all time (tesla * s); gaussian only."""
         if self.kind != "gaussian":
             raise ValueError(f"area is only defined for gaussian stimuli, not {self.kind!r}")
-        return self.amplitude * self.fwhm * math.sqrt(math.pi / (4.0 * math.log(2.0)))
+        return self.amplitude * self.fwhm * GAUSS_AREA
 
 
 def stimulus_field(stims):
@@ -201,7 +202,6 @@ def stimulus_field(stims):
     call ``field`` once per block of times.  The stimuli of one kind are
     evaluated as one broadcast array with elementwise operations only, so a
     row has the same bits in any batch and for either shape of ``t``.
-    :meth:`Stimulus.value` is the one-row call.
     """
     rows_of = {}
     for k, stim in enumerate(stims):
@@ -256,16 +256,14 @@ class PulseWindow:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Pulse windows plus preparation and readout basis labels."""
+    """Pulse windows plus the basis label prepared and read out."""
 
     windows: tuple[PulseWindow, ...]
     prep: str = "ms0"
-    readout: str = "ms0"
 
     def __post_init__(self):
-        for name in (self.prep, self.readout):
-            if name not in _BASIS_INDEX:
-                raise ValueError(f"basis label must be one of {sorted(_BASIS_INDEX)}, got {name!r}")
+        if self.prep not in _BASIS_INDEX:
+            raise ValueError(f"prep must be one of {sorted(_BASIS_INDEX)}, got {self.prep!r}")
         object.__setattr__(self, "windows", tuple(self.windows))
         # overlapping windows would leave the drive phase to the listing order
         ordered = sorted((w for w in self.windows if w.stop > w.start), key=lambda w: w.start)
@@ -279,15 +277,12 @@ class Protocol:
 
 
 def bipartite_protocol(tau: float, prep: str = "ms0") -> Protocol:
-    """Two equal pulse windows over [0, tau], second carrier-phase-shifted by :data:`PHASE_JUMP`.
-
-    Preparation and readout are both in the ``prep`` basis.
-    """
+    """Two equal pulse windows over [0, tau], second carrier-phase-shifted by :data:`PHASE_JUMP`."""
     _require_finite(tau=tau)
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     windows = (PulseWindow(0.0, tau / 2, 0.0), PulseWindow(tau / 2, tau, PHASE_JUMP))
-    return Protocol(windows, prep=prep, readout=prep)
+    return Protocol(windows, prep=prep)
 
 
 def basis_state(label: str) -> np.ndarray:
@@ -296,38 +291,16 @@ def basis_state(label: str) -> np.ndarray:
     return psi
 
 
-def rabi_frequency(model: NvModel) -> float:
-    """Observed ms0 <-> ms-1 oscillation frequency, ``ge B1 / sqrt(2)`` (rad/s)."""
-    return model.gamma_e * model.b1 / math.sqrt(2.0)
-
-
-def b1_for_rabi(omega: float, gamma_e: float = TWO_PI * GAMMA_E_CYCLES_PER_TESLA) -> float:
-    """Drive amplitude (tesla) that yields the requested Rabi frequency."""
-    return math.sqrt(2.0) * omega / gamma_e
-
-
-def resonant_carrier(model: NvModel) -> float:
-    """Carrier resonant with the ms0 <-> ms-1 transition, ``D + ge B0`` (rad/s)."""
-    return model.d + model.gamma_e * model.b0
-
-
-def transition_frequencies(model: NvModel) -> tuple[float, float]:
-    """(ms0 <-> ms-1, ms0 <-> ms+1) transition frequencies from the static eigenvalues."""
-    upper = model.d + model.gamma_e * model.b0
-    lower = abs(model.d - model.gamma_e * model.b0)
-    return upper, lower
-
-
 def frequency_scales(model: NvModel, stim: Stimulus | None = None) -> dict[str, float]:
     """Cycle-frequency scales (Hz) that the integrator must resolve, by name."""
     scales = {
         "carrier": model.carrier / TWO_PI,
         "zero_field_splitting": model.d / TWO_PI,
-        "axial_zeeman": model.gamma_e * model.b0 / TWO_PI,
-        "drive_field": model.gamma_e * model.b1 / TWO_PI,
+        "axial_zeeman": GAMMA_E * model.b0 / TWO_PI,
+        "drive_field": GAMMA_E * model.b1 / TWO_PI,
     }
     if stim is not None:
-        scales["stimulus_field"] = model.gamma_e * abs(stim.amplitude) / TWO_PI
+        scales["stimulus_field"] = GAMMA_E * abs(stim.amplitude) / TWO_PI
         if stim.kind == "sinusoid":
             scales["stimulus_frequency"] = stim.frequency / TWO_PI
         elif stim.kind == "gaussian":
@@ -354,6 +327,13 @@ def _check_timestep(model: NvModel, stim: Stimulus | None, dt: float) -> None:
         raise ConfigError(
             f"dt = {dt:.3e} s is too coarse: binding frequency scale '{name}' at "
             f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
+
+
+def too_many_steps(steps: int, dt: float, scales: dict[str, float]) -> ConfigError:
+    """The ConfigError refusing a run of ``steps`` steps of ``dt``, naming its largest scale."""
+    name = max(scales, key=scales.get)
+    return ConfigError(f"a run of {steps} steps of {dt:.3e} s is more than {MAX_RUN_STEPS}: "
+                       f"binding frequency scale '{name}' at {scales[name]:.3e} Hz")
 
 
 def _batch_timestep(model: NvModel, stims, dt: float | None) -> float:
@@ -508,14 +488,14 @@ def _block_factors(model: NvModel, field, block):
     real = perm < stop - first
     tm = a + (first + perm + 0.5) * h
     bs = np.ascontiguousarray(field(tm).T)
-    z = model.gamma_e * (model.b0 + bs * math.cos(model.chi))
+    z = GAMMA_E * (model.b0 + bs * math.cos(model.chi))
     e_plus = np.exp(-0.5j * h * (model.d + z))
     e_minus = np.exp(-0.5j * h * (model.d - z))
     if on:
-        drive = model.gamma_e * model.b1 * np.cos(model.carrier * tm + phase)
+        drive = GAMMA_E * model.b1 * np.cos(model.carrier * tm + phase)
     else:
         drive = np.zeros(tm.size)
-    theta = h * (drive[:, None] + model.gamma_e * bs * math.sin(model.chi))
+    theta = h * (drive[:, None] + GAMMA_E * bs * math.sin(model.chi))
     if not real.all():
         pad = ~real
         e_plus[pad] = e_minus[pad] = 1.0
@@ -551,7 +531,7 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     periodic = [s is None or s.kind == "constant" for s in stims]
     for flag in (True, False):
         rows = [r for r, f in enumerate(periodic) if f == flag]
-        period = TWO_PI / model.carrier if flag and model.carrier > 0 else math.inf
+        period = TWO_PI / model.carrier if flag else math.inf
         blocks = _blocks(protocol, t0, t1, dt, period)
         for r0 in range(0, len(rows), _CHUNK_RUNS):
             chunk = rows[r0:r0 + _CHUNK_RUNS]
@@ -561,41 +541,6 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
                 state = _matvec(top, state)
             out[chunk] = np.concatenate(state).T
     return out
-
-
-def evolve(model: NvModel, stim: Stimulus | None, protocol: Protocol,
-           t0: float, t1: float, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Evolve one state over [t0, t1] with Strang-split steps of size <= dt.
-
-    Pulse windows and carrier phases come from ``protocol``; the interval is
-    split at window boundaries so no step straddles a drive edge.  Raises
-    :class:`~qslsense.units.ConfigError` when ``dt`` exceeds 1/(50 f_max),
-    naming the binding frequency scale, and ``ValueError`` when ``t1 < t0``
-    (``t1 == t0`` returns the state unchanged).
-    """
-    if t1 < t0:
-        raise ValueError(f"evolve needs t1 >= t0, got t0 = {t0:.6e} s, t1 = {t1:.6e} s")
-    _check_timestep(model, stim, dt)
-    psi = np.asarray(psi, dtype=complex)
-    spinlin.check_state(psi)
-    out = _evolve_batch(model, [stim], protocol, t0, t1, dt, psi[None, :])
-    return out[0]
-
-
-def run_protocol(model: NvModel, stim: Stimulus | None, protocol: Protocol,
-                 dt: float | None = None) -> float:
-    """Prepare, run the pulse protocol, and read out the transition probability.
-
-    Returns ``1 - |<readout|psi(T)>|^2``.  A carrier detuned from the
-    ms0 <-> ms-1 resonance by more than 1e-6 relative emits a warning (strong
-    driving studies legitimately use detuned carriers), never an error.
-    """
-    res = resonant_carrier(model)
-    if abs(model.carrier - res) > 1e-6 * res:
-        warnings.warn(
-            f"carrier {model.carrier:.6e} rad/s is detuned from the ms0<->ms-1 "
-            f"resonance {res:.6e} rad/s", RuntimeWarning, stacklevel=2)
-    return float(run_protocol_batch(model, [stim], protocol, dt=dt)[0])
 
 
 def run_protocol_batch(model: NvModel, stims, protocol: Protocol,
@@ -609,8 +554,7 @@ def run_protocol_batch(model: NvModel, stims, protocol: Protocol,
     psi0 = basis_state(protocol.prep)
     psis = np.tile(psi0, (len(stims), 1))
     psis = _evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
-    idx = _BASIS_INDEX[protocol.readout]
-    return 1.0 - np.abs(psis[:, idx]) ** 2
+    return 1.0 - np.abs(psis[:, _BASIS_INDEX[protocol.prep]]) ** 2
 
 
 def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
@@ -619,8 +563,8 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     This is the exact linear response of the discrete integrator, from one
     reference run with no stimulus and its adjoint (forward and backward
     propagation; Khaneja et al., J. Magn. Reson. 172, 296 (2005)).  With
-    ``a = <readout|psi(T)>``, the state ``psi_n`` after step n and
-    ``lam_n = U(T, t_n)^dagger |readout>``, the derivative of ``p = 1 - |a|^2``
+    ``a = <prep|psi(T)>``, the state ``psi_n`` after step n and
+    ``lam_n = U(T, t_n)^dagger |prep>``, the derivative of ``p = 1 - |a|^2``
     by the stimulus field at the midpoint of step n is
 
         G_n = -2 Re(conj(a) lam_n^dagger dU_n psi_{n-1}),
@@ -636,11 +580,17 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     w share ``sum G sin(w t)`` and ``sum G cos(w t)``.  The Gaussians go in
     chunks of consecutive ones (:data:`_CONTRACT_ENTRIES`), each summed over
     the span of steps that holds every step within 6 FWHM of a centre of
-    its chunk; beyond 6 FWHM a Gaussian is below 5e-44 of its peak.
+    its chunk; beyond 6 FWHM a Gaussian is below 5e-44 of its peak.  More
+    than :data:`MAX_RUN_STEPS` steps raise ConfigError before any array is built.
     """
     if len(stims) == 0:
         return np.empty(0)
-    t, g = _adjoint_kernel(model, protocol, _batch_timestep(model, stims, None))
+    dt = _batch_timestep(model, stims, None)
+    steps = sum(math.ceil((b - a) / dt) for a, b, *_ in _spans(protocol, 0.0, protocol.duration))
+    if steps > MAX_RUN_STEPS:
+        binding = min(stims, key=lambda s: default_timestep(model, s))
+        raise too_many_steps(steps, dt, frequency_scales(model, binding))
+    t, g = _adjoint_kernel(model, protocol, dt)
     out = np.zeros(len(stims))
     sums, rows, edges = {}, [], []
     for k, s in enumerate(stims):
@@ -678,10 +628,10 @@ def _adjoint_kernel(model: NvModel, protocol: Protocol, dt: float):
     for top in _block_products(model, no_field, blocks):
         starts.append(psi)
         psi = _matvec(top, psi)
-    a_conj = np.conj(psi[_BASIS_INDEX[protocol.readout]])
-    lam = tuple(np.full((1, 1), x) for x in basis_state(protocol.readout))
-    kappa = 0.5 * model.gamma_e * math.cos(model.chi)
-    sigma = model.gamma_e * math.sin(model.chi) / math.sqrt(2.0)
+    a_conj = np.conj(psi[_BASIS_INDEX[protocol.prep]])
+    lam = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
+    kappa = 0.5 * GAMMA_E * math.cos(model.chi)
+    sigma = GAMMA_E * math.sin(model.chi) / math.sqrt(2.0)
     end = sum(stop - first for _, _, _, _, first, stop, _ in blocks)
     t, g = np.empty(end), np.empty(end)
     for block, psi_before in zip(reversed(blocks), reversed(starts)):

@@ -8,23 +8,24 @@ Two interchangeable protocol runners drive the estimators:
 * :class:`LabFrameRunner`: the full spin-1 model of
   :mod:`qslsense.labframe`, for strong-driving and off-axis studies.
 
-Both expose ``omega`` (Rabi, rad/s), ``tau`` (s), ``gamma`` (rad/s per
-tesla), ``chi`` (rad) and ``run_batch(stims, sizes=None)`` returning one
-transition probability per stimulus.  ``sizes`` cuts the stimuli into
-consecutive groups, each run as a batch of its own (its own time grid);
-the rotating runner steps all groups in one pass.  Kernel time runs
-from the sequence midpoint, tau/2.
+The estimators use only this contract of a runner: ``omega`` (Rabi,
+rad/s), ``tau`` (s), ``gamma`` (rad/s per tesla, :data:`labframe.GAMMA_E`
+for both), ``chi`` (rad) and ``probe_responses(probes, dc, sizes=None)``,
+the probability changes the probes and a constant (DC) stimulus cause.
+``sizes`` cuts the probes into consecutive groups, each on a time grid of
+its own on the rotating runner.  Kernel time runs from the sequence
+midpoint, tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
 along a delay grid and divides the probability change by the probe area;
 the Bode estimator sine-fits the change over 10 delays of a sinusoid.
-Each runner says how it measures these changes, and the change a constant
-(DC) stimulus causes (``probe_responses``): the rotating runner runs every
-probe and the DC pair in one ``run_batch`` call (a whole Bode sweep, each
-frequency's delays a group), while the lab runner runs the DC pair and
-takes the exact linear response of its integrator from one reference run
-and its adjoint (:func:`qslsense.labframe.linear_response`), so the lab
-probes cost the same two passes for any number of probes.  The raw
+The rotating runner runs every probe and the DC pair in one
+:meth:`RotatingFrameRunner.run_batch` call (a whole Bode sweep, each
+frequency's delays a group), while the lab runner takes the exact linear
+response of its integrator from one reference run and its adjoint
+(:func:`qslsense.labframe.linear_response`), so the lab probes cost the
+same two passes for any number of probes, and runs the DC pair through
+:func:`qslsense.labframe.run_protocol_batch`.  The raw
 kernel estimate equals ``c * sin(Om(tau/2 - |t|))`` where the constant
 ``c`` is calibrated against the DC (constant stimulus) response and stored
 in ``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
@@ -53,7 +54,6 @@ from .analytic import NumericError
 from .labframe import Stimulus
 
 TWO_PI = 2.0 * math.pi
-_GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))  # area = amp * fwhm * this
 #: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
 #: (one complex factor array is 64 kB; 2048 and 7744 entries were slower and 16384
 #: raised peak RSS by 2.8 MB; pooling fig3c's 1728 runs added 0.13 MB traced peak)
@@ -138,12 +138,13 @@ class RotatingFrameRunner:
     it), as one step-major array, then applied step by step.
     Every factor and state update is elementwise and out of place, so a
     run's result has the same bits in any batch or group as alone on the
-    same grid, and memory does not grow with the span.
-    An empty batch gives an empty array, as for :class:`LabFrameRunner`.
+    same grid, and memory does not grow with the span.  A run of more than
+    :data:`labframe.MAX_RUN_STEPS` steps raises
+    :class:`~qslsense.units.ConfigError` before any step is taken.
     """
 
     chi = 0.0
-    gamma = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA
+    gamma = labframe.GAMMA_E
 
     def __init__(self, omega: float, tau: float):
         for name, value in (("omega", omega), ("tau", tau)):
@@ -156,15 +157,19 @@ class RotatingFrameRunner:
     def alpha(self) -> float:
         return 0.5 * self.omega * self.tau
 
-    def _step(self, stim: Stimulus | None) -> float:
-        scales = [self.omega / TWO_PI]
+    def _scales(self, stim: Stimulus | None) -> dict[str, float]:
+        """The frequency scales (Hz) a run's step resolves, by name."""
+        scales = {"rabi": self.omega / TWO_PI}
         if stim is not None:
-            scales.append(self.gamma * abs(stim.amplitude) / TWO_PI)
+            scales["stimulus_field"] = self.gamma * abs(stim.amplitude) / TWO_PI
             if stim.kind == "sinusoid":
-                scales.append(stim.frequency / TWO_PI)
+                scales["stimulus_frequency"] = stim.frequency / TWO_PI
             elif stim.kind == "gaussian":
-                scales.append(1.0 / stim.fwhm)
-        return min(1.0 / (100.0 * max(scales)), self.tau / 100.0)
+                scales["stimulus_bandwidth"] = 1.0 / stim.fwhm
+        return scales
+
+    def _step(self, stim: Stimulus | None) -> float:
+        return min(1.0 / (100.0 * max(self._scales(stim).values())), self.tau / 100.0)
 
     def run_batch(self, stims, sizes=None, runners=None) -> np.ndarray:
         """Transition probabilities for consecutive groups of stimuli, each on its own grid.
@@ -172,15 +177,14 @@ class RotatingFrameRunner:
         ``sizes`` cuts ``stims`` into consecutive groups of those sizes; the
         default is one group.  A group is stepped on the grid it would get
         alone on its runner (``runners``, one per group, sharing this one's
-        Rabi rate and ``gamma``; default this one): ``dt`` is the runner's
-        smallest ``_step`` of its stimuli, and each half takes
-        ``n = ceil((tau/2)/dt)`` steps of ``h = (tau/2)/n``.
+        Rabi rate; default this one): ``dt`` is the runner's smallest
+        ``_step`` of its stimuli, and each half takes ``n = ceil((tau/2)/dt)``
+        steps of ``h = (tau/2)/n``.
         """
         bounds = _group_bounds(len(stims), sizes)
         runners = [self] * len(bounds) if runners is None else list(runners)
-        if len(runners) != len(bounds) or any(
-                (r.omega, r.gamma) != (self.omega, self.gamma) for r in runners):
-            raise ValueError("runners must give one runner per group, at this Rabi rate and gamma")
+        if len(runners) != len(bounds) or any(r.omega != self.omega for r in runners):
+            raise ValueError("runners must give one runner per group, at this Rabi rate")
         if len(stims) == 0:
             return np.empty(0)
         n_steps = np.empty(len(stims), dtype=np.int64)
@@ -190,6 +194,9 @@ class RotatingFrameRunner:
             if b > a:
                 half = sim.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
                 n = max(1, int(math.ceil(half / min(sim._step(s) for s in stims[a:b]))))
+                if 2 * n > labframe.MAX_RUN_STEPS:
+                    binding = min(stims[a:b], key=sim._step)
+                    raise labframe.too_many_steps(2 * n, half / n, sim._scales(binding))
                 n_steps[a:b], h_steps[a:b], halves[a:b] = n, half / n, half
         # longest runs first, so the runs still stepping are always a prefix
         order = np.argsort(-n_steps, kind="stable")
@@ -235,21 +242,16 @@ class RotatingFrameRunner:
 class LabFrameRunner:
     """Protocol runner backed by the full spin-1 lab-frame model."""
 
+    gamma = labframe.GAMMA_E
+
     def __init__(self, model: labframe.NvModel, tau: float | None = None):
         self.model = model
-        self.omega = labframe.rabi_frequency(model)
+        self.omega = model.rabi
         if self.omega <= 0:
             raise ValueError("model has no drive (b1 = 0)")
         self.tau = tau if tau is not None else math.pi / self.omega
-        self.gamma = model.gamma_e
         self.chi = model.chi
         self.protocol = labframe.bipartite_protocol(self.tau)
-
-    def run_batch(self, stims, sizes=None) -> np.ndarray:
-        """Transition probabilities, one ``run_protocol_batch`` per group of ``sizes`` runs."""
-        return np.concatenate([np.empty(0)] + [
-            labframe.run_protocol_batch(self.model, stims[a:b], self.protocol)
-            for a, b in _group_bounds(len(stims), sizes)])
 
     def probe_responses(self, probes, dc: Stimulus, sizes=None) -> tuple[np.ndarray, float]:
         """First-order probability change caused by each probe, and the change caused by ``dc``.
@@ -257,14 +259,14 @@ class LabFrameRunner:
         The probes' changes are the exact linear response of the integrator
         (:func:`~qslsense.labframe.linear_response`): one reference run and
         its adjoint, on the finest grid any probe needs, for any number of
-        probes.  ``sizes`` is checked as in :meth:`run_batch` but does not
+        probes.  ``sizes`` is checked as on the rotating runner but does not
         split the grid.  ``dc`` is run with a reference run.
         """
         probes = list(probes)
         _group_bounds(len(probes), sizes)
-        p = self.run_batch([dc, None])
-        return (labframe.linear_response(self.model, probes, self.protocol),
-                float(p[0] - p[1]))
+        dp = labframe.linear_response(self.model, probes, self.protocol)
+        p = labframe.run_protocol_batch(self.model, [dc, None], self.protocol)
+        return dp, float(p[0] - p[1])
 
 
 def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
@@ -345,7 +347,7 @@ def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stim
         raise ValueError(
             f"probe fwhm {probe_fwhm:.3e} s too wide: expected kernel fwhm "
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
-    amplitude = 1e-3 / (sim.gamma * probe_fwhm * _GAUSS_AREA)
+    amplitude = 1e-3 / (sim.gamma * probe_fwhm * labframe.GAUSS_AREA)
     # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
     return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm)
              for t in np.asarray(t_grid, dtype=float).tolist()],
@@ -399,5 +401,4 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
                 np.column_stack([delays, dp[10 * k:10 * k + 10]]), w)
             gains[i] = amp / abs(dp_dc)
             flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
-    return BodeSeries(frequencies=omega_grid, gains=gains, chi=getattr(sim, "chi", 0.0),
-                      flagged=flags)
+    return BodeSeries(frequencies=omega_grid, gains=gains, chi=sim.chi, flagged=flags)

@@ -53,13 +53,14 @@ def su2_propagator(wx, wy, wz, t):
 def hamiltonian_at(model: NvModel, stim: Stimulus | None, pulse_on: bool,
                    carrier_phase: float, t: float) -> np.ndarray:
     """Instantaneous 3x3 Hermitian lab-frame Hamiltonian (rad/s) at time ``t``."""
-    h = model.d * _SZ2 + model.gamma_e * model.b0 * _SZ
+    ge = labframe.GAMMA_E
+    h = model.d * _SZ2 + ge * model.b0 * _SZ
     if pulse_on:
         m = math.cos(model.carrier * t + carrier_phase)
-        h = h + model.gamma_e * model.b1 * m * _SX
+        h = h + ge * model.b1 * m * _SX
     if stim is not None:
-        bs = stim.value(t)
-        h = h + model.gamma_e * bs * (math.cos(model.chi) * _SZ + math.sin(model.chi) * _SX)
+        bs = labframe.stimulus_field([stim])(np.array([t]))[0, 0]
+        h = h + ge * bs * (math.cos(model.chi) * _SZ + math.sin(model.chi) * _SX)
     return h.astype(complex)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,7 @@ from qslsense.labframe import (
     basis_state,
     bipartite_protocol,
     default_timestep,
-    evolve,
-    rabi_frequency,
-    resonant_carrier,
-    run_protocol,
     run_protocol_batch,
-    transition_frequencies,
 )
 from qslsense.units import ConfigError
 
@@ -45,14 +41,19 @@ def midpoint_exponential_probability(m, stim, protocol, dt):
         for i in range(n):
             ham = hamiltonian_at(m, stim, True, w.carrier_phase, w.start + (i + 0.5) * h)
             psi = matexp_antihermitian(ham, h) @ psi
-    return 1.0 - abs(psi[labframe._BASIS_INDEX[protocol.readout]]) ** 2
+    return 1.0 - abs(psi[labframe._BASIS_INDEX[protocol.prep]]) ** 2
+
+
+def evolve_one(m, stim, protocol, t0, t1, dt, psi):
+    """One state evolved over [t0, t1] by the batch stepper."""
+    return labframe._evolve_batch(m, [stim], protocol, t0, t1, dt, psi[None, :])[0]
 
 
 class TestModel:
     def test_defaults(self):
         m = NvModel()
         assert m.d == pytest.approx(TWO_PI * 2.87e9)
-        assert m.gamma_e == pytest.approx(TWO_PI * 28.0345e9)
+        assert labframe.GAMMA_E == pytest.approx(TWO_PI * 28.0345e9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,37 +64,50 @@ class TestModel:
     def test_rabi_frequency_convention(self):
         om = TWO_PI * 10e6
         m = NvModel(b1=math.sqrt(2) * om / (TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA))
-        assert rabi_frequency(m) == pytest.approx(om, rel=1e-12)
-        assert rabi_frequency(NvModel(b1=0.0)) == 0.0
+        assert m.rabi == pytest.approx(om, rel=1e-12)
+        assert NvModel(b1=0.0).rabi == 0.0
 
     def test_resonant_constructor(self):
         m = NvModel.resonant(TWO_PI * 10e6, 0.1, d=TWO_PI * 0.5e9, chi=0.3)
-        assert rabi_frequency(m) == pytest.approx(TWO_PI * 10e6, rel=1e-12)
-        assert m.carrier == resonant_carrier(m)
+        assert m.rabi == pytest.approx(TWO_PI * 10e6, rel=1e-12)
+        assert m.carrier == m.d + labframe.GAMMA_E * m.b0
         assert (m.d, m.b0, m.chi) == (TWO_PI * 0.5e9, 0.1, 0.3)
+        assert [f.name for f in dataclasses.fields(m)] == ["d", "b0", "b1", "chi"]
 
-    def test_transition_splitting_saturates(self):
-        # below the crossing the splitting grows as 2 ge B0, beyond it pins at 2 D
-        m_low = NvModel(b0=0.05)
-        up, lo = transition_frequencies(m_low)
-        assert up - lo == pytest.approx(2 * m_low.gamma_e * 0.05, rel=1e-12)
-        m_high = NvModel(b0=3.0)
-        up, lo = transition_frequencies(m_high)
-        assert up - lo == pytest.approx(2 * m_high.d, rel=1e-12)
+    def test_resonant_model_has_the_former_values_bit_for_bit(self):
+        # b1, the carrier and the Rabi rate as they were computed from a
+        # stored gamma_e and carrier: sqrt(2) rabi / ge, D + ge B0, ge B1 / sqrt(2)
+        gamma_e = TWO_PI * labframe.GAMMA_E_CYCLES_PER_TESLA
+        for d, b0, chi in itertools.product(
+                [TWO_PI * 2.87e9, TWO_PI * 0.5e9, 1.0],
+                [0.0, B0_1GHZ, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
+                 60 * TWO_PI * 2.87e9 / gamma_e, 40.0],
+                [0.0, math.radians(20.0), math.radians(45.0), math.pi / 2]):
+            for rabi in (TWO_PI * 1e3, TWO_PI * 10e6, TWO_PI * 20e6, 8.0 * d):
+                m = NvModel.resonant(rabi, b0, d=d, chi=chi)
+                b1 = math.sqrt(2.0) * rabi / gamma_e
+                assert (m.d, m.b0, m.b1, m.chi) == (d, b0, b1, chi)
+                assert m.carrier == d + gamma_e * b0
+                assert m.rabi == gamma_e * b1 / math.sqrt(2.0)
 
 
 class TestStimulus:
+    @staticmethod
+    def value(stim, t):
+        return labframe.stimulus_field([stim])(np.array([t]))[0, 0]
+
     def test_constant(self):
-        assert Stimulus.constant(2e-3).value(123.0) == pytest.approx(2e-3)
+        assert self.value(Stimulus.constant(2e-3), 123.0) == pytest.approx(2e-3)
 
     def test_gaussian_fwhm(self):
         s = Stimulus.gaussian(1.0, center=0.0, fwhm=2.0)
-        assert s.value(1.0) == pytest.approx(0.5)
+        assert self.value(s, 1.0) == pytest.approx(0.5)
         assert s.area() == pytest.approx(2.0 * math.sqrt(math.pi / (4 * math.log(2))))
+        assert labframe.GAUSS_AREA == math.sqrt(math.pi / (4.0 * math.log(2.0)))
 
     def test_sinusoid(self):
         s = Stimulus.sinusoid(1.5, frequency=2.0, phase=0.5)
-        assert s.value(0.0) == pytest.approx(1.5 * math.sin(0.5))
+        assert self.value(s, 0.0) == pytest.approx(1.5 * math.sin(0.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -150,20 +164,20 @@ class TestHamiltonian:
     def test_static_diagonal(self):
         m = NvModel(b0=0.1)
         h = hamiltonian_at(m, None, False, 0.0, 0.0)
-        zeeman = m.gamma_e * 0.1
+        zeeman = labframe.GAMMA_E * 0.1
         assert np.allclose(h, np.diag([m.d + zeeman, 0.0, m.d - zeeman]))
 
     def test_axial_stimulus_couples_through_sz(self):
         m = NvModel(b0=0.1, chi=0.0)
         stim = Stimulus.constant(1e-3)
         dh = hamiltonian_at(m, stim, False, 0.0, 0.0) - hamiltonian_at(m, None, False, 0.0, 0.0)
-        assert np.allclose(dh, m.gamma_e * 1e-3 * SZ1)
+        assert np.allclose(dh, labframe.GAMMA_E * 1e-3 * SZ1)
 
     def test_transverse_stimulus_couples_through_sx(self):
         m = NvModel(b0=0.1, chi=math.pi / 2)
         stim = Stimulus.constant(1e-3)
         dh = hamiltonian_at(m, stim, False, 0.0, 0.0) - hamiltonian_at(m, None, False, 0.0, 0.0)
-        assert np.allclose(dh, m.gamma_e * 1e-3 * SX1)
+        assert np.allclose(dh, labframe.GAMMA_E * 1e-3 * SX1)
 
     def test_hermitian(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ, chi=0.3)
@@ -178,37 +192,27 @@ class TestEvolve:
         protocol = Protocol(windows=(), prep="ms0")  # drive off: H is static
         dt = default_timestep(m, stim)
         span = 2e-9
-        psi = evolve(m, stim, protocol, 0.0, span, dt, basis_state("ms0"))
+        psi = evolve_one(m, stim, protocol, 0.0, span, dt, basis_state("ms0"))
         h = hamiltonian_at(m, stim, False, 0.0, 0.0)
         ref = matexp_antihermitian(h, span) @ basis_state("ms0")
         assert np.max(np.abs(psi - ref)) <= 1e-10
 
     def test_norm_preserved(self):
         m = NvModel.resonant(TWO_PI * 20e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
-        psi = evolve(m, None, protocol, 0.0, protocol.duration,
-                     default_timestep(m), basis_state("ms0"))
+        protocol = bipartite_protocol(math.pi / m.rabi)
+        psi = evolve_one(m, None, protocol, 0.0, protocol.duration,
+                         default_timestep(m), basis_state("ms0"))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     def test_coarse_step_rejected_with_binding_scale(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        protocol = bipartite_protocol(math.pi / m.rabi)
         with pytest.raises(ConfigError, match="carrier"):
-            evolve(m, None, protocol, 0.0, 1e-9, 1e-9, basis_state("ms0"))
-
-    def test_reversed_interval_rejected(self):
-        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
-        dt = default_timestep(m)
-        psi0 = basis_state("ms0")
-        with pytest.raises(ValueError, match="t1 >= t0"):
-            evolve(m, None, protocol, 2e-9, 0.0, dt, psi0)
-        # an empty interval is the identity
-        assert np.array_equal(evolve(m, None, protocol, 2e-9, 2e-9, dt, psi0), psi0)
+            run_protocol_batch(m, [None], protocol, dt=1e-9)
 
     def test_second_order_convergence(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        om = rabi_frequency(m)
+        om = m.rabi
         protocol = bipartite_protocol(math.pi / om)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
         dt0 = default_timestep(m, stim)
@@ -223,7 +227,7 @@ class TestEvolve:
         # also enters the Sx rotation angle
         m = NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
                              d=TWO_PI * 0.5e9, chi=math.radians(45.0))
-        om = rabi_frequency(m)
+        om = m.rabi
         protocol = bipartite_protocol(math.pi / om)
         stim = Stimulus.sinusoid(m.b1 / (10 * math.sqrt(2)), om)
         dt0 = default_timestep(m, stim)
@@ -282,7 +286,7 @@ def step_grid(model, stim, protocol, t0, t1, dt):
     steps.
     """
     periodic = stim is None or stim.kind == "constant"
-    period = TWO_PI / model.carrier if periodic and model.carrier > 0 else math.inf
+    period = TWO_PI / model.carrier if periodic else math.inf
     for a, b, on, phase in labframe._spans(protocol, t0, t1):
         pieces = [(a, b, 1)]
         if (on and b - a >= 2 * period
@@ -307,11 +311,11 @@ def per_step_states(model, stims, protocol, t0, t1, dt, psis):
         field = labframe.stimulus_field([stim])
         for tm, h, on, phase in step_grid(model, stim, protocol, t0, t1, dt):
             bs = field(np.array([tm]))[0, 0]
-            z = model.gamma_e * (model.b0 + bs * cos_chi)
+            z = labframe.GAMMA_E * (model.b0 + bs * cos_chi)
             e_plus = np.exp(-0.5j * h * (model.d + z))
             e_minus = np.exp(-0.5j * h * (model.d - z))
-            drive = model.gamma_e * model.b1 * math.cos(model.carrier * tm + phase) if on else 0.0
-            theta = h * (drive + model.gamma_e * bs * sin_chi)
+            drive = labframe.GAMMA_E * model.b1 * math.cos(model.carrier * tm + phase) if on else 0.0
+            theta = h * (drive + labframe.GAMMA_E * bs * sin_chi)
             plus, zero, minus = rotate_sx(np.cos(theta), np.sin(0.5 * theta) ** 2,
                                           (-1j / math.sqrt(2.0)) * np.sin(theta),
                                           plus * e_plus, zero, minus * e_minus)
@@ -338,7 +342,7 @@ def mixed_stimuli(m, tau, n_runs):
     """``n_runs`` stimuli cycling constant, Gaussian, sinusoid and None."""
     bs = m.b1 / (10 * math.sqrt(2))
     kinds = [Stimulus.constant(bs), Stimulus.gaussian(-bs, tau / 3, tau / 5),
-             Stimulus.sinusoid(bs, 1.3 * rabi_frequency(m), phase=0.2), None]
+             Stimulus.sinusoid(bs, 1.3 * m.rabi, phase=0.2), None]
     return [kinds[k % 4] for k in range(n_runs)]
 
 
@@ -351,7 +355,7 @@ class TestBlockStepper:
         # a driven window of `steps` steps, then a drive-off span of about
         # steps/2, from a state with all three components occupied
         m = offaxis_model(chi_deg)
-        tau = math.pi / rabi_frequency(m)
+        tau = math.pi / m.rabi
         protocol = Protocol(windows=(PulseWindow(0.0, tau, 0.3),), prep="ms0")
         dt = tau / steps * (1 + 1e-9)
         stims = mixed_stimuli(m, tau, 4)
@@ -363,7 +367,7 @@ class TestBlockStepper:
 
     def test_batch_bit_identical_to_single_runs_across_chunks(self):
         m = offaxis_model(45.0)
-        tau = math.pi / rabi_frequency(m)
+        tau = math.pi / m.rabi
         protocol = bipartite_protocol(tau)
         stims = mixed_stimuli(m, tau, 11)
         assert len(stims) > 2 * labframe._CHUNK_RUNS
@@ -376,7 +380,7 @@ class TestBlockStepper:
         # fig4d's lowest Rabi rate: a 152.5-period window, so one period's
         # product is squared up to the 128th power (measured gap 5.2e-13)
         m = fig4d_model(0.1)
-        tau = math.pi / rabi_frequency(m)
+        tau = math.pi / m.rabi
         protocol = Protocol(windows=(PulseWindow(0.0, tau / 2, 0.3),), prep="ms0")
         bs = m.b1 / (10 * math.sqrt(2))
         stims = [Stimulus.constant(bs), None, Stimulus.constant(-bs)]
@@ -408,36 +412,33 @@ class TestBlockStepper:
     def test_norm_preserved_over_powered_window(self):
         # fig4d --expensive's lowest Rabi rate: about 980 carrier periods
         m = fig4d_model(0.1, b0=40.0)
-        tau = math.pi / rabi_frequency(m)
+        tau = math.pi / m.rabi
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
         protocol = Protocol(windows=(PulseWindow(0.0, tau / 2, 0.0),), prep="ms0")
         assert tau / 2 * m.carrier / TWO_PI > 900
         for s in (stim, None):
-            psi = evolve(m, s, protocol, 0.0, tau / 2, default_timestep(m, stim),
-                         basis_state("ms0"))
+            psi = evolve_one(m, s, protocol, 0.0, tau / 2, default_timestep(m, stim),
+                             basis_state("ms0"))
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
     @pytest.mark.parametrize("constant", [True, False], ids=["constant", "none"])
     def test_powered_grid_against_dt_over_4(self, chi_deg, constant):
         m = offaxis_model(chi_deg)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        protocol = bipartite_protocol(math.pi / m.rabi)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2))) if constant else None
         dt = default_timestep(m, stim)
         p = run_protocol_batch(m, [stim], protocol, dt=dt)[0]
         assert protocol.duration / 2 > 2 * TWO_PI / m.carrier
         assert abs(p - midpoint_exponential_probability(m, stim, protocol, dt / 4)) < 3e-5
 
-    @pytest.mark.parametrize("case", ["carrier-free", "drive-off", "short-window"])
+    @pytest.mark.parametrize("case", ["drive-off", "short-window"])
     def test_unpowered_spans_keep_the_plain_grid(self, case):
         # a sinusoid of frequency 0 holds the same field but always steps on
         # the plain ceil(span/dt) grid, so the runs must agree bit for bit
         m = offaxis_model(45.0)
         period = TWO_PI / m.carrier
-        windows = (PulseWindow(0.0, 40 * period, 0.3),)
-        if case == "carrier-free":
-            m = NvModel(d=m.d, gamma_e=m.gamma_e, b0=m.b0, b1=m.b1, chi=m.chi)
-        elif case == "drive-off":
+        if case == "drive-off":
             windows = ()
         else:
             windows = (PulseWindow(0.0, 1.99 * period, 0.3),)
@@ -455,7 +456,7 @@ class TestBlockStepper:
         # perfbench/make_refs.py halves the lab step by patching the module's
         # default_timestep, which run_protocol_batch looks up at call time
         m = offaxis_model(45.0)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        protocol = bipartite_protocol(math.pi / m.rabi)
         stims = mixed_stimuli(m, protocol.duration, 4)
         half = min(default_timestep(m, s) for s in stims) / 2
         plain = run_protocol_batch(m, stims, protocol)
@@ -473,24 +474,21 @@ class TestBlockStepper:
         for stims in ([None], []):
             with pytest.raises(ConfigError, match="dt"):
                 run_protocol_batch(m, stims, protocol, dt=dt)
-        with pytest.raises(ConfigError, match="dt"):
-            evolve(m, None, protocol, 0.0, 1e-9, dt, basis_state("ms0"))
 
 
 class TestRunProtocol:
     def test_selective_pi_pulse_transfers_population(self):
         # resonant pulse of area pi at moderate drive: ms0 -> ms-1 nearly perfectly
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        om = rabi_frequency(m)
-        protocol = Protocol(windows=(PulseWindow(0.0, math.pi / om, 0.0),),
-                            prep="ms0", readout="ms_minus1")
-        p = run_protocol(m, None, protocol)
-        fidelity = 1.0 - p  # readout projects onto ms-1
+        protocol = Protocol(windows=(PulseWindow(0.0, math.pi / m.rabi, 0.0),), prep="ms0")
+        psi = evolve_one(m, None, protocol, 0.0, protocol.duration, default_timestep(m),
+                         basis_state("ms0"))
+        fidelity = abs(psi[labframe._BASIS_INDEX["ms_minus1"]]) ** 2
         assert fidelity > 0.999
 
     def test_rabi_period_within_one_percent(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        om = rabi_frequency(m)
+        om = m.rabi
         window = PulseWindow(0.0, 1.2 * TWO_PI / om, 0.0)
         protocol = Protocol(windows=(window,), prep="ms0")
         t, pops, _ = simulate_trace(m, None, protocol, n_samples=241)
@@ -503,26 +501,27 @@ class TestRunProtocol:
 
     def test_no_stimulus_matches_rotating_frame_bias(self):
         m = NvModel.resonant(TWO_PI * 5e6, B0_3GHZ4)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
-        p = run_protocol(m, None, protocol)
+        protocol = bipartite_protocol(math.pi / m.rabi)
+        p = run_protocol_batch(m, [None], protocol)[0]
         assert p == pytest.approx(0.5, abs=1e-3)
 
     def test_rwa_regime_matches_sequence(self):
         # moderate drive, chi = 0: full lab model vs exact rotating-frame result
         m = NvModel.resonant(TWO_PI * 5e6, B0_3GHZ4)
-        om = rabi_frequency(m)
+        om = m.rabi
         tau = math.pi / om
         protocol = bipartite_protocol(tau)
         bs = m.b1 / (10 * math.sqrt(2))
         for sign in (1.0, -1.0, 0.0):
-            p_lab = run_protocol(m, Stimulus.constant(sign * bs) if sign else None, protocol)
+            stim = Stimulus.constant(sign * bs) if sign else None
+            p_lab = run_protocol_batch(m, [stim], protocol)[0]
             p_ref = analytic.exact_transition_probability(
-                analytic.BipartiteParams(om, tau, sign * m.gamma_e * bs))
+                analytic.BipartiteParams(om, tau, sign * labframe.GAMMA_E * bs))
             assert abs(p_lab - p_ref) <= 1e-3
 
     def test_stimulus_sign_reversal_flips_dp(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        protocol = bipartite_protocol(math.pi / m.rabi)
         bs = m.b1 / (10 * math.sqrt(2))
         dt = default_timestep(m, Stimulus.constant(bs))
         p = run_protocol_batch(
@@ -533,26 +532,18 @@ class TestRunProtocol:
 
     def test_batch_bit_identical_to_single_runs(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+        protocol = bipartite_protocol(math.pi / m.rabi)
         bs = m.b1 / (10 * math.sqrt(2))
         stims = [Stimulus.constant(bs), Stimulus.constant(-bs), None]
         dt = default_timestep(m, stims[0])
         batch = run_protocol_batch(m, stims, protocol, dt=dt)
-        singles = [run_protocol(m, s, protocol, dt=dt) for s in stims]
+        singles = [run_protocol_batch(m, [s], protocol, dt=dt)[0] for s in stims]
         assert all(batch[i] == singles[i] for i in range(3))
-
-    def test_detuned_carrier_warns(self):
-        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        detuned = NvModel(d=m.d, gamma_e=m.gamma_e, b0=m.b0, b1=m.b1,
-                          carrier=m.carrier * 1.01)
-        protocol = bipartite_protocol(math.pi / rabi_frequency(m))
-        with pytest.warns(RuntimeWarning, match="detuned"):
-            run_protocol(detuned, None, protocol)
 
 
 def test_trace_csv_round_trip(tmp_path):
     m = NvModel.resonant(TWO_PI * 20e6, B0_1GHZ)
-    protocol = bipartite_protocol(math.pi / rabi_frequency(m))
+    protocol = bipartite_protocol(math.pi / m.rabi)
     t, pops, sz = simulate_trace(m, None, protocol, n_samples=20)
     assert np.all(np.abs(pops.sum(axis=1) - 1.0) <= 1e-10)
     path = tmp_path / "trace.csv"

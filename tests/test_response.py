@@ -17,6 +17,7 @@ from qslsense.response import (
     estimate_kernel,
     fit_sine_amplitude,
 )
+from qslsense.units import ConfigError
 
 from oracles import numeric_metrics
 
@@ -231,9 +232,10 @@ def test_lab_runner_agrees_with_rotating_runner():
         TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA, d=TWO_PI * 0.5e9))
     rot = RotatingFrameRunner(lab.omega, lab.tau)
     assert rot.gamma == lab.gamma
-    bs = labframe.b1_for_rabi(lab.omega) / (10 * math.sqrt(2)) * 0.1
+    bs = lab.model.b1 / (10 * math.sqrt(2)) * 0.1
     stims = [Stimulus.constant(bs), Stimulus.sinusoid(bs, 1.5 * lab.omega), None]
-    p_lab, p_rot = lab.run_batch(stims), rot.run_batch(stims)
+    p_lab = labframe.run_protocol_batch(lab.model, stims, lab.protocol)
+    p_rot = rot.run_batch(stims)
     # compare dp: the compressed model's nearby second transition biases the
     # lab reference p by a converged ~0.0119 that the rotating frame lacks
     dp_lab, dp_rot = p_lab[:-1] - p_lab[-1], p_rot[:-1] - p_rot[-1]
@@ -323,8 +325,7 @@ class TestRotatingBlocks:
     def test_empty_batch_is_empty_like_the_lab_runner(self):
         sim = rotating_runner()
         lab = LabFrameRunner(labframe.NvModel.resonant(sim.omega, 0.0))
-        for runner in (sim, lab):
-            p = runner.run_batch([])
+        for p in (sim.run_batch([]), labframe.run_protocol_batch(lab.model, [], lab.protocol)):
             assert p.shape == (0,) and p.dtype == float
 
 
@@ -339,7 +340,7 @@ def test_stimulus_field_rows_equal_single_stimuli():
         if stim is None:
             assert not field[k].any()
         else:
-            assert field[k].tolist() == stim.value(t).tolist()
+            assert field[k].tolist() == labframe.stimulus_field([stim])(t)[0].tolist()
             assert field[k].tolist() == parent_stimulus_value(stim, t).tolist()
 
 
@@ -394,9 +395,9 @@ class TestPooledBatch:
         sim = rotating_runner()
         lab = LabFrameRunner(labframe.NvModel.resonant(sim.omega, 0.0))
         stims = mixed_stimuli(sim, 5)
+        with pytest.raises(ValueError, match="group sizes"):
+            sim.run_batch(stims, sizes)
         for runner in (sim, lab):
-            with pytest.raises(ValueError, match="group sizes"):
-                runner.run_batch(stims, sizes)
             with pytest.raises(ValueError, match="group sizes"):
                 runner.probe_responses(stims, Stimulus.constant(1e-6), sizes)
 
@@ -556,14 +557,15 @@ class TestAdjointKernel:
         amp = 1e-3 / (sim.gamma * probe * math.sqrt(math.pi / (4 * math.log(2))))
         stims = [Stimulus.gaussian(sign * amp, sim.tau / 2 + t, probe)
                  for sign in (1.0, -1.0) for t in grid]
-        p = sim.run_batch(stims)
+        p = labframe.run_protocol_batch(sim.model, stims, sim.protocol)
         central = (p[:len(grid)] - p[len(grid):]) / 2 / (sim.gamma * stims[0].area())
         peak = np.max(np.abs(central))
         assert np.max(np.abs(est.values - central)) <= 1e-6 * peak
         # the normalization is measured with a one-sided DC stimulus; its
         # second-order term is up to 3e-5 of it on these cases
         amp_dc = 1e-3 / (sim.gamma * sim.tau)
-        p_dc = sim.run_batch([Stimulus.constant(amp_dc), Stimulus.constant(-amp_dc)])
+        p_dc = labframe.run_protocol_batch(
+            sim.model, [Stimulus.constant(amp_dc), Stimulus.constant(-amp_dc)], sim.protocol)
         shape_area = 2 * (1 - math.cos(alpha)) / sim.omega
         norm = (p_dc[0] - p_dc[1]) / 2 / (sim.gamma * amp_dc * shape_area)
         assert est.normalization == pytest.approx(norm, rel=1e-4)
@@ -631,6 +633,35 @@ class TestAdjointKernel:
         assert labframe.linear_response(sim.model, [], sim.protocol).shape == (0,)
 
 
+class TestStepLimit:
+    """A run of more than labframe.MAX_RUN_STEPS steps is refused, one step over the limit."""
+
+    def test_lab_response_at_and_over_the_limit(self, monkeypatch):
+        sim = cli_lab_runner(90.0)
+        probes = kernel_probes(sim, 5)
+        dt = labframe._batch_timestep(sim.model, probes, None)
+        steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
+        assert steps == 3870
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps)
+        at_limit = labframe.linear_response(sim.model, probes, sim.protocol)
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps - 1)
+        with pytest.raises(ConfigError, match=f"a run of {steps} steps .* 'carrier'"):
+            labframe.linear_response(sim.model, probes, sim.protocol)
+        assert at_limit.shape == (5,)
+
+    def test_rotating_run_at_and_over_the_limit(self, monkeypatch):
+        sim = rotating_runner()
+        fast = Stimulus.sinusoid(1e-9, 1e3 * sim.omega)
+        steps = 2 * math.ceil(sim.tau / 2 / sim._step(fast))
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps)
+        p = sim.run_batch([None, fast], [1, 1])
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps - 1)
+        # the slow group fits; the fast one is named
+        with pytest.raises(ConfigError, match=f"a run of {steps} steps .* 'stimulus_frequency'"):
+            sim.run_batch([None, fast], [1, 1])
+        assert p.shape == (2,)
+
+
 def offaxis_runner(chi_deg):
     """The scaled model of the `offaxis` command (transition near 0.75 GHz) at tilt ``chi_deg``."""
     model = labframe.NvModel.resonant(TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA,
@@ -647,19 +678,20 @@ class TestLabBode:
         # and at 2w in the delay), and the central differences drop them
         # again; what is left is the third-order term, up to 2.1e-6 relative
         sim = offaxis_runner(chi_deg)
-        larmor = labframe.resonant_carrier(sim.model)
+        larmor = sim.model.carrier
         grid = np.array([0.0, 0.25 * sim.omega, sim.omega, 2.5 * sim.omega,
                          0.5 * larmor, 0.95 * larmor])
         amp = sim.model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
         series = bode_response(sim, grid, amp)
         dc = Stimulus.constant(amp)
-        p_dc = sim.run_batch([dc, None])
+        p_dc = labframe.run_protocol_batch(sim.model, [dc, None], sim.protocol)
         # the DC normalization is still the one-sided pair difference
         assert sim.probe_responses([], dc, [])[1] == float(p_dc[0] - p_dc[1])
         for w, gain in zip(grid[1:], series.gains[1:]):
             delays = np.arange(10) / 10 * TWO_PI / w
-            p = sim.run_batch([Stimulus.sinusoid(sign * amp, w, phase=-w * d)
-                               for sign in (1.0, -1.0) for d in delays])
+            p = labframe.run_protocol_batch(
+                sim.model, [Stimulus.sinusoid(sign * amp, w, phase=-w * d)
+                            for sign in (1.0, -1.0) for d in delays], sim.protocol)
             central, _, _ = fit_sine_amplitude(
                 np.column_stack([delays, (p[:10] - p[10:]) / 2]), w)
             assert gain == pytest.approx(central / abs(p_dc[0] - p_dc[1]), rel=1e-5)
@@ -670,7 +702,7 @@ class TestLabBode:
     def test_grouped_sinusoids_match_each_stimulus_on_the_full_grid(self, chi_deg):
         # the 10 delays of a frequency come from one sine and one cosine sum
         sim = offaxis_runner(chi_deg)
-        larmor = labframe.resonant_carrier(sim.model)
+        larmor = sim.model.carrier
         grid = np.concatenate([np.linspace(0.25, 2.5, 11) * sim.omega,
                                np.array([0.5, 0.8, 0.9, 0.95]) * larmor])
         amp = sim.model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
@@ -699,7 +731,7 @@ NAN, INF = math.nan, math.inf
     (lambda: Stimulus.sinusoid(1e-4, 1e8, phase=-INF), "phase"),
     (lambda: labframe.NvModel(d=NAN), "d"),
     (lambda: labframe.NvModel(b1=INF), "b1"),
-    (lambda: labframe.NvModel(carrier=NAN), "carrier"),
+    (lambda: labframe.NvModel(b0=1e300), "carrier"),
     (lambda: labframe.bipartite_protocol(NAN), "tau"),
     (lambda: LabFrameRunner(labframe.NvModel.resonant(TWO_PI * 10e6, 0.03), NAN), "tau"),
 ])

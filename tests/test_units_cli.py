@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qslsense import cli, units
+from qslsense import cli, labframe, spinlin, units
 from qslsense.cli import Params, main, resolve_pulse
 from qslsense.units import ConfigError, parse_quantity
 
@@ -342,6 +343,39 @@ class TestExitCodes:
     def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
         assert f"numeric failure in {named}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, steps, scale", [
+        (["kernel", "--backend", "lab", "--rabi", "1kHz", "--alpha", "90deg"],
+         193500000, "carrier"),
+        (["bode", "--backend", "lab", "--rabi", "20MHz", "--alpha", "90deg",
+          "--max-freq", "1000THz"], 2500000000, "stimulus_frequency"),
+        (["bode", "--rabi", "10MHz", "--alpha", "90deg", "--max-freq", "1000THz"],
+         151515152, "stimulus_frequency"),
+    ], ids=["lab-kernel-1kHz", "lab-bode-1000THz", "rotating-bode-1000THz"])
+    def test_runs_beyond_the_step_limit_exit_2_before_stepping(self, tmp_path, capsys,
+                                                              monkeypatch, argv, steps, scale):
+        # the refusal comes before the adjoint, the DC pair or any SU(2) factor is built
+        def fail(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        for module, name in ((labframe, "_adjoint_kernel"), (labframe, "run_protocol_batch"),
+                             (spinlin, "su2_propagator")):
+            monkeypatch.setattr(module, name, fail)
+        start = time.perf_counter()
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert f"a run of {steps} steps" in err
+        assert f"binding frequency scale '{scale}'" in err
+
+    def test_default_lab_commands_stay_far_below_the_step_limit(self, tmp_path, monkeypatch):
+        # the lab_kernel workload's 10 ns kernel takes 3870 steps, the
+        # default lab Bode and offaxis fewer than 2e5
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", 2 * 10**5)
+        for argv in (["kernel", "--backend", "lab", "--tau", "10ns", "--alpha", "90deg"],
+                     ["bode", "--backend", "lab", "--rabi", "20MHz", "--alpha", "90deg"],
+                     ["offaxis", "--points", "2"]):
+            assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
     def test_no_command(self):
         assert main([]) == 2
