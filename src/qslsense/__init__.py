@@ -2,10 +2,8 @@
 full spin-1 lab-frame simulation, and response/optimality analysis."""
 
 from .analytic import (
-    BipartiteParams,
     MetricsReport,
     NumericError,
-    QslInput,
     bandwidth_3db,
     bandwidth_first_root,
     bipartite_sensitivity,
@@ -13,7 +11,6 @@ from .analytic import (
     equivalent_duration,
     exact_transition_probability,
     first_order_probability,
-    kernel_value,
     metrics_report,
     phase_scaling_factor,
     phase_scaling_magnitude,
@@ -60,7 +57,6 @@ from .spinlin import (
     expectation,
     matexp_antihermitian,
     overlap_probability,
-    spin_operators,
 )
 from .units import ConfigError, parse_quantity
 

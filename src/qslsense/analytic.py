@@ -2,7 +2,8 @@
 
 The sequence is two back-to-back control rotations of equal duration with a
 90 degree relative phase jump, i.e. a Ramsey sequence with zero interpulse
-delay.  All frequencies are angular (rad/s), all times are seconds, hbar = 1.
+delay.  Each closed form takes the few numbers it depends on as plain
+arguments.  All frequencies are angular (rad/s), all times are seconds, hbar = 1.
 
 Sign convention
 ---------------
@@ -32,31 +33,6 @@ class NumericError(RuntimeError):
     """A numerical procedure (root bracketing, fitting) failed; message has diagnostics."""
 
 
-@dataclass(frozen=True)
-class BipartiteParams:
-    """Parameters of the equal-timeshare, 90-degree-jump two-pulse sequence.
-
-    rabi: angular Rabi frequency (rad/s), > 0.
-    duration: total sequence duration tau (s), >= 0.
-    detuning: angular detuning of the qubit from the drive (rad/s).
-    """
-
-    rabi: float
-    duration: float
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        if self.rabi <= 0:
-            raise ValueError(f"rabi must be > 0, got {self.rabi}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-
-    @property
-    def flip_angle(self) -> float:
-        """Rotation angle per pulse, alpha = rabi * duration / 2."""
-        return 0.5 * self.rabi * self.duration
-
-
 @dataclass
 class MetricsReport:
     """Resolution and bandwidth metrics of one sequence configuration.
@@ -77,25 +53,19 @@ class MetricsReport:
     p0: float | None = None
 
 
-@dataclass(frozen=True)
-class QslInput:
-    """Hamiltonian (rad/s), normalized state, and the energy zero for the mean-energy bound."""
-
-    hamiltonian: np.ndarray
-    state: np.ndarray
-    ground_energy: float = 0.0
-
-
-def exact_transition_probability(params: BipartiteParams) -> float:
+def exact_transition_probability(rabi: float, duration: float, detuning: float = 0.0) -> float:
     """Exact transition probability of the equal-timeshare, 90-degree-jump sequence.
 
-    Valid for any detuning (not restricted to detuning << rabi).  Other
+    ``rabi`` (rad/s, > 0) and ``duration`` tau (s, >= 0) fix the pulses; the
+    ``detuning`` (rad/s) may be of any size, not only << rabi.  Other
     timeshares and phase jumps have no such closed form; the tests build
     them for the sequence propagator (:func:`qslsense.sequence.propagate`).
     """
-    om = params.rabi
-    dw = params.detuning
-    tau = params.duration
+    if rabi <= 0:
+        raise ValueError(f"rabi must be > 0, got {rabi}")
+    if duration < 0:
+        raise ValueError(f"duration must be >= 0, got {duration}")
+    om, tau, dw = rabi, duration, detuning
     eff = math.hypot(om, dw)
     num = (om**2 * (4 * dw**2 * math.cos(tau * eff / 2)
                     + 8 * dw * eff * math.sin(tau * eff / 4) ** 2 * math.sin(tau * eff / 2)
@@ -162,19 +132,6 @@ def bipartite_sensitivity(omega: float, tau: float, timeshare: float,
     return math.sin(phase_jump) * (
         math.sin((timeshare - 1.0) * x) - math.sin(timeshare * x) + math.sin(x)
     ) / (2.0 * omega)
-
-
-def kernel_value(t, omega: float, tau: float):
-    """Unit-amplitude sensing kernel ``sin(Om(tau/2 - |t|))`` on |t| < tau/2, else 0.
-
-    Accepts scalars or arrays for ``t``.  This is the shape only; the physical
-    impulse response carries an extra factor sin(alpha)/2 fixed by the DC
-    sensitivity (see response.estimate_kernel's normalization).
-    """
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < tau / 2
-    vals = np.where(inside, np.sin(omega * (tau / 2 - np.abs(t))), 0.0)
-    return float(vals) if vals.ndim == 0 else vals
 
 
 def transfer_value(omega_signal, omega_rabi: float, tau: float):
@@ -307,17 +264,19 @@ def bandwidth_3db(omega: float, alpha: float) -> float:
     return 0.5 * (a + b) * omega
 
 
-def qsl_times(inp: QslInput) -> tuple[float, float]:
+def qsl_times(hamiltonian, state, ground_energy: float = 0.0) -> tuple[float, float]:
     """Minimum orthogonalization times from the variance and mean-energy bounds.
 
+    ``hamiltonian`` H is in rad/s, ``state`` is normalized and
+    ``ground_energy`` E_ground is the energy zero of the mean-energy bound.
     Returns ``(t_var, t_mean)`` with ``t_var = (pi/2)/<dH>`` and
     ``t_mean = (pi/2)/(<H> - E_ground)``, hbar = 1.  A vanishing denominator
     (variance below 1e-14 of <H^2>, or zero mean gap) yields ``math.inf``
     rather than raising; a negative mean gap raises ValueError since the
     reference is then not a ground energy.
     """
-    h = np.asarray(inp.hamiltonian, dtype=complex)
-    psi = np.asarray(inp.state, dtype=complex)
+    h = np.asarray(hamiltonian, dtype=complex)
+    psi = np.asarray(state, dtype=complex)
     mean = expectation(h, psi)
     second = expectation(h @ h, psi)
     var = second - mean * mean
@@ -326,8 +285,8 @@ def qsl_times(inp: QslInput) -> tuple[float, float]:
         t_var = math.inf
     else:
         t_var = (math.pi / 2.0) / math.sqrt(var)
-    gap = mean - inp.ground_energy
-    if gap < -1e-14 * max(abs(mean), abs(inp.ground_energy), 1.0):
+    gap = mean - ground_energy
+    if gap < -1e-14 * max(abs(mean), abs(ground_energy), 1.0):
         raise ValueError(f"<H> - E_ground = {gap:.3e} is negative; not a ground energy")
     t_mean = math.inf if gap <= 0 else (math.pi / 2.0) / gap
     return t_var, t_mean

@@ -165,7 +165,7 @@ def _kernel_probes(tau: float, alpha: float, n: int):
 
 def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
     """Bode gains on n frequencies over [0, wmax] at a stimulus phase of 1e-3 rad."""
-    return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (sim.gamma * tau))
+    return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (labframe.GAMMA_E * tau))
 
 
 def cmd_kernel(params: Params, out: str) -> list[str]:
@@ -327,11 +327,8 @@ def cmd_optimal(params: Params, out: str) -> list[str]:
 def cmd_qsl(params: Params, out: str) -> list[str]:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
     omega = params.get("rabi")
-    _, sy, _ = spinlin.spin_operators("half")
-    inp = analytic.QslInput(hamiltonian=omega * sy,
-                            state=np.array([1.0, 0.0], dtype=complex),
-                            ground_energy=-omega / 2.0)
-    t_var, t_mean = analytic.qsl_times(inp)
+    t_var, t_mean = analytic.qsl_times(omega * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
+                                       -omega / 2.0)
     write_csv(out, ["rabi_rad_s", "t_variance_bound_s", "t_mean_bound_s"],
               [[omega, t_var, t_mean]])
     return [out]
@@ -470,8 +467,7 @@ def run_checks() -> int:
         for om in np.geomspace(TWO_PI * 1e6, TWO_PI * 1e8, 8):
             for ratio in np.geomspace(1e-4, 1.0, 8):
                 for tau in np.geomspace(1e-9, 1e-6, 8):
-                    p1 = analytic.exact_transition_probability(
-                        analytic.BipartiteParams(om, tau, ratio * om))
+                    p1 = analytic.exact_transition_probability(om, tau, ratio * om)
                     p2 = sequence.transition_probability(
                         sequence.make_bipartite(om, tau, detuning=ratio * om))
                     if abs(p1 - p2) > 1e-10:
@@ -489,8 +485,7 @@ def run_checks() -> int:
     ]))
     add("first-order expansion quality", lambda: all(
         abs(analytic.first_order_probability(a, 1e-3 * 2 * a)
-            - analytic.exact_transition_probability(
-                analytic.BipartiteParams(1.0, 2 * a, 1e-3))) <= 10e-6
+            - analytic.exact_transition_probability(1.0, 2 * a, 1e-3)) <= 10e-6
         for a in np.linspace(0.02, math.pi / 2, 50)))
 
     def optimum():
@@ -500,9 +495,8 @@ def run_checks() -> int:
     add("timeshare/phase optimum at (0.5, pi/2)", optimum)
 
     def qsl():
-        _, sy, _ = spinlin.spin_operators("half")
-        t_var, t_mean = analytic.qsl_times(analytic.QslInput(
-            2.0 * sy, np.array([1.0, 0.0], dtype=complex), -1.0))
+        t_var, t_mean = analytic.qsl_times(2.0 * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
+                                           -1.0)
         return abs(t_var - math.pi / 2) < 1e-12 and abs(t_mean - math.pi / 2) < 1e-12
 
     add("speed-limit bounds coincide for the driven qubit", qsl)

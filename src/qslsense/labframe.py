@@ -292,11 +292,12 @@ def basis_state(label: str) -> np.ndarray:
 
 
 def frequency_scales(model: NvModel, stim: Stimulus | None = None) -> dict[str, float]:
-    """Cycle-frequency scales (Hz) that the integrator must resolve, by name."""
+    """Cycle-frequency scales (Hz) that the integrator must resolve, by name.
+
+    The carrier ``D + ge B0`` bounds both D and ge B0 (B0 >= 0), so it stands for them.
+    """
     scales = {
         "carrier": model.carrier / TWO_PI,
-        "zero_field_splitting": model.d / TWO_PI,
-        "axial_zeeman": GAMMA_E * model.b0 / TWO_PI,
         "drive_field": GAMMA_E * model.b1 / TWO_PI,
     }
     if stim is not None:
@@ -329,10 +330,17 @@ def _check_timestep(model: NvModel, stim: Stimulus | None, dt: float) -> None:
             f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
 
 
-def too_many_steps(steps: int, dt: float, scales: dict[str, float]) -> ConfigError:
-    """The ConfigError refusing a run of ``steps`` steps of ``dt``, naming its largest scale."""
+def step_count(span: float, dt: float):
+    """``ceil(span / dt)``, or past 10^15 steps the unrounded quotient, which may be inf."""
+    n = span / dt
+    return math.ceil(n) if n <= 1e15 else n
+
+
+def too_many_steps(steps, dt: float, scales: dict[str, float]) -> ConfigError:
+    """The ConfigError refusing a run of ``steps`` steps of ``dt`` (3 digits past 10^15)."""
     name = max(scales, key=scales.get)
-    return ConfigError(f"a run of {steps} steps of {dt:.3e} s is more than {MAX_RUN_STEPS}: "
+    count = f"{steps:.3g}" if steps > 1e15 else steps
+    return ConfigError(f"a run of {count} steps of {dt:.3e} s is more than {MAX_RUN_STEPS}: "
                        f"binding frequency scale '{name}' at {scales[name]:.3e} Hz")
 
 
@@ -586,7 +594,7 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     if len(stims) == 0:
         return np.empty(0)
     dt = _batch_timestep(model, stims, None)
-    steps = sum(math.ceil((b - a) / dt) for a, b, *_ in _spans(protocol, 0.0, protocol.duration))
+    steps = sum(step_count(b - a, dt) for a, b, *_ in _spans(protocol, 0.0, protocol.duration))
     if steps > MAX_RUN_STEPS:
         binding = min(stims, key=lambda s: default_timestep(model, s))
         raise too_many_steps(steps, dt, frequency_scales(model, binding))

@@ -9,9 +9,10 @@ Two interchangeable protocol runners drive the estimators:
   :mod:`qslsense.labframe`, for strong-driving and off-axis studies.
 
 The estimators use only this contract of a runner: ``omega`` (Rabi,
-rad/s), ``tau`` (s), ``gamma`` (rad/s per tesla, :data:`labframe.GAMMA_E`
-for both), ``chi`` (rad) and ``probe_responses(probes, dc, sizes=None)``,
-the probability changes the probes and a constant (DC) stimulus cause.
+rad/s), ``tau`` (s), ``chi`` (rad) and ``probe_responses(probes, dc,
+sizes=None)``, the probability changes the probes and a constant (DC)
+stimulus cause.  Both runners turn a field into a detuning with the one
+gyromagnetic ratio :data:`labframe.GAMMA_E`.
 ``sizes`` cuts the probes into consecutive groups, each on a time grid of
 its own on the rotating runner.  Kernel time runs from the sequence
 midpoint, tau/2.
@@ -33,7 +34,7 @@ sign convention, -1/2 at alpha = pi/2); only the kernel's shape is
 convention-free.
 
 Off-axis kernels (chi != 0): the probe's transverse part ``sin(chi) Sx``
-tilts the spin's quantisation axis by about gamma B sin(chi) / w_t, where
+tilts the spin's quantisation axis by about ge B sin(chi) / w_t, where
 w_t is the nearest transition frequency.  The tilt registers at first order
 at the sequence edges, where the drive switches on (t = 0) and where readout
 projects onto Sz (t = tau).  The measured shape therefore equals the axial
@@ -81,7 +82,7 @@ class KernelEstimate:
     """Sampled kernel: times (s, relative to the sequence center) and raw values.
 
     ``values[i]`` is the probability change per unit (detuning amplitude *
-    time), i.e. dp / (gamma * probe_area).  ``values / normalization``
+    time), i.e. dp / (GAMMA_E * probe_area).  ``values / normalization``
     recovers the unit-amplitude kernel shape.
     """
 
@@ -123,7 +124,7 @@ class BodeSeries:
 class RotatingFrameRunner:
     """Two-pulse spin-1/2 protocol with a time-dependent detuning stimulus.
 
-    The detuning is ``gamma * B_stim(t)``; the drive axis is Y on
+    The detuning is ``GAMMA_E * B_stim(t)``; the drive axis is Y on
     [0, tau/2) and X on [tau/2, tau), matching :mod:`qslsense.sequence`.
     Stepping is exact per step (2x2 rotation about the midpoint-sampled
     axis), second order in the stimulus variation.
@@ -144,7 +145,6 @@ class RotatingFrameRunner:
     """
 
     chi = 0.0
-    gamma = labframe.GAMMA_E
 
     def __init__(self, omega: float, tau: float):
         for name, value in (("omega", omega), ("tau", tau)):
@@ -153,15 +153,11 @@ class RotatingFrameRunner:
         self.omega = omega
         self.tau = tau
 
-    @property
-    def alpha(self) -> float:
-        return 0.5 * self.omega * self.tau
-
     def _scales(self, stim: Stimulus | None) -> dict[str, float]:
         """The frequency scales (Hz) a run's step resolves, by name."""
         scales = {"rabi": self.omega / TWO_PI}
         if stim is not None:
-            scales["stimulus_field"] = self.gamma * abs(stim.amplitude) / TWO_PI
+            scales["stimulus_field"] = labframe.GAMMA_E * abs(stim.amplitude) / TWO_PI
             if stim.kind == "sinusoid":
                 scales["stimulus_frequency"] = stim.frequency / TWO_PI
             elif stim.kind == "gaussian":
@@ -193,10 +189,11 @@ class RotatingFrameRunner:
         for (a, b), sim in zip(bounds, runners):
             if b > a:
                 half = sim.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
-                n = max(1, int(math.ceil(half / min(sim._step(s) for s in stims[a:b]))))
+                dt = min(sim._step(s) for s in stims[a:b])
+                n = labframe.step_count(half, dt)
                 if 2 * n > labframe.MAX_RUN_STEPS:
                     binding = min(stims[a:b], key=sim._step)
-                    raise labframe.too_many_steps(2 * n, half / n, sim._scales(binding))
+                    raise labframe.too_many_steps(2 * n, dt, sim._scales(binding))
                 n_steps[a:b], h_steps[a:b], halves[a:b] = n, half / n, half
         # longest runs first, so the runs still stepping are always a prefix
         order = np.argsort(-n_steps, kind="stable")
@@ -211,7 +208,7 @@ class RotatingFrameRunner:
                 j1 = min(int(n_steps[m - 1]), j0 + max(1, _BLOCK_ENTRIES // m))
                 h = h_steps[:m]
                 tm = t_a[:m] + (np.arange(j0, j1) + 0.5) * h[:, None]
-                dw = self.gamma * np.ascontiguousarray(field(tm).T)
+                dw = labframe.GAMMA_E * np.ascontiguousarray(field(tm).T)
                 u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw, h)
                 a0, a1 = psi0[:m], psi1[:m]
                 for j in range(j1 - j0):
@@ -233,16 +230,25 @@ class RotatingFrameRunner:
         """
         probes = list(probes)
         if sizes is None:
-            p = self.run_batch(probes + [None, dc, None], [len(probes) + 1, 2])
-            return p[:-3] - p[-3], float(p[-2] - p[-1])
+            return _pooled_changes([self], [(probes, dc)])[0]
         p = self.run_batch([dc, None] + probes, [2] + list(sizes))
         return p[2:] - p[1], float(p[0] - p[1])
 
 
+def _pooled_changes(sims, parts) -> list[tuple[np.ndarray, float]]:
+    """``(dp, dp_dc)`` of each rotating runner's ``(probes, dc)``, from one ``run_batch`` call.
+
+    A part is the groups ``(*probes, None)`` and ``(dc, None)`` on its runner's grid.
+    """
+    p = sims[0].run_batch([s for probes, dc in parts for s in (*probes, None, dc, None)],
+                          [k for probes, _ in parts for k in (len(probes) + 1, 2)],
+                          [sim for sim in sims for _ in range(2)])
+    ends = np.cumsum([len(probes) + 3 for probes, _ in parts])
+    return [(q[:-3] - q[-3], float(q[-2] - q[-1])) for q in np.split(p, ends[:-1])]
+
+
 class LabFrameRunner:
     """Protocol runner backed by the full spin-1 lab-frame model."""
-
-    gamma = labframe.GAMMA_E
 
     def __init__(self, model: labframe.NvModel, tau: float | None = None):
         self.model = model
@@ -331,12 +337,9 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[KernelEstimate]:
     on its own grid, so each estimate has the same bits as alone.
     """
     parts = [kernel_stimuli(*args) for args in zip(sims, probe_fwhms, t_grids)]
-    p = sims[0].run_batch([s for probes, dc in parts for s in (*probes, None, dc, None)],
-                          [k for probes, _ in parts for k in (len(probes) + 1, 2)],
-                          [sim for sim in sims for _ in range(2)])
-    ends = np.cumsum([len(probes) + 3 for probes, _ in parts])
-    return [kernel_from_changes(sim, grid, probes, dc, q[:-3] - q[-3], float(q[-2] - q[-1]))
-            for sim, grid, (probes, dc), q in zip(sims, t_grids, parts, np.split(p, ends[:-1]))]
+    changes = _pooled_changes(sims, parts)
+    return [kernel_from_changes(sim, grid, probes, dc, *ch)
+            for sim, grid, (probes, dc), ch in zip(sims, t_grids, parts, changes)]
 
 
 def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
@@ -347,19 +350,19 @@ def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stim
         raise ValueError(
             f"probe fwhm {probe_fwhm:.3e} s too wide: expected kernel fwhm "
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
-    amplitude = 1e-3 / (sim.gamma * probe_fwhm * labframe.GAUSS_AREA)
+    amplitude = 1e-3 / (labframe.GAMMA_E * probe_fwhm * labframe.GAUSS_AREA)
     # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
     return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm)
              for t in np.asarray(t_grid, dtype=float).tolist()],
-            Stimulus.constant(1e-3 / (sim.gamma * sim.tau)))
+            Stimulus.constant(1e-3 / (labframe.GAMMA_E * sim.tau)))
 
 
 def kernel_from_changes(sim, t_grid, probes, dc: Stimulus, dp, dp_dc: float) -> KernelEstimate:
     """:func:`estimate_kernel`'s estimate from the probability changes ``dp`` and ``dp_dc``."""
     shape_area = 2.0 * (1.0 - math.cos(0.5 * sim.omega * sim.tau)) / sim.omega
-    return KernelEstimate(times=t_grid, values=dp / (sim.gamma * probes[0].area()), tau=sim.tau,
-                          omega=sim.omega,
-                          normalization=dp_dc / (sim.gamma * dc.amplitude * shape_area))
+    ge = labframe.GAMMA_E
+    return KernelEstimate(times=t_grid, values=dp / (ge * probes[0].area()), tau=sim.tau,
+                          omega=sim.omega, normalization=dp_dc / (ge * dc.amplitude * shape_area))
 
 
 def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:

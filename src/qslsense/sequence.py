@@ -23,7 +23,6 @@ import numpy as np
 
 from . import spinlin
 
-_SX, _SY, _SZ = spinlin.spin_operators("half")
 KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -58,10 +57,6 @@ class ControlSequence:
             raise ValueError("a control sequence needs at least one segment")
         object.__setattr__(self, "segments", tuple(self.segments))
 
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
 
 def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> ControlSequence:
     """Equal halves of ``tau``, the second with its drive axis turned by pi/2.
@@ -76,8 +71,8 @@ def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> ControlSe
 
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
     """Rotating-frame generator ``dw Sz + Om (Sy cos(theta) + Sx sin(theta))``."""
-    return (seg.detuning * _SZ
-            + seg.rabi * (math.cos(seg.phase) * _SY + math.sin(seg.phase) * _SX))
+    return (seg.detuning * spinlin.SZ
+            + seg.rabi * (math.cos(seg.phase) * spinlin.SY + math.sin(seg.phase) * spinlin.SX))
 
 
 def propagate(seq: ControlSequence, initial: np.ndarray) -> np.ndarray:

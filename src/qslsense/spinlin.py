@@ -3,7 +3,8 @@
 States are numpy complex128 vectors of length 2 or 3, operators are dense
 complex128 matrices.  No sparse structure is used anywhere: every matrix in
 this package is at most 3x3, so closed forms beat any general-purpose
-machinery.
+machinery.  The spin-1/2 operators are the read-only constants
+:data:`SX`, :data:`SY` and :data:`SZ`.
 
 Conventions
 -----------
@@ -32,29 +33,16 @@ class ContractViolation(ValueError):
     """An input violates a numerical contract (hermiticity, normalization, shape)."""
 
 
-_SX_HALF = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-_SY_HALF = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ_HALF = 0.5 * np.array([[1, 0], [0, -1]], dtype=complex)
-
-_SQRT2 = np.sqrt(2.0)
-_SX_ONE = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQRT2
-_SY_ONE = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQRT2
-_SZ_ONE = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
-def spin_operators(spin: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (Sx, Sy, Sz) for ``spin`` in {"half", "one"}.
-
-    The matrices are the standard angular-momentum representations with
-    ``Sz = diag(1/2, -1/2)`` and ``Sz = diag(1, 0, -1)`` respectively; they
-    satisfy ``[Si, Sj] = i eps_ijk Sk``.  Fresh copies are returned so callers
-    may scale them in place.
-    """
-    if spin == "half":
-        return _SX_HALF.copy(), _SY_HALF.copy(), _SZ_HALF.copy()
-    if spin == "one":
-        return _SX_ONE.copy(), _SY_ONE.copy(), _SZ_ONE.copy()
-    raise ValueError(f"spin must be 'half' or 'one', got {spin!r}")
+#: spin-1/2 angular momentum ``S = sigma/2``, ``SZ = diag(1/2, -1/2)``, read-only;
+#: ``[Si, Sj] = i eps_ijk Sk``
+SX = _read_only(0.5 * np.array([[0, 1], [1, 0]], dtype=complex))
+SY = _read_only(0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex))
+SZ = _read_only(0.5 * np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def is_hermitian(m: np.ndarray) -> bool:

@@ -1,9 +1,10 @@
 """Reference code that only the tests call.
 
-Independent oracles for the package's integrators and kernels: the lab-frame
-Hamiltonian and its exponential by eigendecomposition, the SU(2) step as
-complex expressions, a sampled population trace, the two-segment sequence
-at any timeshare and phase jump, the finite-pulse Ramsey sequence, the
+Independent oracles for the package's integrators and kernels: the spin-1
+matrices, the lab-frame Hamiltonian and its exponential by
+eigendecomposition, the SU(2) step as complex expressions, a sampled
+population trace, the closed-form kernel shape, the two-segment sequence at
+any timeshare and phase jump, the finite-pulse Ramsey sequence, the
 sample-based kernel metrics and a reader for the CSVs the CLI writes.
 """
 
@@ -19,7 +20,10 @@ from qslsense.labframe import NvModel, Protocol, Stimulus
 from qslsense.response import KernelEstimate
 from qslsense.sequence import ControlSequence, PulseSegment
 
-SX1, _, SZ1 = spinlin.spin_operators("one")
+#: spin-1 angular momentum, ``SZ1 = diag(1, 0, -1)``, basis order (+1, 0, -1)
+SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
+SY1 = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2.0)
+SZ1 = np.array([[1, 0, 0], [0, 0, 0], [0, 0, -1]], dtype=complex)
 _SX = SX1.real.copy()
 _SZ = SZ1.real.copy()
 _SZ2 = (_SZ @ _SZ)
@@ -86,6 +90,19 @@ def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
         pops[i] = np.abs(psi) ** 2
         sz[i] = spinlin.expectation(SZ1, psi)
     return times, pops, sz
+
+
+def kernel_value(t, omega: float, tau: float):
+    """Unit-amplitude sensing kernel ``sin(Om(tau/2 - |t|))`` on |t| < tau/2, else 0.
+
+    Accepts scalars or arrays for ``t``.  This is the shape only; the physical
+    impulse response carries an extra factor sin(alpha)/2 fixed by the DC
+    sensitivity (see response.estimate_kernel's normalization).
+    """
+    t = np.asarray(t, dtype=float)
+    inside = np.abs(t) < tau / 2
+    vals = np.where(inside, np.sin(omega * (tau / 2 - np.abs(t))), 0.0)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def make_split_bipartite(omega: float, tau: float, timeshare: float, phase_jump: float,

@@ -6,9 +6,7 @@ import pytest
 
 from qslsense import analytic, sequence, spinlin
 from qslsense.analytic import (
-    BipartiteParams,
     NumericError,
-    QslInput,
     bandwidth_3db,
     bandwidth_first_root,
     bipartite_sensitivity,
@@ -16,7 +14,6 @@ from qslsense.analytic import (
     equivalent_duration,
     exact_transition_probability,
     first_order_probability,
-    kernel_value,
     metrics_report,
     phase_scaling_factor,
     phase_scaling_magnitude,
@@ -26,46 +23,39 @@ from qslsense.analytic import (
     transfer_value,
 )
 
-from oracles import make_split_bipartite
+from oracles import kernel_value, make_split_bipartite
 
 TWO_PI = 2 * math.pi
 
 
-class TestBipartiteParams:
-    def test_flip_angle(self):
-        p = BipartiteParams(rabi=2.0, duration=math.pi)
-        assert p.flip_angle == pytest.approx(math.pi, abs=1e-12)
-
+class TestExactProbability:
     @pytest.mark.parametrize("kwargs", [
         dict(rabi=0.0, duration=1.0),
         dict(rabi=1.0, duration=-1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            BipartiteParams(**kwargs)
+            exact_transition_probability(**kwargs)
 
-
-class TestExactProbability:
     def test_resonant_pi_area(self):
         om = TWO_PI * 10e6
-        p = exact_transition_probability(BipartiteParams(om, math.pi / om))
+        p = exact_transition_probability(om, math.pi / om)
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_duration(self):
-        p = exact_transition_probability(BipartiteParams(1.0, 0.0, 0.3))
+        p = exact_transition_probability(1.0, 0.0, 0.3)
         assert p == pytest.approx(0.0, abs=1e-12)
 
     def test_derived_point_against_propagator_product(self):
         # frozen from the two-segment matrix-exponential product oracle
-        p = exact_transition_probability(
-            BipartiteParams(TWO_PI * 10e6, 50e-9, TWO_PI * 0.1e6))
+        p = exact_transition_probability(TWO_PI * 10e6, 50e-9, TWO_PI * 0.1e6)
         assert p == pytest.approx(0.49000071435235826, abs=1e-12)
 
     def test_matches_sequence_oracle_on_grid(self):
         for om in np.geomspace(1e6, 1e9, 5):
             for ratio in (1e-4, 1e-2, 0.3, 1.0):
                 for tau in np.geomspace(1e-9, 1e-6, 5):
-                    p1 = exact_transition_probability(BipartiteParams(om, tau, ratio * om))
+                    p1 = exact_transition_probability(om, tau, ratio * om)
                     p2 = sequence.transition_probability(
                         sequence.make_bipartite(om, tau, detuning=ratio * om))
                     assert abs(p1 - p2) <= 1e-10
@@ -86,7 +76,7 @@ class TestFirstOrder:
     def test_expansion_quality(self):
         for alpha in np.linspace(0.02, math.pi / 2, 50):
             tau = 2 * alpha
-            p_exact = exact_transition_probability(BipartiteParams(1.0, tau, 1e-3))
+            p_exact = exact_transition_probability(1.0, tau, 1e-3)
             p_lin = first_order_probability(alpha, 1e-3 * tau)
             assert abs(p_lin - p_exact) <= 10 * 1e-6
 
@@ -114,8 +104,8 @@ class TestPhaseScaling:
         for alpha in (0.4, math.pi / 4, 1.2, math.pi / 2):
             tau = 2 * alpha
             h = 1e-7
-            fd = (exact_transition_probability(BipartiteParams(1.0, tau, h))
-                  - exact_transition_probability(BipartiteParams(1.0, tau, -h))) / (2 * h)
+            fd = (exact_transition_probability(1.0, tau, h)
+                  - exact_transition_probability(1.0, tau, -h)) / (2 * h)
             assert abs(fd - phase_scaling_factor(alpha) * tau / 2) <= 1e-8 * tau
 
     def test_domain(self):
@@ -389,17 +379,15 @@ class TestBandwidth:
 
 class TestQsl:
     def test_driven_rotation(self):
-        _, sy, _ = spinlin.spin_operators("half")
         om = TWO_PI * 25e6
-        t_var, t_mean = qsl_times(QslInput(om * sy, np.array([1, 0], dtype=complex),
-                                           ground_energy=-om / 2))
+        t_var, t_mean = qsl_times(om * spinlin.SY, np.array([1, 0], dtype=complex),
+                                  ground_energy=-om / 2)
         assert t_var == pytest.approx(math.pi / om, rel=1e-12)
         assert t_mean == pytest.approx(math.pi / om, rel=1e-12)
 
     def test_eigenstate_is_infinite(self):
-        _, _, sz = spinlin.spin_operators("half")
-        t_var, t_mean = qsl_times(QslInput(sz, np.array([1, 0], dtype=complex),
-                                           ground_energy=-0.5))
+        t_var, t_mean = qsl_times(spinlin.SZ, np.array([1, 0], dtype=complex),
+                                  ground_energy=-0.5)
         assert t_var == math.inf
         assert t_mean < math.inf
 
@@ -410,13 +398,12 @@ class TestQsl:
             h = m + m.conj().T
             w, v = np.linalg.eigh(h)
             psi = (v[:, 0] + np.exp(1j * rng.uniform(0, TWO_PI)) * v[:, 1]) / math.sqrt(2)
-            t_var, t_mean = qsl_times(QslInput(h, psi, ground_energy=w[0]))
+            t_var, t_mean = qsl_times(h, psi, ground_energy=w[0])
             assert abs(t_var - t_mean) <= 1e-12 * t_var
 
     def test_negative_gap_rejected(self):
-        _, _, sz = spinlin.spin_operators("half")
         with pytest.raises(ValueError):
-            qsl_times(QslInput(sz, np.array([0, 1], dtype=complex), ground_energy=0.4))
+            qsl_times(spinlin.SZ, np.array([0, 1], dtype=complex), ground_energy=0.4)
 
 
 def test_metrics_report_is_complete():

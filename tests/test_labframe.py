@@ -210,6 +210,42 @@ class TestEvolve:
         with pytest.raises(ConfigError, match="carrier"):
             run_protocol_batch(m, [None], protocol, dt=1e-9)
 
+    def test_trimmed_scales_keep_every_step_and_binding_name(self):
+        # the carrier D + ge B0 (B0 >= 0) bounds the zero-field splitting D and
+        # the Zeeman shift ge B0, and is listed first, so neither of those two
+        # former scales could set the step or be the one named
+        def former_scales(m, stim):
+            ge = labframe.GAMMA_E
+            scales = {"carrier": m.carrier / TWO_PI, "zero_field_splitting": m.d / TWO_PI,
+                      "axial_zeeman": ge * m.b0 / TWO_PI, "drive_field": ge * m.b1 / TWO_PI}
+            if stim is not None:
+                scales["stimulus_field"] = ge * abs(stim.amplitude) / TWO_PI
+                if stim.kind == "sinusoid":
+                    scales["stimulus_frequency"] = stim.frequency / TWO_PI
+                elif stim.kind == "gaussian":
+                    scales["stimulus_bandwidth"] = 1.0 / stim.fwhm / TWO_PI
+            return scales
+
+        stims = (None, Stimulus.constant(0.5), Stimulus.gaussian(1e-4, 5e-9, 1e-12),
+                 Stimulus.sinusoid(1e-4, TWO_PI * 1e9))
+        named = set()
+        for d, b0, b1, chi, stim in itertools.product(
+                TWO_PI * np.array([0.5e9, 2.87e9, 10e9]), (0.0, 1e-3, 0.1, 1.0, 40.0),
+                (0.0, 1e-4, 0.1), (0.0, math.pi / 4), stims):
+            m = NvModel(d=float(d), b0=b0, b1=b1, chi=chi)
+            former = former_scales(m, stim)
+            assert default_timestep(m, stim) == 1.0 / (100.0 * max(former.values()))
+            name = max(former, key=former.get)
+            fmax, dt = former[name], 1.0
+            with pytest.raises(ConfigError) as err:
+                labframe._check_timestep(m, stim, dt)
+            assert str(err.value) == (
+                f"dt = {dt:.3e} s is too coarse: binding frequency scale '{name}' at "
+                f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
+            named.add(name)
+        assert named == {"carrier", "drive_field", "stimulus_field", "stimulus_frequency",
+                         "stimulus_bandwidth"}
+
     def test_second_order_convergence(self):
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         om = m.rabi
@@ -515,8 +551,7 @@ class TestRunProtocol:
         for sign in (1.0, -1.0, 0.0):
             stim = Stimulus.constant(sign * bs) if sign else None
             p_lab = run_protocol_batch(m, [stim], protocol)[0]
-            p_ref = analytic.exact_transition_probability(
-                analytic.BipartiteParams(om, tau, sign * labframe.GAMMA_E * bs))
+            p_ref = analytic.exact_transition_probability(om, tau, sign * labframe.GAMMA_E * bs)
             assert abs(p_lab - p_ref) <= 1e-3
 
     def test_stimulus_sign_reversal_flips_dp(self):

@@ -5,7 +5,9 @@ Runs the command lines of every input variant of every workload in
 ``perfbench/refcheck.py`` against ``perfbench/refs``: byte for byte where the
 references hold no tolerance (the rotating-frame and closed-form workload),
 within ``refs/tolerance.json`` for the lab-frame ones.  perfbench is only
-read.
+read.  A mismatch names numpy's version and the CPU features its dispatched
+kernels use, since those can move the last bits of a byte-gated CSV from one
+host to another.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import io
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qslsense import cli
@@ -24,6 +27,17 @@ import refcheck  # noqa: E402
 import workloads  # noqa: E402
 
 CASES = [(w, v) for w in workloads.WORKLOADS for v in range(workloads.variants(w))]
+
+
+def numpy_build() -> str:
+    """numpy's version and the dispatched CPU features it uses on this host."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [k for k in getattr(umath, "__cpu_dispatch__", ())
+                  if umath.__cpu_features__.get(k)]
+    return f"numpy {np.__version__}, dispatched CPU features: {' '.join(dispatched) or 'none'}"
 
 
 @pytest.mark.parametrize("workload, variant", CASES, ids=[f"{w}-v{v}" for w, v in CASES])
@@ -40,4 +54,4 @@ def test_outputs_match_references(workload, variant, tmp_path, monkeypatch):
             text = (tmp_path / fname).read_text()
             ok, _, why = refcheck.check_file(text, refs["files"][fname],
                                              None if tol is None else tol[fname])
-            assert ok, f"{' '.join(argv)}: {fname} {why}"
+            assert ok, f"{' '.join(argv)}: {fname} {why} ({numpy_build()})"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qslsense import analytic, labframe, response, spinlin
-from qslsense.analytic import NumericError, kernel_value
+from qslsense.analytic import NumericError
 from qslsense.labframe import Stimulus
 from qslsense.response import (
     BodeSeries,
@@ -19,7 +19,7 @@ from qslsense.response import (
 )
 from qslsense.units import ConfigError
 
-from oracles import numeric_metrics
+from oracles import kernel_value, numeric_metrics
 
 TWO_PI = 2 * math.pi
 
@@ -77,7 +77,7 @@ class TestKernelEstimate:
     def test_reproduces_kernel_shape(self):
         sim = rotating_runner()
         tau, om = sim.tau, sim.omega
-        probe = analytic.time_resolution_fwhm(tau, sim.alpha) / 12
+        probe = analytic.time_resolution_fwhm(tau, 0.5 * om * tau) / 12
         grid = np.linspace(-0.55 * tau, 0.55 * tau, 111)
         est = estimate_kernel(sim, probe, grid)
         shape = kernel_value(grid, om, tau)
@@ -95,16 +95,17 @@ class TestKernelEstimate:
     def test_dc_gain_matches_first_order_sensitivity(self):
         # |c| * kernel area = |eps| tau / 2 within 1 percent
         sim = rotating_runner()
-        probe = analytic.time_resolution_fwhm(sim.tau, sim.alpha) / 12
+        alpha = 0.5 * sim.omega * sim.tau
+        probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
         est = estimate_kernel(sim, probe, np.linspace(-0.4, 0.4, 9) * sim.tau)
-        area = 2 * (1 - math.cos(sim.alpha)) / sim.omega
-        eta = analytic.phase_scaling_magnitude(sim.alpha) * sim.tau / 2
+        area = 2 * (1 - math.cos(alpha)) / sim.omega
+        eta = analytic.phase_scaling_magnitude(alpha) * sim.tau / 2
         assert abs(est.normalization) * area == pytest.approx(eta, rel=0.01)
 
     def test_compact_support(self):
         sim = rotating_runner()
         tau = sim.tau
-        probe = analytic.time_resolution_fwhm(tau, sim.alpha) / 12
+        probe = analytic.time_resolution_fwhm(tau, 0.5 * sim.omega * tau) / 12
         outside = tau / 2 + 4 * probe
         est = estimate_kernel(sim, probe, np.array([-outside, outside]))
         peak = abs(est.normalization)  # kernel peak is sin(alpha) * |c|
@@ -141,7 +142,7 @@ class TestBode:
     def test_gains_match_transfer_function(self):
         sim = rotating_runner()
         grid = np.linspace(0.0, 3.0 * sim.omega, 13)
-        series = bode_response(sim, grid, 1e-3 / (sim.gamma * sim.tau))
+        series = bode_response(sim, grid, 1e-3 / (labframe.GAMMA_E * sim.tau))
         ref = analytic.transfer_value(grid, sim.omega, sim.tau)
         ref = ref / ref[0]
         assert np.max(np.abs(series.gains - ref)) < 0.01
@@ -150,8 +151,8 @@ class TestBode:
 
     def test_first_root_gain_tiny(self):
         sim = rotating_runner()
-        root = analytic.bandwidth_first_root(sim.omega, sim.alpha)
-        series = bode_response(sim, np.array([0.0, root]), 1e-3 / (sim.gamma * sim.tau))
+        root = analytic.bandwidth_first_root(sim.omega, 0.5 * sim.omega * sim.tau)
+        series = bode_response(sim, np.array([0.0, root]), 1e-3 / (labframe.GAMMA_E * sim.tau))
         assert series.gains[1] < 1e-2
 
     def test_negative_frequency_rejected(self):
@@ -231,7 +232,6 @@ def test_lab_runner_agrees_with_rotating_runner():
     lab = LabFrameRunner(labframe.NvModel.resonant(
         TWO_PI * 20e6, 0.25e9 / labframe.GAMMA_E_CYCLES_PER_TESLA, d=TWO_PI * 0.5e9))
     rot = RotatingFrameRunner(lab.omega, lab.tau)
-    assert rot.gamma == lab.gamma
     bs = lab.model.b1 / (10 * math.sqrt(2)) * 0.1
     stims = [Stimulus.constant(bs), Stimulus.sinusoid(bs, 1.5 * lab.omega), None]
     p_lab = labframe.run_protocol_batch(lab.model, stims, lab.protocol)
@@ -267,7 +267,7 @@ def per_step_probabilities(sim, stims):
         dw = np.zeros((n_runs, n))
         for k, stim in enumerate(stims):
             if stim is not None:
-                dw[k] = sim.gamma * parent_stimulus_value(stim, tm)
+                dw[k] = labframe.GAMMA_E * parent_stimulus_value(stim, tm)
         for i in range(n):
             u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[:, i], h)
             psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
@@ -287,7 +287,7 @@ class FixedStepRunner(RotatingFrameRunner):
 
 def mixed_stimuli(sim, n_runs):
     """``n_runs`` stimuli cycling through Gaussian, sinusoid, None and constant."""
-    bs = 1e-3 / (sim.gamma * sim.tau)
+    bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
     kinds = [
         lambda k: None,
         lambda k: Stimulus.constant(bs * (1 + 0.1 * k)),
@@ -314,7 +314,7 @@ class TestRotatingBlocks:
         # every stimulus here leaves the step at tau/100, so a batch shares
         # each single run's time grid
         sim = rotating_runner()
-        bs = 1e-3 / (sim.gamma * sim.tau)
+        bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
         stims = [Stimulus.constant(bs), Stimulus.gaussian(bs, sim.tau / 3, sim.tau),
                  None, Stimulus.sinusoid(-bs, 0.7 * sim.omega, phase=1.0)]
         assert len({sim._step(s) for s in stims}) == 1
@@ -362,7 +362,7 @@ class TestPooledBatch:
 
     @staticmethod
     def groups(sim):
-        bs = 1e-3 / (sim.gamma * sim.tau)
+        bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
         return [
             [Stimulus.sinusoid(bs, 2.5 * sim.omega, phase=0.3 * k) for k in range(3)],
             [Stimulus.sinusoid(-bs, 5.0 * sim.omega, phase=1.0)],
@@ -408,7 +408,7 @@ class TestPooledBatch:
         # stimulus parameters, about 150 B per run: the peaks are 0.88 and
         # 1.14 MB
         sim = rotating_runner()
-        bs = 1e-3 / (sim.gamma * sim.tau)
+        bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
         peaks = []
         for n_groups in (20, 200):
             freqs = np.linspace(0.1, 3.3, n_groups) * sim.omega
@@ -493,7 +493,7 @@ class TestPooledBode:
             monkeypatch.setattr(response, "_SWEEP_FREQUENCIES", per_call)
         sim = rotating_runner(alpha=math.radians(alpha_deg))
         grid = np.linspace(0.0, 3.3 * sim.omega, 17)
-        amp = 1e-3 / (sim.gamma * sim.tau)
+        amp = 1e-3 / (labframe.GAMMA_E * sim.tau)
         series = bode_response(sim, grid, amp)
         gains, flags = per_frequency_bode(sim, grid, amp)
         assert series.gains.tolist() == gains.tolist()
@@ -511,7 +511,7 @@ class TestPooledBode:
             grid = np.linspace(0.0, 3.3 * sim.omega, n)
             tracemalloc.start()
             try:
-                bode_response(sim, grid, 1e-3 / (sim.gamma * sim.tau))
+                bode_response(sim, grid, 1e-3 / (labframe.GAMMA_E * sim.tau))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -535,7 +535,7 @@ def kernel_probes(sim, n):
     """The Gaussian probes :func:`estimate_kernel` steps over ``n`` delays, as the CLI's ``kernel``."""
     alpha = 0.5 * sim.omega * sim.tau
     fwhm = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
-    amp = 1e-3 / (sim.gamma * fwhm * math.sqrt(math.pi / (4 * math.log(2))))
+    amp = 1e-3 / (labframe.GAMMA_E * fwhm * math.sqrt(math.pi / (4 * math.log(2))))
     return [Stimulus.gaussian(amp, sim.tau / 2 + t, fwhm)
             for t in np.linspace(-0.55, 0.55, n) * sim.tau]
 
@@ -554,20 +554,20 @@ class TestAdjointKernel:
         probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
         grid = np.linspace(-0.55, 0.55, 9) * sim.tau
         est = estimate_kernel(sim, probe, grid)
-        amp = 1e-3 / (sim.gamma * probe * math.sqrt(math.pi / (4 * math.log(2))))
+        amp = 1e-3 / (labframe.GAMMA_E * probe * math.sqrt(math.pi / (4 * math.log(2))))
         stims = [Stimulus.gaussian(sign * amp, sim.tau / 2 + t, probe)
                  for sign in (1.0, -1.0) for t in grid]
         p = labframe.run_protocol_batch(sim.model, stims, sim.protocol)
-        central = (p[:len(grid)] - p[len(grid):]) / 2 / (sim.gamma * stims[0].area())
+        central = (p[:len(grid)] - p[len(grid):]) / 2 / (labframe.GAMMA_E * stims[0].area())
         peak = np.max(np.abs(central))
         assert np.max(np.abs(est.values - central)) <= 1e-6 * peak
         # the normalization is measured with a one-sided DC stimulus; its
         # second-order term is up to 3e-5 of it on these cases
-        amp_dc = 1e-3 / (sim.gamma * sim.tau)
+        amp_dc = 1e-3 / (labframe.GAMMA_E * sim.tau)
         p_dc = labframe.run_protocol_batch(
             sim.model, [Stimulus.constant(amp_dc), Stimulus.constant(-amp_dc)], sim.protocol)
         shape_area = 2 * (1 - math.cos(alpha)) / sim.omega
-        norm = (p_dc[0] - p_dc[1]) / 2 / (sim.gamma * amp_dc * shape_area)
+        norm = (p_dc[0] - p_dc[1]) / 2 / (labframe.GAMMA_E * amp_dc * shape_area)
         assert est.normalization == pytest.approx(norm, rel=1e-4)
 
     def test_memory_does_not_grow_with_probe_count(self):

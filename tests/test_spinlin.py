@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from qslsense import spinlin
-from qslsense.spinlin import (
-    ContractViolation,
-    expectation,
-    overlap_probability,
-    spin_operators,
-)
+from qslsense.spinlin import SX, SY, SZ, ContractViolation, expectation, overlap_probability
 
 import oracles
 # spinlin's closed form for 2x2 generators, an eigendecomposition for 3x3
@@ -36,33 +31,36 @@ def random_hermitian(rng, dim):
     return m + m.conj().T
 
 
+# the spin-1/2 constants of the package and the spin-1 matrices of the tests' oracles
+_OPS = {"half": (SX, SY, SZ), "one": (oracles.SX1, oracles.SY1, oracles.SZ1)}
+
+
 class TestSpinOperators:
     def test_sz_half(self):
-        _, _, sz = spin_operators("half")
-        assert np.allclose(sz, np.diag([0.5, -0.5]))
+        assert np.allclose(SZ, np.diag([0.5, -0.5]))
 
     def test_sz_one(self):
-        _, _, sz = spin_operators("one")
-        assert np.allclose(sz, np.diag([1.0, 0.0, -1.0]))
+        assert np.allclose(oracles.SZ1, np.diag([1.0, 0.0, -1.0]))
 
     def test_casimir_half(self):
-        sx, sy, sz = spin_operators("half")
-        assert np.allclose(sx @ sx + sy @ sy + sz @ sz, 0.75 * np.eye(2))
+        assert np.allclose(SX @ SX + SY @ SY + SZ @ SZ, 0.75 * np.eye(2))
 
     def test_casimir_one(self):
-        sx, sy, sz = spin_operators("one")
+        sx, sy, sz = _OPS["one"]
         assert np.allclose(sx @ sx + sy @ sy + sz @ sz, 2.0 * np.eye(3))
 
     @pytest.mark.parametrize("spin", ["half", "one"])
     def test_commutators(self, spin):
-        ops = spin_operators(spin)
+        ops = _OPS[spin]
         for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
             comm = ops[i] @ ops[j] - ops[j] @ ops[i]
             assert np.max(np.abs(comm - 1j * ops[k])) <= 1e-12
 
-    def test_unknown_spin(self):
-        with pytest.raises(ValueError):
-            spin_operators("three-halves")
+    def test_constants_are_read_only(self):
+        for op in (SX, SY, SZ):
+            with pytest.raises(ValueError):
+                op *= 2.0
+        assert SZ[0, 0] == 0.5
 
 
 class TestMatexp:
@@ -73,9 +71,8 @@ class TestMatexp:
             assert np.allclose(matexp_antihermitian(h, 0.0), np.eye(dim))
 
     def test_pi_rotation_about_y(self):
-        _, sy, _ = spin_operators("half")
         omega = 2 * np.pi * 5e6
-        u = matexp_antihermitian(omega * sy, np.pi / omega)
+        u = matexp_antihermitian(omega * SY, np.pi / omega)
         psi = u @ np.array([1.0, 0.0], dtype=complex)
         assert abs(psi[0]) < 1e-12
         assert abs(abs(psi[1]) - 1.0) < 1e-12
@@ -159,22 +156,19 @@ class TestSu2Propagator:
 
 class TestExpectation:
     def test_sz_eigenstate(self):
-        _, _, sz = spin_operators("half")
-        assert expectation(sz, np.array([1, 0], dtype=complex)) == pytest.approx(0.5)
+        assert expectation(SZ, np.array([1, 0], dtype=complex)) == pytest.approx(0.5)
 
     def test_sy_on_basis_state(self):
-        _, sy, _ = spin_operators("half")
-        assert expectation(sy, np.array([1, 0], dtype=complex)) == pytest.approx(0.0, abs=1e-15)
+        assert expectation(SY, np.array([1, 0], dtype=complex)) == pytest.approx(0.0, abs=1e-15)
 
     def test_sz_squared_spin1(self):
-        _, _, sz = spin_operators("one")
+        sz = oracles.SZ1
         psi = np.array([1, 0, 1], dtype=complex) / np.sqrt(2)
         assert expectation(sz @ sz, psi) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
-        _, _, sz = spin_operators("one")
         with pytest.raises(ContractViolation):
-            expectation(sz, np.array([1, 0], dtype=complex))
+            expectation(oracles.SZ1, np.array([1, 0], dtype=complex))
 
 
 class TestOverlap:

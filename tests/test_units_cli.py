@@ -351,7 +351,17 @@ class TestExitCodes:
           "--max-freq", "1000THz"], 2500000000, "stimulus_frequency"),
         (["bode", "--rabi", "10MHz", "--alpha", "90deg", "--max-freq", "1000THz"],
          151515152, "stimulus_frequency"),
-    ], ids=["lab-kernel-1kHz", "lab-bode-1000THz", "rotating-bode-1000THz"])
+        # a step count beyond a float's range is refused, not rounded
+        (["bode", "--rabi", "10MHz", "--tau", "1e300s", "--points", "3"], "inf", "rabi"),
+        (["bode", "--backend", "lab", "--rabi", "10MHz", "--tau", "1e300s", "--points", "3"],
+         "inf", "carrier"),
+        # past 10^15 steps the count is printed to 3 digits
+        (["bode", "--rabi", "10MHz", "--tau", "1e290s", "--points", "3"], "1e+299", "rabi"),
+        (["bode", "--backend", "lab", "--rabi", "10MHz", "--tau", "1e290s", "--points", "3"],
+         "3.87e+301", "carrier"),
+    ], ids=["lab-kernel-1kHz", "lab-bode-1000THz", "rotating-bode-1000THz",
+            "rotating-bode-1e300s", "lab-bode-1e300s", "rotating-bode-1e290s",
+            "lab-bode-1e290s"])
     def test_runs_beyond_the_step_limit_exit_2_before_stepping(self, tmp_path, capsys,
                                                               monkeypatch, argv, steps, scale):
         # the refusal comes before the adjoint, the DC pair or any SU(2) factor is built
@@ -367,6 +377,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"a run of {steps} steps" in err
         assert f"binding frequency scale '{scale}'" in err
+        assert len(err) < 200
 
     def test_default_lab_commands_stay_far_below_the_step_limit(self, tmp_path, monkeypatch):
         # the lab_kernel workload's 10 ns kernel takes 3870 steps, the
