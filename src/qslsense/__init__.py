@@ -37,7 +37,6 @@ from .optimize import (
 )
 from .response import (
     BodeSeries,
-    FitError,
     KernelEstimate,
     LabFrameRunner,
     RotatingFrameRunner,

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import analytic, labframe, optimize, response, sequence, spinlin
 from .analytic import NumericError
-from .response import FitError
 from .units import ConfigError, parse_quantity
 
 TWO_PI = 2.0 * math.pi
@@ -529,7 +528,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, FitError, ArithmeticError) as exc:
+    except (NumericError, ArithmeticError) as exc:
         # parse_config raises only ConfigError, so config is set here
         print(f"numeric failure in {config.describe()}: {exc}", file=sys.stderr)
         return 3

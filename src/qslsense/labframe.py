@@ -37,9 +37,8 @@ rounding over arbitrarily long products.  In the frame rotating with Delta
 the split is the midpoint rule, so its leading error comes from the fast
 counter-rotating part of the drive: strongly driven models (a Rabi rate
 that is a sizeable fraction of the carrier) carry more of it than weakly
-driven ones.  The default step is 1/(100 f_max) where f_max is the largest
-cycle-frequency scale in the problem; steps coarser than 1/(50 f_max) are
-rejected.
+driven ones.  The step is 1/(100 f_max) where f_max is the largest
+cycle-frequency scale in the problem (:func:`default_timestep`).
 
 Steps are not applied one at a time.  For a block of up to 1024 steps,
 each step's 3x3 unitary ``P R(theta) P`` (``P = exp(-i Delta h/2)``) is
@@ -212,8 +211,12 @@ def stimulus_field(stims):
         # fwhm**2 stays a Python float power: pow(x, 2) and x*x differ in
         # the last bit for about one value in 1200; a tuple per row, not a
         # list, as fig3b gathers 616 rows at once
-        params = np.array([(stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
-                            stims[k].frequency, stims[k].phase) for k in rows])
+        try:
+            params = np.array([(stims[k].amplitude, stims[k].center, stims[k].fwhm**2,
+                                stims[k].frequency, stims[k].phase) for k in rows])
+        except OverflowError:
+            fwhm = max(stims[k].fwhm for k in rows)
+            raise OverflowError(f"Gaussian fwhm {fwhm:.3e} s overflows when squared") from None
         groups.append((kind, np.array(rows), *params.T[:, :, None]))  # (rows, 1) columns
 
     def field(t) -> np.ndarray:
@@ -311,28 +314,16 @@ def frequency_scales(model: NvModel, stim: Stimulus | None = None) -> dict[str, 
 
 def default_timestep(model: NvModel, stim: Stimulus | None = None,
                      factor: float = 100.0) -> float:
-    """Step 1/(factor * f_max) from the largest frequency scale in the problem."""
-    fmax = max(frequency_scales(model, stim).values())
-    if fmax <= 0:
-        raise ConfigError("model has no nonzero frequency scale to set a step from")
-    return 1.0 / (factor * fmax)
+    """Step 1/(factor * f_max) from the largest frequency scale in the problem.
 
-
-def _check_timestep(model: NvModel, stim: Stimulus | None, dt: float) -> None:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be a finite step > 0 s, got {dt}")
-    scales = frequency_scales(model, stim)
-    name = max(scales, key=scales.get)
-    fmax = scales[name]
-    if fmax > 0 and dt > 1.0 / (50.0 * fmax):
-        raise ConfigError(
-            f"dt = {dt:.3e} s is too coarse: binding frequency scale '{name}' at "
-            f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
+    f_max is at least the carrier, > 0; if ``factor * f_max`` overflows, the step is 0.
+    """
+    return 1.0 / (factor * max(frequency_scales(model, stim).values()))
 
 
 def step_count(span: float, dt: float):
     """``ceil(span / dt)``, or past 10^15 steps the unrounded quotient, which may be inf."""
-    n = span / dt
+    n = span / dt if dt > 0 else math.inf
     return math.ceil(n) if n <= 1e15 else n
 
 
@@ -344,17 +335,9 @@ def too_many_steps(steps, dt: float, scales: dict[str, float]) -> ConfigError:
                        f"binding frequency scale '{name}' at {scales[name]:.3e} Hz")
 
 
-def _batch_timestep(model: NvModel, stims, dt: float | None) -> float:
-    """``dt``, or by default the finest default step of the batch, checked for every stimulus.
-
-    An empty batch is checked as one run without a stimulus.
-    """
-    stims = list(stims) or [None]
-    if dt is None:
-        dt = min(default_timestep(model, s) for s in stims)
-    for s in stims:
-        _check_timestep(model, s, dt)
-    return dt
+def _batch_timestep(model: NvModel, stims) -> float:
+    """The finest default step of the batch, or of one run without a stimulus if it is empty."""
+    return min(default_timestep(model, s) for s in list(stims) or [None])
 
 
 def _spans(protocol: Protocol, t0: float, t1: float):
@@ -551,14 +534,14 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     return out
 
 
-def run_protocol_batch(model: NvModel, stims, protocol: Protocol,
-                       dt: float | None = None) -> np.ndarray:
+def run_protocol_batch(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     """Run one protocol for several stimuli at once; returns one probability per stimulus.
 
     Each entry of ``stims`` may be a Stimulus or None (reference run).  Runs
-    are independent and results identical to serial single runs.
+    are independent and results identical to serial single runs.  Every run
+    steps with the batch's finest default step (:func:`default_timestep`).
     """
-    dt = _batch_timestep(model, stims, dt)
+    dt = _batch_timestep(model, stims)
     psi0 = basis_state(protocol.prep)
     psis = np.tile(psi0, (len(stims), 1))
     psis = _evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
@@ -580,8 +563,9 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     where ``dU_n`` differentiates the Strang step in both places the field
     enters: the ``cos chi`` part in Delta and the ``sin chi`` part in theta.
     A stimulus's response is ``sum_n G_n b(t_n)`` on the plain grid of
-    :func:`_blocks` at ``run_protocol_batch``'s default ``dt`` for the same
-    stimuli, the grid it steps every stimulus on but a constant one.
+    :func:`_blocks` at the batch's finest default step, the only step either
+    this or :func:`run_protocol_batch` takes for the same stimuli; the latter
+    steps every stimulus but a constant one on that grid.
 
     G and the step times take 16 B per step (62 kB for the 3870 steps of a
     10 ns lab kernel) for any stimulus count.  The sinusoids of a frequency
@@ -593,7 +577,7 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     """
     if len(stims) == 0:
         return np.empty(0)
-    dt = _batch_timestep(model, stims, None)
+    dt = _batch_timestep(model, stims)
     steps = sum(step_count(b - a, dt) for a, b, *_ in _spans(protocol, 0.0, protocol.duration))
     if steps > MAX_RUN_STEPS:
         binding = min(stims, key=lambda s: default_timestep(model, s))

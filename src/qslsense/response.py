@@ -73,10 +73,6 @@ def _group_bounds(n_runs: int, sizes) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-class FitError(RuntimeError):
-    """Least-squares fit is degenerate or invalid."""
-
-
 @dataclass
 class KernelEstimate:
     """Sampled kernel: times (s, relative to the sequence center) and raw values.
@@ -283,7 +279,7 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
     spanning at least one period.  The design is judged by its 2x2 normal
     matrix ``[[ss, sc], [sc, cc]]`` on a scale-free basis: when
     ``det <= 1e-12 * (ss + cc)**2`` (all samples at the same drive phase,
-    say) it is rank-deficient and :class:`FitError` is raised.
+    say) it is rank-deficient and :class:`~qslsense.analytic.NumericError` is raised.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -304,7 +300,7 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
     det = ss * cc - sc * sc
     # relative to the trace, so a rounding-noise ss (or cc) cannot pass
     if det <= 1e-12 * (ss + cc) ** 2:
-        raise FitError("degenerate design: samples do not separate sine and cosine")
+        raise NumericError("degenerate design: samples do not separate sine and cosine")
     sy, cy = s @ y, c @ y
     a = (cc * sy - sc * cy) / det
     b = (ss * cy - sc * sy) / det

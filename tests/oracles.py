@@ -2,10 +2,11 @@
 
 Independent oracles for the package's integrators and kernels: the spin-1
 matrices, the lab-frame Hamiltonian and its exponential by
-eigendecomposition, the SU(2) step as complex expressions, a sampled
-population trace, the closed-form kernel shape, the two-segment sequence at
-any timeshare and phase jump, the finite-pulse Ramsey sequence, the
-sample-based kernel metrics and a reader for the CSVs the CLI writes.
+eigendecomposition, the SU(2) step as complex expressions, the lab protocol
+run at a chosen step, a sampled population trace, the closed-form kernel
+shape, the two-segment sequence at any timeshare and phase jump, the
+finite-pulse Ramsey sequence, the sample-based kernel metrics and a reader
+for the CSVs the CLI writes.
 """
 
 from __future__ import annotations
@@ -68,16 +69,21 @@ def hamiltonian_at(model: NvModel, stim: Stimulus | None, pulse_on: bool,
     return h.astype(complex)
 
 
+def run_at(model: NvModel, stims, protocol: Protocol, dt: float) -> np.ndarray:
+    """:func:`qslsense.labframe.run_protocol_batch` stepped with ``dt``, not its default step."""
+    psis = np.tile(labframe.basis_state(protocol.prep), (len(stims), 1))
+    psis = labframe._evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
+    return 1.0 - np.abs(psis[:, labframe._BASIS_INDEX[protocol.prep]]) ** 2
+
+
 def simulate_trace(model: NvModel, stim: Stimulus | None, protocol: Protocol,
-                   dt: float | None = None, n_samples: int = 200):
-    """Populations and <Sz> sampled along one protocol run.
+                   n_samples: int = 200):
+    """Populations and <Sz> sampled along one protocol run at its default step.
 
     Returns ``(t, populations, sz)`` with populations of shape (n, 3) in
     basis order (ms-1, ms0, ms+1).
     """
-    if dt is None:
-        dt = labframe.default_timestep(model, stim)
-    labframe._check_timestep(model, stim, dt)
+    dt = labframe.default_timestep(model, stim)
     times = np.linspace(0.0, protocol.duration, n_samples)
     psi = labframe.basis_state(protocol.prep)
     pops = np.empty((n_samples, 3))

@@ -16,9 +16,8 @@ from qslsense.labframe import (
     default_timestep,
     run_protocol_batch,
 )
-from qslsense.units import ConfigError
 
-from oracles import SX1, SZ1, hamiltonian_at, matexp_antihermitian, simulate_trace
+from oracles import SX1, SZ1, hamiltonian_at, matexp_antihermitian, run_at, simulate_trace
 
 TWO_PI = 2 * math.pi
 
@@ -204,12 +203,6 @@ class TestEvolve:
                          default_timestep(m), basis_state("ms0"))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
-    def test_coarse_step_rejected_with_binding_scale(self):
-        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(math.pi / m.rabi)
-        with pytest.raises(ConfigError, match="carrier"):
-            run_protocol_batch(m, [None], protocol, dt=1e-9)
-
     def test_trimmed_scales_keep_every_step_and_binding_name(self):
         # the carrier D + ge B0 (B0 >= 0) bounds the zero-field splitting D and
         # the Zeeman shift ge B0, and is listed first, so neither of those two
@@ -236,12 +229,11 @@ class TestEvolve:
             former = former_scales(m, stim)
             assert default_timestep(m, stim) == 1.0 / (100.0 * max(former.values()))
             name = max(former, key=former.get)
-            fmax, dt = former[name], 1.0
-            with pytest.raises(ConfigError) as err:
-                labframe._check_timestep(m, stim, dt)
-            assert str(err.value) == (
-                f"dt = {dt:.3e} s is too coarse: binding frequency scale '{name}' at "
-                f"{fmax:.3e} Hz requires dt <= {1.0 / (50.0 * fmax):.3e} s")
+            fmax, dt = former[name], default_timestep(m, stim)
+            err = labframe.too_many_steps(10**7, dt, labframe.frequency_scales(m, stim))
+            assert str(err) == (
+                f"a run of 10000000 steps of {dt:.3e} s is more than {labframe.MAX_RUN_STEPS}: "
+                f"binding frequency scale '{name}' at {fmax:.3e} Hz")
             named.add(name)
         assert named == {"carrier", "drive_field", "stimulus_field", "stimulus_frequency",
                          "stimulus_bandwidth"}
@@ -252,7 +244,7 @@ class TestEvolve:
         protocol = bipartite_protocol(math.pi / om)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2)))
         dt0 = default_timestep(m, stim)
-        p = [run_protocol_batch(m, [stim], protocol, dt=dt0 / f)[0] for f in (1, 2, 4, 8)]
+        p = [run_at(m, [stim], protocol, dt0 / f)[0] for f in (1, 2, 4, 8)]
         d1, d2, d3 = abs(p[0] - p[1]), abs(p[1] - p[2]), abs(p[2] - p[3])
         assert d3 < 1e-6          # halving dt changes populations below 1e-6
         assert 2.5 < d1 / d2 < 6.0  # second-order decay of the step error
@@ -267,7 +259,7 @@ class TestEvolve:
         protocol = bipartite_protocol(math.pi / om)
         stim = Stimulus.sinusoid(m.b1 / (10 * math.sqrt(2)), om)
         dt0 = default_timestep(m, stim)
-        p = [run_protocol_batch(m, [stim], protocol, dt=dt0 / f)[0] for f in (1, 2, 4, 8)]
+        p = [run_at(m, [stim], protocol, dt0 / f)[0] for f in (1, 2, 4, 8)]
         d1, d2, d3 = abs(p[0] - p[1]), abs(p[1] - p[2]), abs(p[2] - p[3])
         assert d3 < 1e-6
         assert 2.5 < d1 / d2 < 6.0
@@ -408,8 +400,8 @@ class TestBlockStepper:
         stims = mixed_stimuli(m, tau, 11)
         assert len(stims) > 2 * labframe._CHUNK_RUNS
         dt = min(default_timestep(m, s) for s in stims)
-        batch = run_protocol_batch(m, stims, protocol, dt=dt)
-        singles = [run_protocol_batch(m, [s], protocol, dt=dt)[0] for s in stims]
+        batch = run_protocol_batch(m, stims, protocol)
+        singles = [run_at(m, [s], protocol, dt)[0] for s in stims]
         assert batch.tolist() == singles
 
     def test_powered_periods_match_per_step_loop(self):
@@ -464,7 +456,7 @@ class TestBlockStepper:
         protocol = bipartite_protocol(math.pi / m.rabi)
         stim = Stimulus.constant(m.b1 / (10 * math.sqrt(2))) if constant else None
         dt = default_timestep(m, stim)
-        p = run_protocol_batch(m, [stim], protocol, dt=dt)[0]
+        p = run_protocol_batch(m, [stim], protocol)[0]
         assert protocol.duration / 2 > 2 * TWO_PI / m.carrier
         assert abs(p - midpoint_exponential_probability(m, stim, protocol, dt / 4)) < 3e-5
 
@@ -490,7 +482,8 @@ class TestBlockStepper:
 
     def test_patched_default_timestep_sets_the_batch_step(self, monkeypatch):
         # perfbench/make_refs.py halves the lab step by patching the module's
-        # default_timestep, which run_protocol_batch looks up at call time
+        # default_timestep, the one step rule, which run_protocol_batch looks
+        # up at call time
         m = offaxis_model(45.0)
         protocol = bipartite_protocol(math.pi / m.rabi)
         stims = mixed_stimuli(m, protocol.duration, 4)
@@ -500,16 +493,8 @@ class TestBlockStepper:
                             lambda model, stim=None, factor=100.0:
                             default_timestep(model, stim, 2 * factor))
         patched = run_protocol_batch(m, stims, protocol)
-        assert patched.tolist() == run_protocol_batch(m, stims, protocol, dt=half).tolist()
+        assert patched.tolist() == run_at(m, stims, protocol, half).tolist()
         assert patched.tolist() != plain.tolist()
-
-    @pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf])
-    def test_step_must_be_finite_and_positive(self, dt):
-        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
-        protocol = bipartite_protocol(1e-8)
-        for stims in ([None], []):
-            with pytest.raises(ConfigError, match="dt"):
-                run_protocol_batch(m, stims, protocol, dt=dt)
 
 
 class TestRunProtocol:
@@ -558,9 +543,7 @@ class TestRunProtocol:
         m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
         protocol = bipartite_protocol(math.pi / m.rabi)
         bs = m.b1 / (10 * math.sqrt(2))
-        dt = default_timestep(m, Stimulus.constant(bs))
-        p = run_protocol_batch(
-            m, [Stimulus.constant(bs), Stimulus.constant(-bs), None], protocol, dt=dt)
+        p = run_protocol_batch(m, [Stimulus.constant(bs), Stimulus.constant(-bs), None], protocol)
         dp_plus, dp_minus = p[0] - p[2], p[1] - p[2]
         assert dp_plus * dp_minus < 0
         assert abs(dp_plus + dp_minus) <= 2e-3
@@ -571,8 +554,8 @@ class TestRunProtocol:
         bs = m.b1 / (10 * math.sqrt(2))
         stims = [Stimulus.constant(bs), Stimulus.constant(-bs), None]
         dt = default_timestep(m, stims[0])
-        batch = run_protocol_batch(m, stims, protocol, dt=dt)
-        singles = [run_protocol_batch(m, [s], protocol, dt=dt)[0] for s in stims]
+        batch = run_protocol_batch(m, stims, protocol)
+        singles = [run_at(m, [s], protocol, dt)[0] for s in stims]
         assert all(batch[i] == singles[i] for i in range(3))
 
 

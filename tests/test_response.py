@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,6 @@ from qslsense.analytic import NumericError
 from qslsense.labframe import Stimulus
 from qslsense.response import (
     BodeSeries,
-    FitError,
     KernelEstimate,
     LabFrameRunner,
     RotatingFrameRunner,
@@ -64,7 +64,7 @@ class TestSineFit:
     def test_degenerate_design(self):
         w = 1.0
         t = np.arange(8) * TWO_PI / w  # all samples at the same drive phase
-        with pytest.raises(FitError):
+        with pytest.raises(NumericError):
             fit_sine_amplitude(np.column_stack([t, np.ones_like(t)]), w)
 
 
@@ -570,6 +570,27 @@ class TestAdjointKernel:
         norm = (p_dc[0] - p_dc[1]) / 2 / (labframe.GAMMA_E * amp_dc * shape_area)
         assert est.normalization == pytest.approx(norm, rel=1e-4)
 
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_patched_step_reaches_both_entry_points(self, monkeypatch, chi_deg):
+        # perfbench/make_refs.py halves the lab step by patching
+        # default_timestep; the adjoint must follow run_protocol_batch onto
+        # that grid (2e-7 of the peak apart), while the response on the
+        # default grid is 2e-6 of the peak away from it
+        sim = cli_lab_runner(90.0, chi_deg)
+        probes = kernel_probes(sim, 9)
+        plain = labframe.linear_response(sim.model, probes, sim.protocol)
+        default_timestep = labframe.default_timestep
+        monkeypatch.setattr(labframe, "default_timestep",
+                            lambda model, stim=None, factor=100.0:
+                            default_timestep(model, stim, 2 * factor))
+        minus = [dataclasses.replace(s, amplitude=-s.amplitude) for s in probes]
+        p = labframe.run_protocol_batch(sim.model, probes + minus, sim.protocol)
+        central = (p[:len(probes)] - p[len(probes):]) / 2
+        peak = np.max(np.abs(central))
+        got = labframe.linear_response(sim.model, probes, sim.protocol)
+        assert np.max(np.abs(got - central)) <= 1e-6 * peak
+        assert np.max(np.abs(plain - central)) > 1e-6 * peak
+
     def test_memory_does_not_grow_with_probe_count(self):
         sim = cli_lab_runner(30.0, tau=2e-9)
         probe = analytic.time_resolution_fwhm(sim.tau, math.radians(30.0)) / 12
@@ -591,7 +612,7 @@ class TestAdjointKernel:
         # every probe at every step is the reference
         sim = cli_lab_runner(alpha_deg, chi_deg)
         probes = kernel_probes(sim, 121)
-        dt = labframe._batch_timestep(sim.model, probes, None)
+        dt = labframe._batch_timestep(sim.model, probes)
         t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
         full = labframe.stimulus_field(probes)(t) @ g
         got = labframe.linear_response(sim.model, probes, sim.protocol)
@@ -600,7 +621,7 @@ class TestAdjointKernel:
     def test_probes_are_evaluated_only_near_their_centres(self, monkeypatch):
         sim = cli_lab_runner(30.0, tau=2e-9)
         probes = kernel_probes(sim, 2000)
-        dt = labframe._batch_timestep(sim.model, probes, None)
+        dt = labframe._batch_timestep(sim.model, probes)
         steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
         window = math.ceil(12 * probes[0].fwhm / dt) + 1  # steps within 6 FWHM of a centre
         entries = []
@@ -639,7 +660,7 @@ class TestStepLimit:
     def test_lab_response_at_and_over_the_limit(self, monkeypatch):
         sim = cli_lab_runner(90.0)
         probes = kernel_probes(sim, 5)
-        dt = labframe._batch_timestep(sim.model, probes, None)
+        dt = labframe._batch_timestep(sim.model, probes)
         steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
         assert steps == 3870
         monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps)
@@ -709,7 +730,7 @@ class TestLabBode:
         stims = [Stimulus.sinusoid(amp, w, phase=-w * d)
                  for w in grid for d in np.arange(10) / 10 * TWO_PI / w]
         stims += [Stimulus.constant(amp), None, Stimulus.sinusoid(amp, 0.0, phase=0.3)]
-        dt = labframe._batch_timestep(sim.model, stims, None)
+        dt = labframe._batch_timestep(sim.model, stims)
         t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
         full = np.array([labframe.stimulus_field([s])(t)[0] @ g for s in stims])
         got = labframe.linear_response(sim.model, stims, sim.protocol)

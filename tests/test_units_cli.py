@@ -134,6 +134,20 @@ class TestCliCommands:
         assert header == ["omega_rad_s", "gain_norm", "chi_rad"]
         assert float(rows[0][1]) == 1.0
 
+    @pytest.mark.parametrize("rabi", ["1e-160Hz", "1e-200Hz", "1e-250Hz"])
+    def test_bode_gains_hold_at_tiny_rabi_rates(self, tmp_path, rabi):
+        # the rotating gain depends only on w/Om; the rates' squares go
+        # subnormal below about 1e-154 rad/s, which moved the middle gain
+        # to 0.494944204842 at 1e-160 Hz and 0.49495445534 at 1e-200 Hz
+        gains = []
+        for r in ("1e-100Hz", rabi):
+            out = tmp_path / f"{r}.csv"
+            assert main(["bode", "--rabi", r, "--alpha", "90deg", "--points", "3",
+                         "--out", str(out)]) == 0
+            gains.append([float(row[1]) for row in read_csv(out)[1]])
+        assert gains[1][1] == gains[0][1] == 0.494946148962
+        assert gains[1][2] == pytest.approx(gains[0][2], rel=3e-12)
+
     def test_fig3d_emits_surface_and_ridge(self, tmp_path):
         out = tmp_path / "f3d.csv"
         assert main(["fig3d", "--rabi", "10MHz", "--omega-points", "5",
@@ -334,15 +348,19 @@ class TestExitCodes:
         # 0.5 * Om * (2 alpha / Om) lands one ulp above pi/2 at this rate
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
-    @pytest.mark.parametrize("argv, named", [
-        (["qsl", "--rabi=4.27e153Hz"], "qsl (--rabi=4.27e153Hz)"),
+    @pytest.mark.parametrize("argv, named, says", [
+        (["qsl", "--rabi=4.27e153Hz"], "qsl (--rabi=4.27e153Hz)", ""),
         (["metrics", "--rabi=1Hz", "--alpha=2.3e-250deg"],
-         "metrics (--rabi=1Hz --alpha=2.3e-250deg)"),
-        (["optimal", "--rabi=4.7e-179Hz"], "optimal (--rabi=4.7e-179Hz)"),
+         "metrics (--rabi=1Hz --alpha=2.3e-250deg)", ""),
+        (["optimal", "--rabi=4.7e-179Hz"], "optimal (--rabi=4.7e-179Hz)", ""),
+        # the probe's fwhm squared overflows; the message names that quantity
+        (["kernel", "--rabi=1e-300Hz", "--alpha=90deg", "--points=5"],
+         "kernel (--rabi=1e-300Hz --alpha=90deg --points=5)",
+         "Gaussian fwhm 2.778e+298 s overflows when squared"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-    def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named):
+    def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named, says):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
-        assert f"numeric failure in {named}: " in capsys.readouterr().err
+        assert f"numeric failure in {named}: {says}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, steps, scale", [
         (["kernel", "--backend", "lab", "--rabi", "1kHz", "--alpha", "90deg"],
@@ -359,9 +377,14 @@ class TestExitCodes:
         (["bode", "--rabi", "10MHz", "--tau", "1e290s", "--points", "3"], "1e+299", "rabi"),
         (["bode", "--backend", "lab", "--rabi", "10MHz", "--tau", "1e290s", "--points", "3"],
          "3.87e+301", "carrier"),
+        # a step of 1/(100 f_max) that underflows to 0 takes inf steps
+        (["kernel", "--rabi", "1e306Hz", "--alpha", "90deg", "--points", "3"],
+         "inf", "stimulus_bandwidth"),
+        (["kernel", "--backend", "lab", "--rabi", "1e306Hz", "--alpha", "90deg", "--points", "3"],
+         "inf", "stimulus_bandwidth"),
     ], ids=["lab-kernel-1kHz", "lab-bode-1000THz", "rotating-bode-1000THz",
             "rotating-bode-1e300s", "lab-bode-1e300s", "rotating-bode-1e290s",
-            "lab-bode-1e290s"])
+            "lab-bode-1e290s", "rotating-kernel-1e306Hz", "lab-kernel-1e306Hz"])
     def test_runs_beyond_the_step_limit_exit_2_before_stepping(self, tmp_path, capsys,
                                                               monkeypatch, argv, steps, scale):
         # the refusal comes before the adjoint, the DC pair or any SU(2) factor is built
