@@ -82,7 +82,7 @@ class Params:
         if name not in self.values:
             if default is None:
                 raise ConfigError(f"missing required parameter --{name}")
-            return default
+            return default() if callable(default) else default  # a callable is a lazy default
         raw, kind = self.values[name], FLAGS[name][0]
         if kind == "text":
             return str(raw)
@@ -162,6 +162,13 @@ def _kernel_probes(tau: float, alpha: float, n: int):
     return analytic.time_resolution_fwhm(tau, alpha) / 12.0, np.linspace(-0.55 * tau, 0.55 * tau, n)
 
 
+def _rabi_multiple(omega: float, factor: float, what: str) -> float:
+    """``factor * omega``, a grid end derived from --rabi, refused when it overflows."""
+    if factor * omega == math.inf:
+        raise ConfigError(f"--rabi {omega:.3e} rad/s: {factor:g} x --rabi, {what}, overflows")
+    return factor * omega
+
+
 def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
     """Bode gains on n frequencies over [0, wmax] at a stimulus phase of 1e-3 rad."""
     return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (labframe.GAMMA_E * tau))
@@ -179,7 +186,7 @@ def cmd_kernel(params: Params, out: str) -> list[str]:
 def cmd_bode(params: Params, out: str) -> list[str]:
     omega, tau, alpha = resolve_pulse(params)
     n = params.get("points", 34)
-    wmax = params.get("max-freq", 3.3 * omega)
+    wmax = params.get("max-freq", lambda: _rabi_multiple(omega, 3.3, "the default --max-freq"))
     series = _bode(_make_runner(params, omega, tau), tau, wmax, n)
     write_csv(out, ["omega_rad_s", "gain_norm", "chi_rad"],
               [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])
@@ -222,11 +229,12 @@ def cmd_fig3b(params: Params, out: str) -> list[str]:
 def cmd_fig3c(params: Params, out: str) -> list[str]:
     omega = params.get("rabi")
     n = params.get("points", 34)
+    wmax = _rabi_multiple(omega, 3.3, "the frequency grid's end")
     rows = []
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
         tau = 2.0 * alpha / omega
-        series = _bode(response.RotatingFrameRunner(omega, tau), tau, 3.3 * omega, n)
+        series = _bode(response.RotatingFrameRunner(omega, tau), tau, wmax, n)
         rows.extend((alpha, w, g) for w, g in zip(series.frequencies, series.gains))
     write_csv(out, ["alpha_rad", "omega_rad_s", "gain_norm"], rows)
     return [out]
@@ -239,7 +247,7 @@ def cmd_fig3d(params: Params, out: str) -> list[str]:
     if n_w * n_t > MAX_COUNT:
         raise ConfigError(f"--omega-points times --tau-points must be at most {MAX_COUNT}, "
                           f"got {n_w} x {n_t}")
-    wgrid = np.linspace(0.0, 4.0 * omega, n_w)
+    wgrid = np.linspace(0.0, _rabi_multiple(omega, 4.0, "the frequency grid's end"), n_w)
     tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
     surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
     # a generator: the surface has n_w * n_t rows
@@ -313,7 +321,7 @@ def cmd_optimal(params: Params, out: str) -> list[str]:
                               "give one signal frequency or a grid")
         grid = [params.get("signal-freq")]
     else:
-        wmax = params.get("max-freq", 4.0 * omega)
+        wmax = params.get("max-freq", lambda: _rabi_multiple(omega, 4.0, "the default --max-freq"))
         grid = np.linspace(0.0, wmax, params.get("points", 41))
     rows = []
     for w in grid:

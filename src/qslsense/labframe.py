@@ -58,8 +58,8 @@ own.
 
 :func:`linear_response` gives the exact first-order response of this
 discrete integrator to a stimulus, from one reference run and its adjoint
-on the same blocks, for any number of stimuli in 16 B per step and up to
-:data:`MAX_RUN_STEPS` steps.
+on the same blocks, for any number of stimuli in 16 B per step.  Both entry
+points refuse a run of over :data:`MAX_RUN_STEPS` built steps in :func:`_blocks`.
 
 Carrier phase convention: the second pulse window of the two-pulse protocol
 is carrier-phase-shifted by -pi/2, which reproduces the rotating-frame axis
@@ -85,7 +85,7 @@ D_NV_CYCLES = 2.87e9                   # Hz, cycle frequency
 GAMMA_E = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
 #: a Gaussian's area over amplitude * fwhm, sqrt(pi / (4 ln 2))
 GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))
-#: most steps one run of :func:`linear_response` (or a rotating-frame run) may take
+#: most steps a lab run may build (:func:`_blocks`) or a rotating-frame run may take
 MAX_RUN_STEPS = 10**6
 
 #: carrier phase of the second pulse window relative to the first
@@ -217,6 +217,9 @@ def stimulus_field(stims):
         except OverflowError:
             fwhm = max(stims[k].fwhm for k in rows)
             raise OverflowError(f"Gaussian fwhm {fwhm:.3e} s overflows when squared") from None
+        if kind == "gaussian" and not params[:, 2].all():  # a 0 would make the Gaussian 0/0
+            fwhm = min(stims[k].fwhm for k in rows)
+            raise FloatingPointError(f"Gaussian fwhm {fwhm:.3e} s underflows when squared")
         groups.append((kind, np.array(rows), *params.T[:, :, None]))  # (rows, 1) columns
 
     def field(t) -> np.ndarray:
@@ -431,35 +434,33 @@ def _bit_reversal(size: int) -> np.ndarray:
     return perm
 
 
-def _blocks(protocol: Protocol, t0: float, t1: float, dt: float, period: float = math.inf):
+def _blocks(model: NvModel, stims, protocol: Protocol, t0: float, t1: float, dt: float,
+            period: float = math.inf):
     """The step blocks of [t0, t1] as (a, h, pulse_on, phase, first, stop, power) tuples.
 
-    [t0, t1] is cut at window edges (:func:`_spans`) and each span [a, b]
-    into ``n = ceil((b - a)/dt)`` equal steps of size ``h = (b - a)/n``; a
-    block is up to :data:`_BLOCK_STEPS` consecutive steps ``first .. stop-1``
-    of one span, with midpoints ``a + (i + 1/2) h``, applied once
-    (``power`` 1).  A driven span of at least two carrier periods ``period``
-    whose period of ``k = ceil(period/dt)`` steps fits in one block
-    (``k <= _BLOCK_STEPS``) starts with one period of k steps of
-    ``h = period/k``, one block applied ``power = floor((b - a)/period)``
-    times; the rest of the span is stepped as above.
+    Each span [a, b] of [t0, t1] (:func:`_spans`) is ``n = step_count(b - a, dt)``
+    steps of ``h = (b - a)/n``, in blocks of up to :data:`_BLOCK_STEPS` steps
+    ``first .. stop-1`` (midpoints ``a + (i + 1/2) h``) applied once.  A driven
+    span of two or more carrier periods ``period`` whose ``step_count(period, dt)``
+    steps fit in one block is one period's block applied ``floor((b - a)/period)``
+    times, then the rest.  More than :data:`MAX_RUN_STEPS` steps to build (a powered
+    period counted once) are refused first; ConfigError names ``stims``' binding scale.
     """
-    out = []
+    pieces = []
     for a, b, on, phase in _spans(protocol, t0, t1):
-        pieces = [(a, b, 1)]
+        parts = [(a, b, 1)]
         # the period piece's own step count: (a + period) - a need not be period
-        if (on and b - a >= 2.0 * period
-                and math.ceil((a + period - a) / dt) <= _BLOCK_STEPS):
+        if on and b - a >= 2.0 * period and step_count(a + period - a, dt) <= _BLOCK_STEPS:
             reps = int((b - a) // period)
-            pieces = [(a, a + period, reps), (a + reps * period, b, 1)]
-        for a, b, power in pieces:
-            if b - a <= 0:
-                continue
-            n = max(1, int(math.ceil((b - a) / dt)))
-            h = (b - a) / n
-            out.extend((a, h, on, phase, i0, min(i0 + _BLOCK_STEPS, n), power)
-                       for i0 in range(0, n, _BLOCK_STEPS))
-    return out
+            parts = [(a, a + period, reps), (a + reps * period, b, 1)]
+        pieces.extend((a, b, on, phase, power, max(1, step_count(b - a, dt)))
+                      for a, b, power in parts if b - a > 0)
+    steps = sum(piece[-1] for piece in pieces)
+    if steps > MAX_RUN_STEPS:
+        binding = min(stims, key=lambda s: default_timestep(model, s), default=None)
+        raise too_many_steps(steps, dt, frequency_scales(model, binding))
+    return [(a, (b - a) / n, on, phase, i0, min(i0 + _BLOCK_STEPS, n), power)
+            for a, b, on, phase, power, n in pieces for i0 in range(0, n, _BLOCK_STEPS)]
 
 
 def _block_factors(model: NvModel, field, block):
@@ -509,25 +510,21 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
                   dt: float, psis: np.ndarray) -> np.ndarray:
     """Strang-split stepping of a batch of runs sharing the time grid, by block products.
 
-    ``stims`` is a sequence of Stimulus or None, one per row of ``psis``.
-    The steps, the carrier-period powers of the runs whose stimulus is None
-    or constant, and the block products are those of the module docstring
-    (:func:`_blocks`, :func:`_product_tree`).  The periodic runs and then
-    the others go through in chunks of :data:`_CHUNK_RUNS` runs, so memory
-    is bounded by one block of one chunk; every operation is elementwise
-    over runs, so a batched result has the same bits as the run alone.
+    ``stims`` holds a Stimulus or None per row of ``psis``.  The runs whose
+    stimulus is None or constant (powered carrier periods), then the others,
+    each group only if it holds a run, step on their own :func:`_blocks` in
+    chunks of :data:`_CHUNK_RUNS` runs, as the module docstring describes.
     """
-    psis = np.asarray(psis, dtype=complex)
-    out = psis.copy()
+    out = np.array(psis, dtype=complex)  # each row is read once, then overwritten
     periodic = [s is None or s.kind == "constant" for s in stims]
-    for flag in (True, False):
+    for flag in sorted(set(periodic), reverse=True):
         rows = [r for r, f in enumerate(periodic) if f == flag]
         period = TWO_PI / model.carrier if flag else math.inf
-        blocks = _blocks(protocol, t0, t1, dt, period)
+        blocks = _blocks(model, stims, protocol, t0, t1, dt, period)
         for r0 in range(0, len(rows), _CHUNK_RUNS):
             chunk = rows[r0:r0 + _CHUNK_RUNS]
             field = stimulus_field([stims[r] for r in chunk])
-            state = tuple(psis[chunk, k][None, :] for k in range(3))
+            state = tuple(out[chunk, k][None, :] for k in range(3))
             for top in _block_products(model, field, blocks):
                 state = _matvec(top, state)
             out[chunk] = np.concatenate(state).T
@@ -539,11 +536,11 @@ def run_protocol_batch(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
 
     Each entry of ``stims`` may be a Stimulus or None (reference run).  Runs
     are independent and results identical to serial single runs.  Every run
-    steps with the batch's finest default step (:func:`default_timestep`).
+    steps with the batch's finest default step (:func:`default_timestep`);
+    one of more than :data:`MAX_RUN_STEPS` steps is refused (:func:`_blocks`).
     """
     dt = _batch_timestep(model, stims)
-    psi0 = basis_state(protocol.prep)
-    psis = np.tile(psi0, (len(stims), 1))
+    psis = np.tile(basis_state(protocol.prep), (len(stims), 1))
     psis = _evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
     return 1.0 - np.abs(psis[:, _BASIS_INDEX[protocol.prep]]) ** 2
 
@@ -565,24 +562,19 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     A stimulus's response is ``sum_n G_n b(t_n)`` on the plain grid of
     :func:`_blocks` at the batch's finest default step, the only step either
     this or :func:`run_protocol_batch` takes for the same stimuli; the latter
-    steps every stimulus but a constant one on that grid.
+    steps every stimulus but a constant one on that grid.  Both are refused
+    past :data:`MAX_RUN_STEPS` steps by :func:`_blocks`, per step it builds.
 
     G and the step times take 16 B per step (62 kB for the 3870 steps of a
     10 ns lab kernel) for any stimulus count.  The sinusoids of a frequency
     w share ``sum G sin(w t)`` and ``sum G cos(w t)``.  The Gaussians go in
     chunks of consecutive ones (:data:`_CONTRACT_ENTRIES`), each summed over
     the span of steps that holds every step within 6 FWHM of a centre of
-    its chunk; beyond 6 FWHM a Gaussian is below 5e-44 of its peak.  More
-    than :data:`MAX_RUN_STEPS` steps raise ConfigError before any array is built.
+    its chunk; beyond 6 FWHM a Gaussian is below 5e-44 of its peak.
     """
     if len(stims) == 0:
         return np.empty(0)
-    dt = _batch_timestep(model, stims)
-    steps = sum(step_count(b - a, dt) for a, b, *_ in _spans(protocol, 0.0, protocol.duration))
-    if steps > MAX_RUN_STEPS:
-        binding = min(stims, key=lambda s: default_timestep(model, s))
-        raise too_many_steps(steps, dt, frequency_scales(model, binding))
-    t, g = _adjoint_kernel(model, protocol, dt)
+    t, g = _adjoint_kernel(model, stims, protocol, _batch_timestep(model, stims))
     out = np.zeros(len(stims))
     sums, rows, edges = {}, [], []
     for k, s in enumerate(stims):
@@ -605,15 +597,15 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     return out
 
 
-def _adjoint_kernel(model: NvModel, protocol: Protocol, dt: float):
+def _adjoint_kernel(model: NvModel, stims, protocol: Protocol, dt: float):
     """``(t, G)`` of :func:`linear_response`: the plain grid's step midpoints, increasing.
 
     The steps share :func:`_evolve_batch`'s blocks and product trees.  A
     forward pass keeps the state at each block start; a backward pass over
     the blocks rebuilds each tree and walks it down to the states before
-    and the adjoint states after every step.
+    and the adjoint states after every step; ``stims`` name a refusal's scale.
     """
-    blocks = _blocks(protocol, 0.0, protocol.duration, dt)
+    blocks = _blocks(model, stims, protocol, 0.0, protocol.duration, dt)
     no_field = stimulus_field([None])
     psi = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
     starts = []

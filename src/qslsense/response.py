@@ -385,10 +385,10 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
         raise ValueError("frequencies must be >= 0")
     gains = np.ones(len(omega_grid))
     flags = np.zeros(len(omega_grid), dtype=bool)
-    swept = np.flatnonzero(omega_grid)
-    # at least one call, which measures the DC pair
-    for c0 in range(0, max(len(swept), 1), _SWEEP_FREQUENCIES):
-        chunk = [(i, omega_grid[i], np.arange(10) / 10 * TWO_PI / omega_grid[i])
+    # Python floats, not numpy scalars: an overflowing step rule gives step 0
+    swept, grid = np.flatnonzero(omega_grid), omega_grid.tolist()
+    for c0 in range(0, max(len(swept), 1), _SWEEP_FREQUENCIES):  # at least one, for the DC pair
+        chunk = [(i, grid[i], (np.arange(10) / 10 * TWO_PI / grid[i]).tolist())
                  for i in swept[c0:c0 + _SWEEP_FREQUENCIES]]
         stims = [Stimulus.sinusoid(amplitude, w, phase=-w * d)
                  for _, w, delays in chunk for d in delays]

@@ -1,6 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +23,7 @@ from qslsense.labframe import (
     default_timestep,
     run_protocol_batch,
 )
+from qslsense.units import ConfigError
 
 from oracles import SX1, SZ1, hamiltonian_at, matexp_antihermitian, run_at, simulate_trace
 
@@ -416,7 +424,7 @@ class TestBlockStepper:
         psis = np.tile(np.array([1.0, 1j, -1.0]) / math.sqrt(3), (3, 1))
         got = labframe._evolve_batch(m, stims, protocol, 0.0, tau / 2, dt, psis)
         want = per_step_states(m, stims, protocol, 0.0, tau / 2, dt, psis)
-        powers = [b[-1] for b in labframe._blocks(protocol, 0.0, tau / 2, dt,
+        powers = [b[-1] for b in labframe._blocks(m, stims, protocol, 0.0, tau / 2, dt,
                                                   TWO_PI / m.carrier)]
         assert min(powers) == 1 and max(powers) == 152
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -433,7 +441,7 @@ class TestBlockStepper:
         got = labframe._evolve_batch(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
         want = per_step_states(m, stims, protocol, 0.0, 3.5 * period, dt, psis)
         assert math.ceil(period / dt) > 2 * labframe._BLOCK_STEPS
-        blocks = labframe._blocks(protocol, 0.0, 3.5 * period, dt, period)
+        blocks = labframe._blocks(m, stims, protocol, 0.0, 3.5 * period, dt, period)
         assert [b[-1] for b in blocks] == [1] * len(blocks)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -557,6 +565,77 @@ class TestRunProtocol:
         batch = run_protocol_batch(m, stims, protocol)
         singles = [run_at(m, [s], protocol, dt)[0] for s in stims]
         assert all(batch[i] == singles[i] for i in range(3))
+
+
+class TestRunStepLimit:
+    """Both lab entry points are bounded in labframe._blocks, by the steps it would build."""
+
+    # 10 MHz Rabi rate at 0.03 T: a 3.71 GHz carrier
+    MODEL = NvModel.resonant(TWO_PI * 10e6, 0.03)
+
+    def test_step_that_underflows_to_zero_is_refused(self):
+        # 1/fwhm overflows, so the default step is 0: refused, not divided by
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="a run of inf steps .* 'stimulus_bandwidth'"):
+            run_protocol_batch(self.MODEL, [Stimulus.gaussian(1e-3, 0.0, 1e-309)],
+                               bipartite_protocol(1e-7))
+        assert time.perf_counter() - start < 1.0
+
+    def test_too_many_steps_refused_before_any_is_built(self):
+        # about 1.6e164 steps; under a 1 GB address space a regression fails
+        # with MemoryError instead of exhausting the host
+        code = textwrap.dedent("""
+            import math, resource, time
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            from qslsense.labframe import NvModel, Stimulus, bipartite_protocol, run_protocol_batch
+            from qslsense.units import ConfigError
+            model = NvModel.resonant(2 * math.pi * 10e6, 0.03)
+            start = time.perf_counter()
+            try:
+                run_protocol_batch(model, [Stimulus.gaussian(1e-3, 0.0, 1e-170)],
+                                   bipartite_protocol(1e-7))
+            except ConfigError as exc:
+                print(time.perf_counter() - start, exc)
+        """)
+        src = str(Path(labframe.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+                             timeout=120)
+        assert res.returncode == 0, res.stderr[-1000:]
+        elapsed, message = res.stdout.split(" ", 1)
+        assert float(elapsed) < 1.0
+        assert re.match(r"a run of 1.59e\+164 steps .* 'stimulus_bandwidth'", message)
+
+    def test_long_constant_run_builds_a_few_hundred_steps(self):
+        # 200 us is 7.4e7 steps on the plain grid, but a constant stimulus steps
+        # powered carrier periods, and the empty plain group is not counted
+        stim = Stimulus.constant(1e-6)
+        protocol = bipartite_protocol(200e-6)
+        dt = default_timestep(self.MODEL, stim)
+        blocks = labframe._blocks(self.MODEL, [stim], protocol, 0.0, protocol.duration, dt,
+                                  TWO_PI / self.MODEL.carrier)
+        assert sum(b[5] - b[4] for b in blocks) < 400
+        assert protocol.duration / dt > 70 * labframe.MAX_RUN_STEPS
+        p = run_protocol_batch(self.MODEL, [stim, None], protocol)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+
+    def test_powered_run_at_and_over_the_limit(self, monkeypatch):
+        m = fig4d_model(0.1)
+        protocol = bipartite_protocol(math.pi / m.rabi)
+        bs = m.b1 / (10 * math.sqrt(2))
+        stims = [Stimulus.constant(bs), None, Stimulus.constant(-bs)]
+        dt = labframe._batch_timestep(m, stims)
+        blocks = labframe._blocks(m, stims, protocol, 0.0, protocol.duration, dt,
+                                  TWO_PI / m.carrier)
+        built = sum(b[5] - b[4] for b in blocks)
+        assert max(b[-1] for b in blocks) > 1  # carrier periods are powered
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", built)
+        at_limit = run_protocol_batch(m, stims, protocol)
+        monkeypatch.setattr(labframe, "MAX_RUN_STEPS", built - 1)
+        with pytest.raises(ConfigError, match=f"a run of {built} steps .* 'carrier'"):
+            run_protocol_batch(m, stims, protocol)
+        monkeypatch.undo()
+        assert at_limit.tolist() == run_protocol_batch(m, stims, protocol).tolist()
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -613,7 +613,7 @@ class TestAdjointKernel:
         sim = cli_lab_runner(alpha_deg, chi_deg)
         probes = kernel_probes(sim, 121)
         dt = labframe._batch_timestep(sim.model, probes)
-        t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
+        t, g = labframe._adjoint_kernel(sim.model, probes, sim.protocol, dt)
         full = labframe.stimulus_field(probes)(t) @ g
         got = labframe.linear_response(sim.model, probes, sim.protocol)
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
@@ -622,7 +622,7 @@ class TestAdjointKernel:
         sim = cli_lab_runner(30.0, tau=2e-9)
         probes = kernel_probes(sim, 2000)
         dt = labframe._batch_timestep(sim.model, probes)
-        steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
+        steps = len(labframe._adjoint_kernel(sim.model, probes, sim.protocol, dt)[0])
         window = math.ceil(12 * probes[0].fwhm / dt) + 1  # steps within 6 FWHM of a centre
         entries = []
         stimulus_field = labframe.stimulus_field
@@ -661,7 +661,7 @@ class TestStepLimit:
         sim = cli_lab_runner(90.0)
         probes = kernel_probes(sim, 5)
         dt = labframe._batch_timestep(sim.model, probes)
-        steps = len(labframe._adjoint_kernel(sim.model, sim.protocol, dt)[0])
+        steps = len(labframe._adjoint_kernel(sim.model, probes, sim.protocol, dt)[0])
         assert steps == 3870
         monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps)
         at_limit = labframe.linear_response(sim.model, probes, sim.protocol)
@@ -731,7 +731,7 @@ class TestLabBode:
                  for w in grid for d in np.arange(10) / 10 * TWO_PI / w]
         stims += [Stimulus.constant(amp), None, Stimulus.sinusoid(amp, 0.0, phase=0.3)]
         dt = labframe._batch_timestep(sim.model, stims)
-        t, g = labframe._adjoint_kernel(sim.model, sim.protocol, dt)
+        t, g = labframe._adjoint_kernel(sim.model, stims, sim.protocol, dt)
         full = np.array([labframe.stimulus_field([s])(t)[0] @ g for s in stims])
         got = labframe.linear_response(sim.model, stims, sim.protocol)
         assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))

@@ -252,6 +252,17 @@ class TestExitCodes:
         (["optimal", "--rabi", "10MHz", "--signal-freq", "1MHz", "--points", "99",
           "--max-freq", "1e300GHz"], "--max-freq"),
         (["optimal", "--rabi", "10MHz", "--signal-freq", "1MHz", "--points", "5"], "--points"),
+        # a grid end derived from --rabi that overflows is refused before any grid is built
+        (["bode", "--rabi", "1e307Hz", "--alpha", "90deg", "--points", "3"],
+         "--rabi 6.283e+307 rad/s: 3.3 x --rabi, the default --max-freq, overflows"),
+        (["bode", "--backend", "lab", "--rabi", "1e307Hz", "--alpha", "90deg", "--points", "3"],
+         "--rabi 6.283e+307 rad/s: 3.3 x --rabi, the default --max-freq, overflows"),
+        (["fig3c", "--rabi", "1e307Hz", "--points", "3"],
+         "--rabi 6.283e+307 rad/s: 3.3 x --rabi, the frequency grid's end, overflows"),
+        (["fig3d", "--rabi", "1e307Hz", "--omega-points", "3", "--tau-points", "3"],
+         "--rabi 6.283e+307 rad/s: 4 x --rabi, the frequency grid's end, overflows"),
+        (["optimal", "--rabi", "1e307Hz", "--points", "3"],
+         "--rabi 6.283e+307 rad/s: 4 x --rabi, the default --max-freq, overflows"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_config_error_naming_flag(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
@@ -357,6 +368,13 @@ class TestExitCodes:
         (["kernel", "--rabi=1e-300Hz", "--alpha=90deg", "--points=5"],
          "kernel (--rabi=1e-300Hz --alpha=90deg --points=5)",
          "Gaussian fwhm 2.778e+298 s overflows when squared"),
+        # ... and its underflow twin, which made the Gaussian 0/0, on both backends
+        (["kernel", "--rabi=1e300Hz", "--alpha=90deg", "--points=3"],
+         "kernel (--rabi=1e300Hz --alpha=90deg --points=3)",
+         "Gaussian fwhm 2.778e-302 s underflows when squared"),
+        (["kernel", "--backend=lab", "--rabi=1e300Hz", "--alpha=90deg", "--points=3"],
+         "kernel (--rabi=1e300Hz --alpha=90deg --points=3 --backend=lab)",
+         "Gaussian fwhm 2.778e-302 s underflows when squared"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named, says):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
@@ -382,16 +400,23 @@ class TestExitCodes:
          "inf", "stimulus_bandwidth"),
         (["kernel", "--backend", "lab", "--rabi", "1e306Hz", "--alpha", "90deg", "--points", "3"],
          "inf", "stimulus_bandwidth"),
+        # the Bode frequencies reach the step rules as Python floats, whose
+        # overflow gives step 0, not a numpy scalar's overflow error
+        (["bode", "--rabi", "10MHz", "--alpha", "90deg", "--points", "3",
+          "--max-freq", "1e307Hz"], "inf", "stimulus_frequency"),
+        (["bode", "--backend", "lab", "--rabi", "10MHz", "--alpha", "90deg", "--points", "3",
+          "--max-freq", "1e307Hz"], "inf", "stimulus_frequency"),
     ], ids=["lab-kernel-1kHz", "lab-bode-1000THz", "rotating-bode-1000THz",
             "rotating-bode-1e300s", "lab-bode-1e300s", "rotating-bode-1e290s",
-            "lab-bode-1e290s", "rotating-kernel-1e306Hz", "lab-kernel-1e306Hz"])
+            "lab-bode-1e290s", "rotating-kernel-1e306Hz", "lab-kernel-1e306Hz",
+            "rotating-bode-1e307Hz-max-freq", "lab-bode-1e307Hz-max-freq"])
     def test_runs_beyond_the_step_limit_exit_2_before_stepping(self, tmp_path, capsys,
                                                               monkeypatch, argv, steps, scale):
-        # the refusal comes before the adjoint, the DC pair or any SU(2) factor is built
+        # the refusal comes before any lab block factor, the DC pair or any SU(2) factor is built
         def fail(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        for module, name in ((labframe, "_adjoint_kernel"), (labframe, "run_protocol_batch"),
+        for module, name in ((labframe, "_block_factors"), (labframe, "run_protocol_batch"),
                              (spinlin, "su2_propagator")):
             monkeypatch.setattr(module, name, fail)
         start = time.perf_counter()
