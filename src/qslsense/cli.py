@@ -140,6 +140,9 @@ def _make_runner(params: Params, omega: float, tau: float):
     if backend == "lab":
         # moderate field: the Zeeman shift ge B0 is 1 GHz
         model = labframe.NvModel.resonant(omega, TWO_PI * 1e9 / labframe.GAMMA_E)
+        if model.b1 < sys.float_info.min:  # too few digits of --rabi survive in the field
+            raise ConfigError(f"--rabi {omega:.3e} rad/s: "
+                              f"drive field {model.b1:.3e} T is subnormal")
         return response.LabFrameRunner(model, tau=tau)
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
@@ -162,11 +165,23 @@ def _kernel_probes(tau: float, alpha: float, n: int):
     return analytic.time_resolution_fwhm(tau, alpha) / 12.0, np.linspace(-0.55 * tau, 0.55 * tau, n)
 
 
+def _rabi_bound(omega: float, value: float, what: str) -> float:
+    """``value``, a quantity derived from --rabi, refused when it overflows."""
+    if value == math.inf:
+        raise ConfigError(f"--rabi {omega:.3e} rad/s: {what} overflows")
+    return value
+
+
 def _rabi_multiple(omega: float, factor: float, what: str) -> float:
     """``factor * omega``, a grid end derived from --rabi, refused when it overflows."""
-    if factor * omega == math.inf:
-        raise ConfigError(f"--rabi {omega:.3e} rad/s: {factor:g} x --rabi, {what}, overflows")
-    return factor * omega
+    return _rabi_bound(omega, factor * omega, f"{factor:g} x --rabi, {what},")
+
+
+def _check_transfer_rabi(omega: float) -> None:
+    """K(w)'s closed form squares --rabi; its series cubes durations up to pi/--rabi."""
+    _rabi_bound(omega, omega * omega, "--rabi squared in K(w)'s closed form")
+    tau_max = math.pi / omega
+    _rabi_bound(omega, tau_max * tau_max * tau_max, "(pi/--rabi) cubed in K(w)'s series")
 
 
 def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
@@ -248,6 +263,7 @@ def cmd_fig3d(params: Params, out: str) -> list[str]:
         raise ConfigError(f"--omega-points times --tau-points must be at most {MAX_COUNT}, "
                           f"got {n_w} x {n_t}")
     wgrid = np.linspace(0.0, _rabi_multiple(omega, 4.0, "the frequency grid's end"), n_w)
+    _check_transfer_rabi(omega)
     tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
     surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
     # a generator: the surface has n_w * n_t rows
@@ -323,6 +339,7 @@ def cmd_optimal(params: Params, out: str) -> list[str]:
     else:
         wmax = params.get("max-freq", lambda: _rabi_multiple(omega, 4.0, "the default --max-freq"))
         grid = np.linspace(0.0, wmax, params.get("points", 41))
+    _check_transfer_rabi(omega)
     rows = []
     for w in grid:
         tau_star, low_conf = optimize.optimal_duration(w, omega)
@@ -334,6 +351,7 @@ def cmd_optimal(params: Params, out: str) -> list[str]:
 def cmd_qsl(params: Params, out: str) -> list[str]:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
     omega = params.get("rabi")
+    _rabi_bound(omega, (0.5 * omega) * (0.5 * omega), "(--rabi/2) squared in <H^2>")
     t_var, t_mean = analytic.qsl_times(omega * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
                                        -omega / 2.0)
     write_csv(out, ["rabi_rad_s", "t_variance_bound_s", "t_mean_bound_s"],

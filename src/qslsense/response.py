@@ -53,6 +53,7 @@ import numpy as np
 from . import analytic, labframe, spinlin
 from .analytic import NumericError
 from .labframe import Stimulus
+from .units import ConfigError
 
 TWO_PI = 2.0 * math.pi
 #: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
@@ -137,7 +138,8 @@ class RotatingFrameRunner:
     run's result has the same bits in any batch or group as alone on the
     same grid, and memory does not grow with the span.  A run of more than
     :data:`labframe.MAX_RUN_STEPS` steps raises
-    :class:`~qslsense.units.ConfigError` before any step is taken.
+    :class:`~qslsense.units.ConfigError`, and a Rabi rate whose square
+    overflows :class:`~qslsense.analytic.NumericError`, before any step is taken.
     """
 
     chi = 0.0
@@ -145,7 +147,7 @@ class RotatingFrameRunner:
     def __init__(self, omega: float, tau: float):
         for name, value in (("omega", omega), ("tau", tau)):
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         self.omega = omega
         self.tau = tau
 
@@ -195,6 +197,8 @@ class RotatingFrameRunner:
         order = np.argsort(-n_steps, kind="stable")
         n_steps, h_steps, halves = n_steps[order], h_steps[order], halves[order, None]
         field = labframe.stimulus_field([stims[k] for k in order])
+        if self.omega * self.omega == math.inf:  # as every SU(2) factor squares it
+            raise NumericError(f"Rabi rate {self.omega:.3e} rad/s overflows when squared")
         psi0 = np.ones(len(stims), dtype=complex)
         psi1 = np.zeros(len(stims), dtype=complex)
         for t_a, wx, wy in ((np.zeros_like(halves), 0.0, self.omega), (halves, self.omega, 0.0)):

@@ -263,11 +263,48 @@ class TestExitCodes:
          "--rabi 6.283e+307 rad/s: 4 x --rabi, the frequency grid's end, overflows"),
         (["optimal", "--rabi", "1e307Hz", "--points", "3"],
          "--rabi 6.283e+307 rad/s: 4 x --rabi, the default --max-freq, overflows"),
+        # K(w)'s closed form squares --rabi and its series cubes pi/--rabi
+        (["optimal", "--rabi", "1e307Hz", "--max-freq", "1MHz", "--points", "3"],
+         "--rabi 6.283e+307 rad/s: --rabi squared in K(w)'s closed form overflows"),
+        (["optimal", "--rabi", "1e200Hz", "--points", "3"],
+         "--rabi 6.283e+200 rad/s: --rabi squared in K(w)'s closed form overflows"),
+        (["fig3d", "--rabi", "1e200Hz", "--omega-points", "3", "--tau-points", "3"],
+         "--rabi 6.283e+200 rad/s: --rabi squared in K(w)'s closed form overflows"),
+        (["optimal", "--rabi", "1e-300Hz", "--points", "3"],
+         "--rabi 6.283e-300 rad/s: (pi/--rabi) cubed in K(w)'s series overflows"),
+        (["optimal", "--rabi=4.7e-179Hz"],
+         "--rabi 2.953e-178 rad/s: (pi/--rabi) cubed in K(w)'s series overflows"),
+        (["fig3d", "--rabi", "1e-300Hz", "--omega-points", "3", "--tau-points", "3"],
+         "--rabi 6.283e-300 rad/s: (pi/--rabi) cubed in K(w)'s series overflows"),
+        (["fig3d", "--rabi", "1e-160Hz", "--omega-points", "3", "--tau-points", "3"],
+         "--rabi 6.283e-160 rad/s: (pi/--rabi) cubed in K(w)'s series overflows"),
+        (["qsl", "--rabi", "1e307Hz"],
+         "--rabi 6.283e+307 rad/s: (--rabi/2) squared in <H^2> overflows"),
+        (["qsl", "--rabi=4.27e153Hz"],
+         "--rabi 2.683e+154 rad/s: (--rabi/2) squared in <H^2> overflows"),
+        # a duration 2 alpha/--rabi beyond the float range, and a subnormal lab drive field
+        (["fig3c", "--rabi", "1e-323Hz", "--points", "3"], "tau must be finite and > 0, got inf"),
+        (["fig3b", "--rabi", "1e-323Hz", "--points", "3"], "tau must be finite and > 0, got inf"),
+        (["kernel", "--backend", "lab", "--rabi", "1e-305Hz", "--alpha", "90deg", "--points", "3"],
+         "--rabi 6.283e-305 rad/s: drive field 5.045e-316 T is subnormal"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_bad_input_is_config_error_naming_flag(self, tmp_path, capsys, argv, flag):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["qsl", "--rabi", "4.26e153Hz"],
+        ["optimal", "--rabi", "2.1e153Hz"],
+        ["optimal", "--rabi", "9e-104Hz"],
+        ["fig3d", "--rabi", "2.1e153Hz", "--omega-points", "3", "--tau-points", "3"],
+        ["fig3d", "--rabi", "9e-104Hz", "--omega-points", "3", "--tau-points", "3"],
+        ["bode", "--rabi", "2.1e153Hz", "--alpha", "90deg", "--points", "3"],
+        ["fig3c", "--rabi", "2.1e153Hz", "--points", "3"],
+    ], ids=" ".join)
+    def test_rabi_just_inside_the_overflow_refusals_runs(self, tmp_path, argv):
+        # each refusal above is where the arithmetic overflows, not before
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
     @pytest.mark.parametrize("document, named", [
         ("[1]", "JSON object"),
@@ -360,10 +397,8 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
     @pytest.mark.parametrize("argv, named, says", [
-        (["qsl", "--rabi=4.27e153Hz"], "qsl (--rabi=4.27e153Hz)", ""),
         (["metrics", "--rabi=1Hz", "--alpha=2.3e-250deg"],
          "metrics (--rabi=1Hz --alpha=2.3e-250deg)", ""),
-        (["optimal", "--rabi=4.7e-179Hz"], "optimal (--rabi=4.7e-179Hz)", ""),
         # the probe's fwhm squared overflows; the message names that quantity
         (["kernel", "--rabi=1e-300Hz", "--alpha=90deg", "--points=5"],
          "kernel (--rabi=1e-300Hz --alpha=90deg --points=5)",
@@ -375,6 +410,12 @@ class TestExitCodes:
         (["kernel", "--backend=lab", "--rabi=1e300Hz", "--alpha=90deg", "--points=3"],
          "kernel (--rabi=1e300Hz --alpha=90deg --points=3 --backend=lab)",
          "Gaussian fwhm 2.778e-302 s underflows when squared"),
+        # the rotating runner's SU(2) factors square the Rabi rate
+        (["bode", "--rabi=1e200Hz", "--alpha=90deg", "--points=3"],
+         "bode (--rabi=1e200Hz --alpha=90deg --points=3)",
+         "Rabi rate 6.283e+200 rad/s overflows when squared"),
+        (["fig3c", "--rabi=1e200Hz", "--points=3"], "fig3c (--rabi=1e200Hz --points=3)",
+         "Rabi rate 6.283e+200 rad/s overflows when squared"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named, says):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
@@ -454,6 +495,7 @@ _FLAGS = {
     "metrics": {"rabi": _QUANTITY, "alpha": _QUANTITY, "tau": _QUANTITY},
     "fig2": {"rabi": _QUANTITY, "tau-max": _QUANTITY, "points": _COUNT},
     "qsl": {"rabi": _QUANTITY},
+    "fig3d": {"rabi": _QUANTITY, "omega-points": _COUNT, "tau-points": _COUNT},
     "optimal": {"rabi": _QUANTITY, "max-freq": _QUANTITY, "signal-freq": _QUANTITY,
                 "points": _COUNT},
 }
@@ -477,11 +519,29 @@ def test_any_flag_values_exit_with_contract_code(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds the package under src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-m", "qslsense", "--check"],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    res = _run_python("-m", "qslsense", "--check")
     assert res.returncode == 0, res.stderr
     assert "PASS" in res.stdout and "FAIL" not in res.stdout
+
+
+def test_import_loads_the_seven_layers_and_re_exports_nothing():
+    # each public name has one import path, qslsense.<module>.<name>; the
+    # benchmark times this import, so it keeps loading every layer but cli
+    res = _run_python("-c", "import json, sys, qslsense\n"
+                            "print(json.dumps([sorted(n for n in sys.modules"
+                            " if n.startswith('qslsense.')),"
+                            " sorted(n for n in vars(qslsense) if not n.startswith('_'))]))")
+    assert res.returncode == 0, res.stderr
+    loaded, public = json.loads(res.stdout)
+    layers = ["analytic", "labframe", "optimize", "response", "sequence", "spinlin", "units"]
+    assert loaded == [f"qslsense.{m}" for m in layers]
+    assert public == layers
