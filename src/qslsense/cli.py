@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,18 +41,6 @@ FIG3_ANGLES_DEG = (22.5, 45.0, 67.0, 90.0)
 
 #: largest grid size a count flag (and fig3d's surface) may ask for
 MAX_COUNT = 10**6
-
-
-@dataclass
-class RunConfig:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output_path: str | None = None
-
-    def describe(self) -> str:
-        """The command and the flags it was given, e.g. ``qsl (--rabi=10MHz)``."""
-        flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in self.parameters.items()]
-        return f"{self.command} ({' '.join(flags)})" if flags else self.command
 
 
 def write_csv(path, header, rows) -> None:
@@ -77,6 +64,11 @@ class Params:
 
     def has(self, name: str) -> bool:
         return name in self.values
+
+    def describe(self, command: str) -> str:
+        """The command and the flags it was given, e.g. ``qsl (--rabi=10MHz)``."""
+        flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in self.values.items()]
+        return f"{command} ({' '.join(flags)})" if flags else command
 
     def get(self, name: str, default=None):
         if name not in self.values:
@@ -147,17 +139,15 @@ def _make_runner(params: Params, omega: float, tau: float):
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
 
-def cmd_metrics(params: Params, out: str) -> list[str]:
+def cmd_metrics(params: Params) -> dict:
     omega, tau, alpha = resolve_pulse(params)
     _check_flip_angle(alpha)
     rep = analytic.metrics_report(omega, tau)
-    write_csv(out,
-              ["omega_rad_s", "tau_s", "alpha_rad", "t_fwhm_s", "t_20_80_s",
-               "t_10_90_s", "t_square_s", "bw_first_root_rad_s", "bw_3db_rad_s",
-               "epsilon", "p0"],
-              [[omega, tau, alpha, rep.t_fwhm, rep.t_20_80, rep.t_10_90,
-                rep.t_square, rep.bw_first_root, rep.bw_3db, rep.epsilon, rep.p0]])
-    return [out]
+    return {"": (["omega_rad_s", "tau_s", "alpha_rad", "t_fwhm_s", "t_20_80_s",
+                  "t_10_90_s", "t_square_s", "bw_first_root_rad_s", "bw_3db_rad_s",
+                  "epsilon", "p0"],
+                 [[omega, tau, alpha, rep.t_fwhm, rep.t_20_80, rep.t_10_90,
+                   rep.t_square, rep.bw_first_root, rep.bw_3db, rep.epsilon, rep.p0]])}
 
 
 def _kernel_probes(tau: float, alpha: float, n: int):
@@ -189,30 +179,29 @@ def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
     return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (labframe.GAMMA_E * tau))
 
 
-def cmd_kernel(params: Params, out: str) -> list[str]:
+def cmd_kernel(params: Params) -> dict:
     omega, tau, alpha = resolve_pulse(params)
     _check_flip_angle(alpha)
     n = params.get("points", 121)
     est = response.estimate_kernel(_make_runner(params, omega, tau), *_kernel_probes(tau, alpha, n))
-    write_csv(out, ["t_s", "k_norm"], zip(est.times, est.values / est.normalization))
-    return [out]
+    return {"": (["t_s", "k_norm"], zip(est.times, est.values / est.normalization))}
 
 
-def cmd_bode(params: Params, out: str) -> list[str]:
+def cmd_bode(params: Params) -> dict:
     omega, tau, alpha = resolve_pulse(params)
     n = params.get("points", 34)
     wmax = params.get("max-freq", lambda: _rabi_multiple(omega, 3.3, "the default --max-freq"))
     series = _bode(_make_runner(params, omega, tau), tau, wmax, n)
-    write_csv(out, ["omega_rad_s", "gain_norm", "chi_rad"],
-              [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])
-    return [out]
+    return {"": (["omega_rad_s", "gain_norm", "chi_rad"],
+                 [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])}
 
 
-def cmd_fig2(params: Params, out: str) -> list[str]:
+def cmd_fig2(params: Params) -> dict:
     """Phase pickup ratio vs duration: two-pulse branch below 2 t_R, delayed branch above."""
     omega = params.get("rabi")
     t_r = (math.pi / 2.0) / omega
-    tau_max = params.get("tau-max", 8.0 * t_r)
+    tau_max = params.get("tau-max", lambda: _rabi_bound(omega, 8.0 * t_r,
+                                                        "8 t_R, the default --tau-max,"))
     n = params.get("points", 200)
     rows = []
     for tau in np.linspace(tau_max / n, tau_max, n):
@@ -223,11 +212,10 @@ def cmd_fig2(params: Params, out: str) -> list[str]:
             ratio = analytic.effective_phase_extended(1.0, tau, t_r) / tau
             branch = "dashed"
         rows.append([tau, ratio, branch])
-    write_csv(out, ["tau_s", "phase_ratio", "branch"], rows)
-    return [out]
+    return {"": (["tau_s", "phase_ratio", "branch"], rows)}
 
 
-def cmd_fig3b(params: Params, out: str) -> list[str]:
+def cmd_fig3b(params: Params) -> dict:
     omega = params.get("rabi")
     n = params.get("points", 101)
     alphas = [math.radians(deg) for deg in FIG3_ANGLES_DEG]
@@ -235,13 +223,12 @@ def cmd_fig3b(params: Params, out: str) -> list[str]:
     # all four angles' probes and DC pairs are stepped in one pass
     ests = response.estimate_kernels(
         sims, *zip(*(_kernel_probes(sim.tau, alpha, n) for sim, alpha in zip(sims, alphas))))
-    write_csv(out, ["alpha_rad", "t_s", "k_norm"],
-              [(alpha, t, v) for alpha, est in zip(alphas, ests)
-               for t, v in zip(est.times, est.values / est.normalization)])
-    return [out]
+    return {"": (["alpha_rad", "t_s", "k_norm"],
+                 [(alpha, t, v) for alpha, est in zip(alphas, ests)
+                  for t, v in zip(est.times, est.values / est.normalization)])}
 
 
-def cmd_fig3c(params: Params, out: str) -> list[str]:
+def cmd_fig3c(params: Params) -> dict:
     omega = params.get("rabi")
     n = params.get("points", 34)
     wmax = _rabi_multiple(omega, 3.3, "the frequency grid's end")
@@ -251,11 +238,10 @@ def cmd_fig3c(params: Params, out: str) -> list[str]:
         tau = 2.0 * alpha / omega
         series = _bode(response.RotatingFrameRunner(omega, tau), tau, wmax, n)
         rows.extend((alpha, w, g) for w, g in zip(series.frequencies, series.gains))
-    write_csv(out, ["alpha_rad", "omega_rad_s", "gain_norm"], rows)
-    return [out]
+    return {"": (["alpha_rad", "omega_rad_s", "gain_norm"], rows)}
 
 
-def cmd_fig3d(params: Params, out: str) -> list[str]:
+def cmd_fig3d(params: Params) -> dict:
     omega = params.get("rabi")
     n_w = params.get("omega-points", 81)
     n_t = params.get("tau-points", 80)
@@ -267,16 +253,14 @@ def cmd_fig3d(params: Params, out: str) -> list[str]:
     tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
     surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
     # a generator: the surface has n_w * n_t rows
-    write_csv(out, ["omega_rad_s", "tau_s", "eta_s"],
-              ((w, tau, surface.values[i, j])
-               for i, w in enumerate(surface.omega_grid)
-               for j, tau in enumerate(surface.tau_grid)))
-    ridge_out = os.path.splitext(out)[0] + "_ridge.csv"
-    write_csv(ridge_out, ["omega_rad_s", "tau_star_s"], surface.ridge)
-    return [out, ridge_out]
+    return {"": (["omega_rad_s", "tau_s", "eta_s"],
+                 ((w, tau, surface.values[i, j])
+                  for i, w in enumerate(surface.omega_grid)
+                  for j, tau in enumerate(surface.tau_grid))),
+            "_ridge": (["omega_rad_s", "tau_star_s"], surface.ridge)}
 
 
-def cmd_fig4d(params: Params, out: str) -> list[str]:
+def cmd_fig4d(params: Params) -> dict:
     """p(+stim), p(-stim), p(reference) per Rabi rate for ms0 and ms-1 prep/readout.
 
     The default scaled bias (ge B0 = 60 D) preserves the saturated transition
@@ -301,13 +285,11 @@ def cmd_fig4d(params: Params, out: str) -> list[str]:
             p = labframe.run_protocol_batch(model, stims, labframe.bipartite_protocol(tau, prep))
             row.extend([p[0], p[1], p[2]])
         rows.append(row)
-    write_csv(out,
-              ["rabi_rad_s", "p_plus_ms0", "p_minus_ms0", "p_ref_ms0",
-               "p_plus_msm1", "p_minus_msm1", "p_ref_msm1"], rows)
-    return [out]
+    return {"": (["rabi_rad_s", "p_plus_ms0", "p_minus_ms0", "p_ref_ms0",
+                  "p_plus_msm1", "p_minus_msm1", "p_ref_msm1"], rows)}
 
 
-def cmd_offaxis(params: Params, out: str) -> list[str]:
+def cmd_offaxis(params: Params) -> dict:
     n = params.get("points", 11)
     rows = []
     for deg in (0.0, 20.0, 45.0):
@@ -324,11 +306,10 @@ def cmd_offaxis(params: Params, out: str) -> list[str]:
         series = response.bode_response(sim, grid, amp)
         for w, g, fl in zip(series.frequencies, series.gains, series.flagged):
             rows.append([series.chi, w, g, float(fl)])
-    write_csv(out, ["chi_rad", "omega_rad_s", "gain_norm", "flagged"], rows)
-    return [out]
+    return {"": (["chi_rad", "omega_rad_s", "gain_norm", "flagged"], rows)}
 
 
-def cmd_optimal(params: Params, out: str) -> list[str]:
+def cmd_optimal(params: Params) -> dict:
     omega = params.get("rabi")
     if params.has("signal-freq"):
         clash = [f"--{f}" for f in ("max-freq", "points") if params.has(f)]
@@ -344,21 +325,21 @@ def cmd_optimal(params: Params, out: str) -> list[str]:
     for w in grid:
         tau_star, low_conf = optimize.optimal_duration(w, omega)
         rows.append([w, tau_star, float(low_conf)])
-    write_csv(out, ["omega_rad_s", "tau_star_s", "low_confidence"], rows)
-    return [out]
+    return {"": (["omega_rad_s", "tau_star_s", "low_confidence"], rows)}
 
 
-def cmd_qsl(params: Params, out: str) -> list[str]:
+def cmd_qsl(params: Params) -> dict:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
     omega = params.get("rabi")
     _rabi_bound(omega, (0.5 * omega) * (0.5 * omega), "(--rabi/2) squared in <H^2>")
     t_var, t_mean = analytic.qsl_times(omega * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
                                        -omega / 2.0)
-    write_csv(out, ["rabi_rad_s", "t_variance_bound_s", "t_mean_bound_s"],
-              [[omega, t_var, t_mean]])
-    return [out]
+    return {"": (["rabi_rad_s", "t_variance_bound_s", "t_mean_bound_s"],
+                 [[omega, t_var, t_mean]])}
 
 
+#: each handler maps its flag values to its tables, {file-name suffix: (header, rows)};
+#: :func:`run` writes suffix "" to the output path and any other beside it
 COMMANDS = {
     "metrics": cmd_metrics,
     "kernel": cmd_kernel,
@@ -428,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> tuple[str, Params, str | None]:
     """Parse flags plus an optional ``--config`` document; flags override the document.
 
     The document is a JSON object whose keys are the command's flag names
@@ -441,7 +422,7 @@ def parse_config(argv) -> RunConfig:
     if args.check:
         if args.command:
             raise ConfigError(f"--check runs alone, without a command (got {args.command})")
-        return RunConfig(command="check")
+        return "check", Params({}), None
     if not args.command:
         raise ConfigError("no command given (see --help)")
     flags = COMMAND_FLAGS[args.command]
@@ -462,20 +443,21 @@ def parse_config(argv) -> RunConfig:
     merged.update((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
     if getattr(args, "expensive", False):
         merged["expensive"] = True
-    return RunConfig(command=args.command, parameters=merged, output_path=args.out)
+    return args.command, Params(merged), args.out
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    if config.command == "check":
+def run(command: str, params: Params, out: str | None) -> int:
+    """Execute one command and write the tables it returns; returns the process exit code."""
+    if command == "check":
         return run_checks()
-    handler = COMMANDS[config.command]
-    outdir = os.environ.get(OUTDIR_ENV, ".")
-    out = config.output_path or os.path.join(outdir, f"{config.command}.csv")
+    out = out or os.path.join(os.environ.get(OUTDIR_ENV, "."), f"{command}.csv")
+    paths = []
     # overflow, division by zero or an invalid operation is a numeric failure,
     # never a silent inf or nan in the output
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        paths = handler(Params(config.parameters), out)
+        for suffix, (header, rows) in COMMANDS[command](params).items():
+            paths.append(os.path.splitext(out)[0] + suffix + ".csv" if suffix else out)
+            write_csv(paths[-1], header, rows)
     for p in paths:
         print(p)
     return 0
@@ -549,14 +531,14 @@ def run_checks() -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
-        return run(config)
+        command, params, out = parse_config(sys.argv[1:] if argv is None else argv)
+        return run(command, params, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:
-        # parse_config raises only ConfigError, so config is set here
-        print(f"numeric failure in {config.describe()}: {exc}", file=sys.stderr)
+        # parse_config raises only ConfigError, so params is set here
+        print(f"numeric failure in {params.describe(command)}: {exc}", file=sys.stderr)
         return 3
 
 

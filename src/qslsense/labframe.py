@@ -237,8 +237,13 @@ def stimulus_field(stims):
             if kind == "constant":
                 out[rows] = amplitude
             elif kind == "gaussian":
-                out[rows] = amplitude * np.exp(
-                    -4.0 * math.log(2.0) * (tk - center) ** 2 / fwhm_sq)
+                try:
+                    out[rows] = amplitude * np.exp(
+                        -4.0 * math.log(2.0) * (tk - center) ** 2 / fwhm_sq)
+                except FloatingPointError:  # raised only under np.errstate(over="raise")
+                    reach = np.abs(tk - center).max()
+                    raise FloatingPointError(f"Gaussian exponent 4 ln2 (t - center)^2/fwhm^2 "
+                                             f"overflows at t - center = {reach:.3e} s") from None
             else:
                 out[rows] = amplitude * np.sin(frequency * tk + phase)
         return out

@@ -344,13 +344,15 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[KernelEstimate]:
 
 def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
     """The Gaussian probes along ``t_grid`` and the DC stimulus of :func:`estimate_kernel`."""
-    alpha = 0.5 * sim.omega * sim.tau
+    alpha = 0.5 * (sim.omega * sim.tau)  # halving a subnormal omega first can round it to 0
     expected = analytic.time_resolution_fwhm(sim.tau, alpha)
     if probe_fwhm > expected / 10.0:
         raise ValueError(
             f"probe fwhm {probe_fwhm:.3e} s too wide: expected kernel fwhm "
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
     amplitude = 1e-3 / (labframe.GAMMA_E * probe_fwhm * labframe.GAUSS_AREA)
+    if amplitude == math.inf:
+        raise NumericError(f"probe amplitude overflows at probe fwhm {probe_fwhm:.3e} s")
     # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
     return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm)
              for t in np.asarray(t_grid, dtype=float).tolist()],
@@ -391,6 +393,9 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     flags = np.zeros(len(omega_grid), dtype=bool)
     # Python floats, not numpy scalars: an overflowing step rule gives step 0
     swept, grid = np.flatnonzero(omega_grid), omega_grid.tolist()
+    slowest = min((grid[i] for i in swept), default=1.0)
+    if 0.9 * TWO_PI / slowest == math.inf:  # the last of the 10 delays over one period
+        raise NumericError(f"Bode delay 0.9 x 2 pi/w overflows at w = {slowest:.3e} rad/s")
     for c0 in range(0, max(len(swept), 1), _SWEEP_FREQUENCIES):  # at least one, for the DC pair
         chunk = [(i, grid[i], (np.arange(10) / 10 * TWO_PI / grid[i]).tolist())
                  for i in swept[c0:c0 + _SWEEP_FREQUENCIES]]

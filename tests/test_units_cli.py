@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qslsense import cli, labframe, spinlin, units
@@ -282,6 +282,8 @@ class TestExitCodes:
          "--rabi 6.283e+307 rad/s: (--rabi/2) squared in <H^2> overflows"),
         (["qsl", "--rabi=4.27e153Hz"],
          "--rabi 2.683e+154 rad/s: (--rabi/2) squared in <H^2> overflows"),
+        (["fig2", "--rabi", "1e-308Hz", "--points", "3"],
+         "--rabi 6.283e-308 rad/s: 8 t_R, the default --tau-max, overflows"),
         # a duration 2 alpha/--rabi beyond the float range, and a subnormal lab drive field
         (["fig3c", "--rabi", "1e-323Hz", "--points", "3"], "tau must be finite and > 0, got inf"),
         (["fig3b", "--rabi", "1e-323Hz", "--points", "3"], "tau must be finite and > 0, got inf"),
@@ -301,6 +303,9 @@ class TestExitCodes:
         ["fig3d", "--rabi", "9e-104Hz", "--omega-points", "3", "--tau-points", "3"],
         ["bode", "--rabi", "2.1e153Hz", "--alpha", "90deg", "--points", "3"],
         ["fig3c", "--rabi", "2.1e153Hz", "--points", "3"],
+        ["fig2", "--rabi", "1.7e-308Hz", "--points", "3"],
+        ["fig3b", "--rabi", "1e-154Hz", "--points", "3"],
+        ["metrics", "--rabi=1Hz", "--alpha=1e-150rad"],
     ], ids=" ".join)
     def test_rabi_just_inside_the_overflow_refusals_runs(self, tmp_path, argv):
         # each refusal above is where the arithmetic overflows, not before
@@ -352,7 +357,7 @@ class TestExitCodes:
 
     def test_fig4d_expensive_reaches_the_handler(self, monkeypatch):
         seen = []
-        monkeypatch.setitem(cli.COMMANDS, "fig4d", lambda params, out: seen.append(params) or [])
+        monkeypatch.setitem(cli.COMMANDS, "fig4d", lambda params: seen.append(params) or {})
         assert main(["fig4d", "--expensive", "--points", "2"]) == 0
         assert seen[0].has("expensive") and seen[0].get("points") == 2
 
@@ -397,8 +402,12 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
     @pytest.mark.parametrize("argv, named, says", [
+        # the 3-dB scan squares its end 2 pi/alpha
         (["metrics", "--rabi=1Hz", "--alpha=2.3e-250deg"],
-         "metrics (--rabi=1Hz --alpha=2.3e-250deg)", ""),
+         "metrics (--rabi=1Hz --alpha=2.3e-250deg)",
+         "3-dB scan end 2 pi/alpha = 1.565e+252 overflows when squared"),
+        (["metrics", "--rabi=1Hz", "--alpha=1e-154rad"], "metrics (--rabi=1Hz --alpha=1e-154rad)",
+         "3-dB scan end 2 pi/alpha = 6.283e+154 overflows when squared"),
         # the probe's fwhm squared overflows; the message names that quantity
         (["kernel", "--rabi=1e-300Hz", "--alpha=90deg", "--points=5"],
          "kernel (--rabi=1e-300Hz --alpha=90deg --points=5)",
@@ -410,6 +419,21 @@ class TestExitCodes:
         (["kernel", "--backend=lab", "--rabi=1e300Hz", "--alpha=90deg", "--points=3"],
          "kernel (--rabi=1e300Hz --alpha=90deg --points=3 --backend=lab)",
          "Gaussian fwhm 2.778e-302 s underflows when squared"),
+        # a fwhm whose square is finite, but the probe's offset from its centre is not
+        (["kernel", "--rabi=1e-155Hz", "--alpha=90deg", "--points=3"],
+         "kernel (--rabi=1e-155Hz --alpha=90deg --points=3)",
+         "Gaussian exponent 4 ln2 (t - center)^2/fwhm^2 overflows at t - center = 5.249e+154 s"),
+        (["fig3b", "--rabi=1e-155Hz", "--points=3"], "fig3b (--rabi=1e-155Hz --points=3)",
+         "Gaussian exponent 4 ln2 (t - center)^2/fwhm^2 overflows at t - center = 5.249e+154 s"),
+        (["fig3b", "--rabi=6e-155Hz", "--points=3"], "fig3b (--rabi=6e-155Hz --points=3)",
+         "Gaussian exponent 4 ln2 (t - center)^2/fwhm^2 overflows at t - center = 8.748e+153 s"),
+        # the probes' amplitude is inversely proportional to their fwhm
+        (["kernel", "--rabi=2.55e200Hz", "--alpha=4.44e-120deg", "--points=2"],
+         "kernel (--rabi=2.55e200Hz --alpha=4.44e-120deg --points=2)",
+         "probe amplitude overflows at probe fwhm 4.941e-324 s"),
+        # the Bode delays span one period 2 pi/w of the lowest nonzero frequency
+        (["fig3c", "--rabi=1e-309Hz", "--points=3"], "fig3c (--rabi=1e-309Hz --points=3)",
+         "Bode delay 0.9 x 2 pi/w overflows at w = 1.037e-308 rad/s"),
         # the rotating runner's SU(2) factors square the Rabi rate
         (["bode", "--rabi=1e200Hz", "--alpha=90deg", "--points=3"],
          "bode (--rabi=1e200Hz --alpha=90deg --points=3)",
@@ -487,17 +511,34 @@ class TestExitCodes:
 
 
 _UNITS = ("Hz", "MHz", "GHz", "rad/s", "ns", "s", "deg", "rad", "T", "", "bogus")
-_QUANTITY = st.builds(lambda x, unit: repr(x) + unit,
-                      st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_UNITS))
+
+
+def _quantity(*units):
+    """Any finite float in any unit, or a magnitude log-uniform over the float range in ``units``."""
+    return st.one_of(
+        st.builds(lambda x, unit: repr(x) + unit,
+                  st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_UNITS)),
+        st.builds(lambda e, unit: repr(10.0 ** e) + unit,
+                  st.floats(-323.0, 308.0), st.sampled_from(units)))
+
+
+_FREQUENCY, _TIME = _quantity("Hz", "MHz", "GHz", "rad/s"), _quantity("ns", "s")
 _COUNT = st.one_of(st.integers(-3, 50).map(str),
                    st.floats(-3.0, 50.0, allow_nan=False).map(repr))
+#: a grid of at most 5 points, always given to the runner-backed commands (rotating backend)
+_FEW = st.one_of(st.integers(-3, 5).map(str), st.floats(-3.0, 5.0, allow_nan=False).map(repr))
+_PULSE = {"rabi": _FREQUENCY, "alpha": _quantity("deg", "rad"), "tau": _TIME}
 _FLAGS = {
-    "metrics": {"rabi": _QUANTITY, "alpha": _QUANTITY, "tau": _QUANTITY},
-    "fig2": {"rabi": _QUANTITY, "tau-max": _QUANTITY, "points": _COUNT},
-    "qsl": {"rabi": _QUANTITY},
-    "fig3d": {"rabi": _QUANTITY, "omega-points": _COUNT, "tau-points": _COUNT},
-    "optimal": {"rabi": _QUANTITY, "max-freq": _QUANTITY, "signal-freq": _QUANTITY,
+    "metrics": _PULSE,
+    "fig2": {"rabi": _FREQUENCY, "tau-max": _TIME, "points": _COUNT},
+    "qsl": {"rabi": _FREQUENCY},
+    "fig3d": {"rabi": _FREQUENCY, "omega-points": _COUNT, "tau-points": _COUNT},
+    "optimal": {"rabi": _FREQUENCY, "max-freq": _FREQUENCY, "signal-freq": _FREQUENCY,
                 "points": _COUNT},
+    "kernel": {**_PULSE, "points": _FEW},
+    "bode": {**_PULSE, "max-freq": _FREQUENCY, "points": _FEW},
+    "fig3b": {"rabi": _FREQUENCY, "points": _FEW},
+    "fig3c": {"rabi": _FREQUENCY, "points": _FEW},
 }
 
 
@@ -506,14 +547,19 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     for flag, values in _FLAGS[command].items():
-        if draw(st.booleans()):
+        if values is _FEW or draw(st.booleans()):
             argv.append(f"--{flag}={draw(values)}")
     return argv
 
 
-@settings(deadline=None, max_examples=60, derandomize=True,
+@settings(deadline=None, max_examples=200, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
+# each once ended in a traceback: an overflowing probe amplitude, and a
+# subnormal Rabi rate 2 alpha/tau that halved to a flip angle of 0
+@example(argv=["kernel", "--backend=lab", "--rabi=2.55e200Hz", "--alpha=4.44e-120deg",
+               "--points=2"])
+@example(argv=["kernel", "--alpha=1.81e-319deg", "--tau=1.44e3s", "--points=2"])
 def test_any_flag_values_exit_with_contract_code(tmp_path, argv):
     """Whatever the flag values, a command ends with 0, 2 or 3, never a traceback."""
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
