@@ -70,17 +70,13 @@ def su2_propagator(wx, wy, wz, t):
     ``S = sigma/2``, so the rotation angle is ``|w| t``.  Vectorized: the
     rates and the duration may be arrays that broadcast together (one
     propagator per element, 0-d arrays for scalars); a zero rate gives the
-    identity through the ``sin(x)/x -> 1`` limit.  Where ``|w| <= 1e-150``,
-    whose squares may go subnormal, ``|w|`` comes from ``hypot``, which scales.
+    identity through the ``sin(x)/x -> 1`` limit.
     """
     wn = np.sqrt(wx * wx + wy * wy + wz * wz)
-    normal = np.all(wn > 1e-150)
-    if not normal:
-        wn = np.where(wn > 1e-150, wn, np.hypot(np.hypot(wx, wy), wz))
     th = 0.5 * wn * t
     c = np.cos(th)
     # sin(th)/wn with the wn -> 0 limit t/2
-    s = (np.sin(th) / wn if normal
+    s = (np.sin(th) / wn if np.all(wn > 0)
          else np.where(wn > 0, np.sin(th) / np.where(wn > 0, wn, 1.0), 0.5 * t))
     sx, sy, sz = s * wx, s * wy, s * wz
     u00, u01, u10, u11 = (np.empty(np.shape(c), dtype=complex) for _ in range(4))

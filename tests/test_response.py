@@ -682,6 +682,16 @@ class TestStepLimit:
             sim.run_batch([None, fast], [1, 1])
         assert p.shape == (2,)
 
+    def test_rotating_step_that_underflows_to_zero_is_refused(self, monkeypatch):
+        # 1/fwhm overflows, so the step is 0: refused as inf steps before any is taken
+        def fail(*args, **kwargs):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(spinlin, "su2_propagator", fail)
+        sim = rotating_runner()
+        with pytest.raises(ConfigError, match="a run of inf steps .* 'stimulus_bandwidth'"):
+            sim.run_batch([None, Stimulus.gaussian(1e-3, sim.tau / 2, 1e-309)])
+
 
 def offaxis_runner(chi_deg):
     """The scaled model of the `offaxis` command (transition near 0.75 GHz) at tilt ``chi_deg``."""
