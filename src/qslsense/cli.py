@@ -5,12 +5,17 @@ column names), so repeated runs produce byte-identical files.  Frequencies
 on the command line accept cycle (Hz-family) or angular (rad/s-family)
 suffixes and are converted to rad/s internally; see :mod:`qslsense.units`.
 
-Each command takes only the flags it reads (:data:`COMMAND_FLAGS`); any other
-flag is a configuration error naming it.  Flag values may also come from
-``--config FILE``, a JSON object of that command's flag values such as
-``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag given on the
-command line wins over the document.  ``--backend lab`` always
-uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate;
+Each command is a handler in :data:`COMMANDS`, a plain function of its flag
+values: its keyword parameters are its flags in ``--help`` order (``tau_max``
+for ``--tau-max``), in SI units, each defaulting to the flag's default, or to
+``None`` where the value is derived from others (a pulse's third value,
+``--max-freq``, ``--tau-max``, ``optimal``'s ``--points``).  A command takes
+only those flags; any other is a configuration error naming it.  Flag values
+may also come from ``--config FILE``, a JSON object of that command's flag
+values such as ``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag
+given on the command line wins over the document.  ``--backend lab`` always
+uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate,
+and refuses a pulse (tau/2) shorter than its carrier period, 0.258 ns;
 other models are :meth:`NvModel.resonant <qslsense.labframe.NvModel.resonant>`
 at any ``d``, ``b0`` and ``chi``, run through the Python API
 (:class:`~qslsense.response.LabFrameRunner`).
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -63,66 +69,46 @@ def write_csv(path, header, rows) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-class Params:
-    """The merged flag/config values, each parsed by the kind :data:`FLAGS` gives it."""
-
-    def __init__(self, values: dict):
-        self.values = values
-
-    def has(self, name: str) -> bool:
-        return name in self.values
-
-    def describe(self, command: str) -> str:
-        """The command and the flags it was given, e.g. ``qsl (--rabi=10MHz)``."""
-        flags = [f"--{k}" if v is True else f"--{k}={v}" for k, v in self.values.items()]
-        return f"{command} ({' '.join(flags)})" if flags else command
-
-    def get(self, name: str, default=None):
-        if name not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required parameter --{name}")
-            return default
-        raw, kind = self.values[name], FLAGS[name][0]
-        if kind == "text":
-            return str(raw)
-        value = parse_quantity(str(raw), "dimensionless" if kind == "count" else kind,
-                               field=f"--{name}")
-        # every quantity is positive; only a signal frequency may also be zero
-        if value < 0 or (value == 0 and name != "signal-freq"):
-            raise ConfigError(f"--{name} must be positive, got {raw!r}")
-        if kind != "count":
-            return value
-        if value > MAX_COUNT:
-            raise ConfigError(f"--{name} must be at most {MAX_COUNT}, got {raw!r}")
-        if value != int(value):
-            raise ConfigError(f"--{name} must be a whole number, got {raw!r}")
-        return int(value)
+def _parse(name: str, raw):
+    """A flag's given value, parsed by the kind :data:`FLAGS` gives it."""
+    kind = FLAGS[name][0]
+    if kind == "text":
+        return str(raw)
+    value = parse_quantity(str(raw), "dimensionless" if kind == "count" else kind,
+                           field=f"--{name}")
+    # every quantity is positive; only a signal frequency may also be zero
+    if value < 0 or (value == 0 and name != "signal-freq"):
+        raise ConfigError(f"--{name} must be positive, got {raw!r}")
+    if kind != "count":
+        return value
+    if value > MAX_COUNT:
+        raise ConfigError(f"--{name} must be at most {MAX_COUNT}, got {raw!r}")
+    if value != int(value):
+        raise ConfigError(f"--{name} must be a whole number, got {raw!r}")
+    return int(value)
 
 
-def resolve_pulse(params: Params) -> tuple[float, float, float]:
-    """(omega, tau, alpha) from any two of --rabi, --alpha, --tau.
+def resolve_pulse(rabi, alpha, tau) -> tuple[float, float, float]:
+    """(omega, tau, alpha) from any two of --rabi, --alpha, --tau (the third is None).
 
     All three at once is over-determined and rejected rather than silently
     reconciled.  The derived one must lie in :data:`~qslsense.units.DOMAIN` too.
     """
-    given = [n for n in _PULSE if params.has(n)]
+    given = [n for n, v in zip(_PULSE, (rabi, alpha, tau)) if v is not None]
     if len(given) == 3:
         raise ConfigError("give exactly two of --rabi, --alpha, --tau (three is over-determined)")
     if len(given) < 2:
         raise ConfigError("need two of --rabi, --alpha, --tau to fix the pulse")
-    if "rabi" in given and "tau" in given:
-        omega, tau = params.get("rabi"), params.get("tau")
-        alpha = 0.5 * omega * tau
-    elif "rabi" in given:
-        omega, alpha = params.get("rabi"), params.get("alpha")
-        tau = 2.0 * alpha / omega
+    if alpha is None:
+        alpha = 0.5 * rabi * tau
+    elif tau is None:
+        tau = 2.0 * alpha / rabi
     else:
-        alpha, tau = params.get("alpha"), params.get("tau")
-        omega = 2.0 * alpha / tau
+        rabi = 2.0 * alpha / tau
     derived = next(n for n in _PULSE if n not in given)
-    check_domain({"rabi": omega, "alpha": alpha, "tau": tau}[derived], FLAGS[derived][0],
+    check_domain({"rabi": rabi, "alpha": alpha, "tau": tau}[derived], FLAGS[derived][0],
                  f"--{derived} derived from --{given[0]} and --{given[1]}")
-    return omega, tau, alpha
+    return rabi, tau, alpha
 
 
 def _check_flip_angle(alpha: float) -> None:
@@ -133,19 +119,25 @@ def _check_flip_angle(alpha: float) -> None:
         raise ConfigError(f"flip angle (--alpha, or rabi*tau/2): {exc}") from exc
 
 
-def _make_runner(params: Params, omega: float, tau: float):
-    backend = params.get("backend", "rotating")
+def _make_runner(backend: str, omega: float, tau: float):
     if backend == "rotating":
         return response.RotatingFrameRunner(omega, tau)
     if backend == "lab":
         # moderate field: the Zeeman shift ge B0 is 1 GHz
         model = labframe.NvModel.resonant(omega, TWO_PI * 1e9 / labframe.GAMMA_E)
+        # a pulse shorter than a carrier period is no longer the rotating
+        # frame's rotation, and the kernel and gains it gives mean nothing
+        period = TWO_PI / model.carrier
+        if tau / 2.0 < period:
+            raise ConfigError(f"--backend lab needs each pulse (tau/2 from --rabi, --alpha, "
+                              f"--tau) to last one carrier period, {period:.6g} s; "
+                              f"got {tau / 2.0:.6g} s")
         return response.LabFrameRunner(model, tau=tau)
     raise ConfigError(f"backend must be 'rotating' or 'lab', got {backend!r}")
 
 
-def cmd_metrics(params: Params) -> dict:
-    omega, tau, alpha = resolve_pulse(params)
+def cmd_metrics(rabi=None, alpha=None, tau=None) -> dict:
+    omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     _check_flip_angle(alpha)
     rep = analytic.metrics_report(omega, tau)
     return {"": (["omega_rad_s", "tau_s", "alpha_rad", "t_fwhm_s", "t_20_80_s",
@@ -165,33 +157,31 @@ def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
     return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (labframe.GAMMA_E * tau))
 
 
-def cmd_kernel(params: Params) -> dict:
-    omega, tau, alpha = resolve_pulse(params)
+def cmd_kernel(rabi=None, alpha=None, tau=None, points=121, backend="rotating") -> dict:
+    omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     _check_flip_angle(alpha)
-    n = params.get("points", 121)
-    est = response.estimate_kernel(_make_runner(params, omega, tau), *_kernel_probes(tau, alpha, n))
+    est = response.estimate_kernel(_make_runner(backend, omega, tau),
+                                   *_kernel_probes(tau, alpha, points))
     return {"": (["t_s", "k_norm"], zip(est.times, est.values / est.normalization))}
 
 
-def cmd_bode(params: Params) -> dict:
-    omega, tau, alpha = resolve_pulse(params)
-    n = params.get("points", 34)
-    wmax = params.get("max-freq", 3.3 * omega)
-    series = _bode(_make_runner(params, omega, tau), tau, wmax, n)
+def cmd_bode(rabi=None, alpha=None, tau=None, points=34, max_freq=None,
+             backend="rotating") -> dict:
+    omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
+    wmax = 3.3 * omega if max_freq is None else max_freq
+    series = _bode(_make_runner(backend, omega, tau), tau, wmax, points)
     return {"": (["omega_rad_s", "gain_norm", "chi_rad"],
                  [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])}
 
 
-def cmd_fig2(params: Params) -> dict:
+def cmd_fig2(rabi, tau_max=None, points=200) -> dict:
     """Phase pickup ratio vs duration: two-pulse branch below 2 t_R, delayed branch above."""
-    omega = params.get("rabi")
-    t_r = (math.pi / 2.0) / omega
-    tau_max = params.get("tau-max", 8.0 * t_r)
-    n = params.get("points", 200)
+    t_r = (math.pi / 2.0) / rabi
+    tau_max = 8.0 * t_r if tau_max is None else tau_max
     rows = []
-    for tau in np.linspace(tau_max / n, tau_max, n):
+    for tau in np.linspace(tau_max / points, tau_max, points):
         if tau <= 2.0 * t_r:
-            ratio = analytic.phase_scaling_magnitude(0.5 * omega * tau)
+            ratio = analytic.phase_scaling_magnitude(0.5 * rabi * tau)
             branch = "solid"
         else:
             ratio = analytic.effective_phase_extended(1.0, tau, t_r) / tau
@@ -200,43 +190,36 @@ def cmd_fig2(params: Params) -> dict:
     return {"": (["tau_s", "phase_ratio", "branch"], rows)}
 
 
-def cmd_fig3b(params: Params) -> dict:
-    omega = params.get("rabi")
-    n = params.get("points", 101)
+def cmd_fig3b(rabi, points=101) -> dict:
     alphas = [math.radians(deg) for deg in FIG3_ANGLES_DEG]
-    sims = [response.RotatingFrameRunner(omega, 2.0 * alpha / omega) for alpha in alphas]
+    sims = [response.RotatingFrameRunner(rabi, 2.0 * alpha / rabi) for alpha in alphas]
     # all four angles' probes and DC pairs are stepped in one pass
     ests = response.estimate_kernels(
-        sims, *zip(*(_kernel_probes(sim.tau, alpha, n) for sim, alpha in zip(sims, alphas))))
+        sims, *zip(*(_kernel_probes(sim.tau, alpha, points) for sim, alpha in zip(sims, alphas))))
     return {"": (["alpha_rad", "t_s", "k_norm"],
                  [(alpha, t, v) for alpha, est in zip(alphas, ests)
                   for t, v in zip(est.times, est.values / est.normalization)])}
 
 
-def cmd_fig3c(params: Params) -> dict:
-    omega = params.get("rabi")
-    n = params.get("points", 34)
-    wmax = 3.3 * omega
+def cmd_fig3c(rabi, points=34) -> dict:
+    wmax = 3.3 * rabi
     rows = []
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
-        tau = 2.0 * alpha / omega
-        series = _bode(response.RotatingFrameRunner(omega, tau), tau, wmax, n)
+        tau = 2.0 * alpha / rabi
+        series = _bode(response.RotatingFrameRunner(rabi, tau), tau, wmax, points)
         rows.extend((alpha, w, g) for w, g in zip(series.frequencies, series.gains))
     return {"": (["alpha_rad", "omega_rad_s", "gain_norm"], rows)}
 
 
-def cmd_fig3d(params: Params) -> dict:
-    omega = params.get("rabi")
-    n_w = params.get("omega-points", 81)
-    n_t = params.get("tau-points", 80)
-    if n_w * n_t > MAX_COUNT:
+def cmd_fig3d(rabi, omega_points=81, tau_points=80) -> dict:
+    if omega_points * tau_points > MAX_COUNT:
         raise ConfigError(f"--omega-points times --tau-points must be at most {MAX_COUNT}, "
-                          f"got {n_w} x {n_t}")
-    wgrid = np.linspace(0.0, 4.0 * omega, n_w)
-    tgrid = np.linspace(math.pi / omega / n_t, math.pi / omega, n_t)
-    surface = optimize.sensitivity_surface(omega, wgrid, tgrid)
-    # a generator: the surface has n_w * n_t rows
+                          f"got {omega_points} x {tau_points}")
+    wgrid = np.linspace(0.0, 4.0 * rabi, omega_points)
+    tgrid = np.linspace(math.pi / rabi / tau_points, math.pi / rabi, tau_points)
+    surface = optimize.sensitivity_surface(rabi, wgrid, tgrid)
+    # a generator: the surface has omega_points * tau_points rows
     return {"": (["omega_rad_s", "tau_s", "eta_s"],
                  ((w, tau, surface.values[i, j])
                   for i, w in enumerate(surface.omega_grid)
@@ -244,7 +227,7 @@ def cmd_fig3d(params: Params) -> dict:
             "_ridge": (["omega_rad_s", "tau_star_s"], surface.ridge)}
 
 
-def cmd_fig4d(params: Params) -> dict:
+def cmd_fig4d(points=13, expensive=False) -> dict:
     """p(+stim), p(-stim), p(reference) per Rabi rate for ms0 and ms-1 prep/readout.
 
     The default scaled bias (ge B0 = 60 D) preserves the saturated transition
@@ -255,11 +238,10 @@ def cmd_fig4d(params: Params) -> dict:
     periods; the scaled bias stays the default because the benchmark's
     reference outputs (perfbench/refs) are built on it.
     """
-    n = params.get("points", 13)
     d = TWO_PI * labframe.D_NV_CYCLES
-    b0 = 40.0 if params.has("expensive") else 60.0 * d / labframe.GAMMA_E
+    b0 = 40.0 if expensive else 60.0 * d / labframe.GAMMA_E
     rows = []
-    for omega in np.geomspace(0.1 * d, 8.0 * d, n):
+    for omega in np.geomspace(0.1 * d, 8.0 * d, points):
         model = labframe.NvModel.resonant(omega, b0)
         tau = math.pi / omega
         bs = model.b1 / (10.0 * math.sqrt(2.0))
@@ -273,8 +255,7 @@ def cmd_fig4d(params: Params) -> dict:
                   "p_plus_msm1", "p_minus_msm1", "p_ref_msm1"], rows)}
 
 
-def cmd_offaxis(params: Params) -> dict:
-    n = params.get("points", 11)
+def cmd_offaxis(points=11) -> dict:
     rows = []
     for deg in (0.0, 20.0, 45.0):
         # scaled model: small splitting and bias put the sensing transition
@@ -284,7 +265,7 @@ def cmd_offaxis(params: Params) -> dict:
             d=TWO_PI * 0.5e9, chi=math.radians(deg))
         sim = response.LabFrameRunner(model)
         amp = model.b1 / (10.0 * math.sqrt(2.0)) * 0.02
-        grid = np.linspace(0.25 * sim.omega, 2.5 * sim.omega, n)
+        grid = np.linspace(0.25 * sim.omega, 2.5 * sim.omega, points)
         if deg == 45.0:
             grid = np.concatenate([grid, np.array([0.5, 0.8, 0.9, 0.95]) * model.carrier])
         series = response.bode_response(sim, grid, amp)
@@ -293,31 +274,29 @@ def cmd_offaxis(params: Params) -> dict:
     return {"": (["chi_rad", "omega_rad_s", "gain_norm", "flagged"], rows)}
 
 
-def cmd_optimal(params: Params) -> dict:
-    omega = params.get("rabi")
-    if params.has("signal-freq"):
-        clash = [f"--{f}" for f in ("max-freq", "points") if params.has(f)]
+def cmd_optimal(rabi, signal_freq=None, max_freq=None, points=None) -> dict:
+    if signal_freq is not None:
+        clash = [f for f, v in (("--max-freq", max_freq), ("--points", points)) if v is not None]
         if clash:
             raise ConfigError(f"--signal-freq excludes {' and '.join(clash)}: "
                               "give one signal frequency or a grid")
-        grid = [params.get("signal-freq")]
+        grid = [signal_freq]
     else:
-        wmax = params.get("max-freq", 4.0 * omega)
-        grid = np.linspace(0.0, wmax, params.get("points", 41))
+        grid = np.linspace(0.0, 4.0 * rabi if max_freq is None else max_freq,
+                           41 if points is None else points)
     rows = []
     for w in grid:
-        tau_star, low_conf = optimize.optimal_duration(w, omega)
+        tau_star, low_conf = optimize.optimal_duration(w, rabi)
         rows.append([w, tau_star, float(low_conf)])
     return {"": (["omega_rad_s", "tau_star_s", "low_confidence"], rows)}
 
 
-def cmd_qsl(params: Params) -> dict:
+def cmd_qsl(rabi) -> dict:
     """Speed-limit times for the driven rotation H = Om Sy from the upper Sz state."""
-    omega = params.get("rabi")
-    t_var, t_mean = analytic.qsl_times(omega * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
-                                       -omega / 2.0)
+    t_var, t_mean = analytic.qsl_times(rabi * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
+                                       -rabi / 2.0)
     return {"": (["rabi_rad_s", "t_variance_bound_s", "t_mean_bound_s"],
-                 [[omega, t_var, t_mean]])}
+                 [[rabi, t_var, t_mean]])}
 
 
 #: each handler maps its flag values to its tables, {file-name suffix: (header, rows)};
@@ -336,7 +315,7 @@ COMMANDS = {
     "qsl": cmd_qsl,
 }
 
-#: kind (how :meth:`Params.get` parses it) and help text of every value flag
+#: kind (how :func:`_parse` parses it) and help text of every value flag
 FLAGS = {
     "rabi": ("frequency", "Rabi frequency, e.g. 10MHz or 6.28e7rad/s"),
     "alpha": ("angle", "flip angle per pulse, e.g. 90deg"),
@@ -351,20 +330,12 @@ FLAGS = {
 }
 
 _PULSE = ("rabi", "alpha", "tau")
-#: the value flags (and --config keys) each command reads; fig4d also takes --expensive
-COMMAND_FLAGS = {
-    "metrics": _PULSE,
-    "kernel": _PULSE + ("points", "backend"),
-    "bode": _PULSE + ("points", "max-freq", "backend"),
-    "fig2": ("rabi", "tau-max", "points"),
-    "fig3b": ("rabi", "points"),
-    "fig3c": ("rabi", "points"),
-    "fig3d": ("rabi", "omega-points", "tau-points"),
-    "fig4d": ("points",),
-    "offaxis": ("points",),
-    "optimal": ("rabi", "signal-freq", "max-freq", "points"),
-    "qsl": ("rabi",),
-}
+
+
+def _flags(handler) -> dict:
+    """A handler's parameters by flag name: those in :data:`FLAGS` are value flags and
+    ``--config`` keys, any other (fig4d's ``expensive``) is a switch."""
+    return {n.replace("_", "-"): p for n, p in inspect.signature(handler).parameters.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,24 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--check", action="store_true",
                         help="run the analytic self-checks and exit (takes no command)")
     sub = parser.add_subparsers(dest="command")
-    for name, flags in COMMAND_FLAGS.items():
+    for name, handler in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        flags = [f for f in _flags(handler) if f in FLAGS]
         for flag in flags:
             p.add_argument(f"--{flag}", dest=flag, help=FLAGS[flag][1])
         p.add_argument("--config", help=f"JSON object of this command's flag values, with keys "
                                         f"from {', '.join(flags)}; flags on the command line win")
         p.add_argument("--out", help="output CSV path")
-        if name == "fig4d":
+        if "expensive" in _flags(handler):
             p.add_argument("--expensive", action="store_true", help="full-scale run: B0 = 40 T")
     return parser
 
 
-def parse_config(argv) -> tuple[str, Params, str | None]:
+def parse_config(argv) -> tuple[str, dict, str | None, str]:
     """Parse flags plus an optional ``--config`` document; flags override the document.
 
     The document is a JSON object whose keys are the command's flag names
     (without the leading ``--``) and whose values are what the flag would be
     given; any other key, or a null value, is a configuration error naming it.
+    Returns the command, its handler's keyword arguments, the ``--out`` path
+    and the label a numeric failure names, e.g. ``qsl (--rabi=10MHz)``.  A
+    missing required flag is named before any value is parsed, and the
+    values are parsed in the handler's parameter order.
     """
     args, extra = build_parser().parse_known_args(argv)
     if extra:
@@ -404,10 +380,11 @@ def parse_config(argv) -> tuple[str, Params, str | None]:
     if args.check:
         if args.command:
             raise ConfigError(f"--check runs alone, without a command (got {args.command})")
-        return "check", Params({}), None
+        return "check", {}, None, "check"
     if not args.command:
         raise ConfigError("no command given (see --help)")
-    flags = COMMAND_FLAGS[args.command]
+    flags = _flags(COMMANDS[args.command])
+    keys = [f for f in flags if f in FLAGS]
     merged: dict = {}
     if args.config:
         try:
@@ -418,17 +395,22 @@ def parse_config(argv) -> tuple[str, Params, str | None]:
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object of flag values")
         for key, value in doc.items():
-            if key not in flags or value is None:
+            if key not in keys or value is None:
                 raise ConfigError(f"config file {args.config}: key {key!r} must be a flag of "
-                                  f"{args.command} ({', '.join(flags)}) with a non-null value")
+                                  f"{args.command} ({', '.join(keys)}) with a non-null value")
         merged.update(doc)
-    merged.update((f, getattr(args, f)) for f in flags if getattr(args, f) is not None)
-    if getattr(args, "expensive", False):
-        merged["expensive"] = True
-    return args.command, Params(merged), args.out
+    # an absent value flag reads None, an absent switch False
+    merged.update((f, getattr(args, f)) for f in flags if getattr(args, f) not in (None, False))
+    for flag, param in flags.items():
+        if param.default is param.empty and flag not in merged:
+            raise ConfigError(f"missing required parameter --{flag}")
+    kwargs = {f.replace("-", "_"): _parse(f, merged[f]) if f in FLAGS else merged[f]
+              for f in flags if f in merged}
+    given = " ".join(f"--{k}" if v is True else f"--{k}={v}" for k, v in merged.items())
+    return args.command, kwargs, args.out, f"{args.command} ({given})" if given else args.command
 
 
-def run(command: str, params: Params, out: str | None) -> int:
+def run(command: str, kwargs: dict, out: str | None) -> int:
     """Execute one command and write the tables it returns; returns the process exit code."""
     if command == "check":
         return run_checks()
@@ -437,7 +419,7 @@ def run(command: str, params: Params, out: str | None) -> int:
     # overflow, division by zero or an invalid operation is a numeric failure,
     # never a silent inf or nan in the output
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for suffix, (header, rows) in COMMANDS[command](params).items():
+        for suffix, (header, rows) in COMMANDS[command](**kwargs).items():
             paths.append(os.path.splitext(out)[0] + suffix + ".csv" if suffix else out)
             write_csv(paths[-1], header, rows)
     for p in paths:
@@ -513,14 +495,14 @@ def run_checks() -> int:
 
 def main(argv=None) -> int:
     try:
-        command, params, out = parse_config(sys.argv[1:] if argv is None else argv)
-        return run(command, params, out)
+        command, kwargs, out, label = parse_config(sys.argv[1:] if argv is None else argv)
+        return run(command, kwargs, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, ArithmeticError) as exc:
-        # parse_config raises only ConfigError, so params is set here
-        print(f"numeric failure in {params.describe(command)}: {exc}", file=sys.stderr)
+        # parse_config raises only ConfigError, so label is set here
+        print(f"numeric failure in {label}: {exc}", file=sys.stderr)
         return 3
 
 

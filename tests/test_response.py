@@ -540,6 +540,21 @@ def kernel_probes(sim, n):
             for t in np.linspace(-0.55, 0.55, n) * sim.tau]
 
 
+@pytest.mark.parametrize("estimate, says", [
+    (lambda sim: estimate_kernel(sim, analytic.time_resolution_fwhm(sim.tau, 0.5 * sim.omega
+                                                                     * sim.tau) / 12,
+                                 np.linspace(-0.55, 0.55, 4) * sim.tau), "the kernel"),
+    (lambda sim: bode_response(sim, np.linspace(0.0, 3.3 * sim.omega, 4),
+                               1e-3 / (labframe.GAMMA_E * sim.tau)), "Bode gains"),
+], ids=["kernel", "bode"])
+def test_lab_dc_response_that_vanishes_is_refused(estimate, says):
+    # pulses of 8.2e-20 s, 3e-10 of a carrier period (the CLI refuses any
+    # shorter than one period before a run): the DC pair changes p by nothing
+    sim = cli_lab_runner(math.degrees(math.pi * 3.44e15 * 1.64e-19), tau=1.64e-19)
+    with pytest.raises(NumericError, match=f"DC response vanished; cannot normalize {says}"):
+        estimate(sim)
+
+
 class TestAdjointKernel:
     """The lab kernel, computed by the integrator's adjoint, against direct runs."""
 

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import math
 import os
@@ -13,7 +15,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qslsense import cli, labframe, spinlin, units
-from qslsense.cli import Params, main, resolve_pulse
+from qslsense.analytic import NumericError
+from qslsense.cli import main, resolve_pulse
 from qslsense.units import ConfigError, parse_quantity
 
 from oracles import read_csv
@@ -80,25 +83,25 @@ class TestParseQuantity:
 
 class TestResolvePulse:
     def test_rabi_and_tau(self):
-        om, tau, alpha = resolve_pulse(Params({"rabi": "10MHz", "tau": "50ns"}))
+        om, tau, alpha = resolve_pulse(TWO_PI * 1e7, None, 50e-9)
         assert om == pytest.approx(TWO_PI * 1e7)
         assert alpha == pytest.approx(math.pi / 2, rel=1e-12)
 
     def test_alpha_and_tau_derives_rabi(self):
-        om, tau, alpha = resolve_pulse(Params({"alpha": "90deg", "tau": "50ns"}))
+        om, tau, alpha = resolve_pulse(None, math.pi / 2, 50e-9)
         assert om == pytest.approx(2 * (math.pi / 2) / 50e-9)
 
     def test_rabi_and_alpha_derives_tau(self):
-        om, tau, alpha = resolve_pulse(Params({"rabi": "10MHz", "alpha": "90deg"}))
+        om, tau, alpha = resolve_pulse(TWO_PI * 1e7, math.pi / 2, None)
         assert tau == pytest.approx(math.pi / (TWO_PI * 1e7))
 
     def test_overdetermined_rejected(self):
         with pytest.raises(ConfigError, match="over-determined"):
-            resolve_pulse(Params({"rabi": "10MHz", "alpha": "90deg", "tau": "50ns"}))
+            resolve_pulse(TWO_PI * 1e7, math.pi / 2, 50e-9)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_pulse(Params({"rabi": "10MHz"}))
+            resolve_pulse(TWO_PI * 1e7, None, None)
 
 
 class TestCliCommands:
@@ -239,6 +242,19 @@ class TestCliCommands:
         _, rows = read_csv(out)
         assert float(rows[0][1]) == pytest.approx(50e-9)
 
+    @pytest.mark.parametrize("handler, kwargs, argv", [
+        (cli.cmd_qsl, {"rabi": TWO_PI * 1e7}, ["qsl", f"--rabi={TWO_PI * 1e7!r}rad/s"]),
+        (cli.cmd_kernel, {"rabi": TWO_PI * 1e7, "alpha": math.pi / 4, "points": 7},
+         ["kernel", f"--rabi={TWO_PI * 1e7!r}rad/s", f"--alpha={math.pi / 4!r}rad", "--points=7"]),
+    ], ids=["qsl", "kernel"])
+    def test_handlers_are_plain_functions_of_si_values(self, tmp_path, handler, kwargs, argv):
+        # a handler called with SI values returns the rows main writes for the
+        # same values given as flags in SI units
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        (header, rows), = handler(**kwargs).values()
+        assert read_csv(out) == (header, [["%.12g" % c for c in row] for row in rows])
+
 
 class TestExitCodes:
     def test_missing_unit_is_config_error(self, capsys):
@@ -339,7 +355,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         # --rabi at both ends of the frequency domain, for every command that
-        # reads it (at 1e-6 rad/s a lab run is past the step limit)
+        # reads it (a lab run is past the step limit at 1e-6 rad/s and
+        # refused at 1e20 rad/s, see below)
         *([command, "--rabi", rabi, *rest]
           for rabi in ("1e20rad/s", "1e-6rad/s")
           for command, *rest in (
@@ -348,8 +365,6 @@ class TestExitCodes:
               ["fig3b", "--points", "3"], ["fig3c", "--points", "3"],
               ["fig3d", "--omega-points", "3", "--tau-points", "3"],
               ["optimal", "--points", "3"], ["qsl"])),
-        ["kernel", "--backend", "lab", "--rabi", "1e20rad/s", "--alpha", "90deg", "--points", "3"],
-        ["bode", "--backend", "lab", "--rabi", "1e20rad/s", "--alpha", "90deg", "--points", "3"],
         # the other frequencies
         ["bode", "--rabi", "10MHz", "--alpha", "90deg", "--max-freq", "1e-6rad/s", "--points", "3"],
         ["bode", "--rabi", "1e20rad/s", "--alpha", "90deg", "--max-freq", "1e20rad/s",
@@ -377,6 +392,27 @@ class TestExitCodes:
     ], ids=" ".join)
     def test_values_at_the_domain_bounds_run(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["kernel", "--rabi", "1e20rad/s", "--alpha", "90deg", "--points", "3"], 2),
+        (["bode", "--rabi", "1e20rad/s", "--alpha", "90deg", "--points", "3"], 2),
+        (["kernel", "--rabi=3.44e9MHz", "--tau=1.64e-19s", "--points=4"], 2),
+        (["bode", "--rabi=3.44e9MHz", "--tau=1.64e-19s", "--points=4"], 2),
+        # 0.61 and 1.01 carrier periods per pulse
+        (["kernel", "--rabi", "1e10rad/s", "--alpha", "90deg", "--points", "5"], 2),
+        (["kernel", "--rabi", "6e9rad/s", "--alpha", "90deg", "--points", "5"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_lab_pulse_shorter_than_a_carrier_period_is_refused(self, tmp_path, capsys,
+                                                                argv, code):
+        # at 1e20 rad/s the lab kernel read 0 in every row, at 1e10 rad/s its
+        # centre -0.97 and at 3.44e9 MHz its DC response vanished
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--backend", "lab", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert ("--backend lab needs each pulse (tau/2 from --rabi, --alpha, --tau) to last "
+                    "one carrier period, 2.58398e-10 s; got ") in err
+            assert not out.exists()
 
     def test_small_angle_kernel_at_the_angle_floor(self, tmp_path):
         # k_norm/alpha tends to 0.97172683 as alpha -> 0; at 1e-3 rad the
@@ -433,9 +469,27 @@ class TestExitCodes:
 
     def test_fig4d_expensive_reaches_the_handler(self, monkeypatch):
         seen = []
-        monkeypatch.setitem(cli.COMMANDS, "fig4d", lambda params: seen.append(params) or {})
+
+        def fig4d(points=13, expensive=False):
+            seen.append({"points": points, "expensive": expensive})
+            return {}
+
+        monkeypatch.setitem(cli.COMMANDS, "fig4d", fig4d)
         assert main(["fig4d", "--expensive", "--points", "2"]) == 0
-        assert seen[0].has("expensive") and seen[0].get("points") == 2
+        assert seen == [{"points": 2, "expensive": True}]
+
+    @pytest.mark.parametrize("argv, says", [
+        # a missing required flag is named before any value is parsed
+        (["fig2", "--points=bad"], "missing required parameter --rabi"),
+        (["optimal", "--max-freq=5", "--points=0"], "missing required parameter --rabi"),
+        # a malformed value before an under- or over-determined pulse
+        (["bode", "--tau=5", "--points=3"], "--tau: missing unit on '5'"),
+        (["metrics", "--rabi=1MHz", "--alpha=90deg", "--tau=-1ns"], "--tau must be positive"),
+        (["kernel", "--rabi=10MHz", "--points=2.5"], "--points must be a whole number"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_which_fault_is_named_first(self, capsys, argv, says):
+        assert main(argv) == 2
+        assert f"configuration error: {says}" in capsys.readouterr().err
 
     def test_one_parser_per_process_parses_like_fresh_ones(self, tmp_path, capsys, monkeypatch):
         # a value, a default or an error of one call must not reach the next
@@ -462,12 +516,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_help_lists_only_the_flags_the_command_reads(self, capsys, command):
+        # the handler's parameters, fig4d's --expensive among them
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-        own = {f"--{f}" for f in cli.COMMAND_FLAGS[command]} | {"--help", "--config", "--out"}
-        assert listed == own | ({"--expensive"} if command == "fig4d" else set())
+        params = inspect.signature(cli.COMMANDS[command]).parameters
+        own = {"--" + p.replace("_", "-") for p in params}
+        assert listed == own | {"--help", "--config", "--out"}
 
     @pytest.mark.parametrize("argv", [
         ["kernel", "--rabi", "6MHz", "--alpha", "90deg", "--points", "5"],
@@ -477,18 +533,29 @@ class TestExitCodes:
         # 0.5 * Om * (2 alpha / Om) lands one ulp above pi/2 at this rate
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
-    @pytest.mark.parametrize("argv, named, says", [
-        # inside the domain, a short lab pulse's DC pair can change p by nothing
-        (["kernel", "--backend=lab", "--rabi=3.44e9MHz", "--tau=1.64e-19s", "--points=4"],
-         "kernel (--rabi=3.44e9MHz --tau=1.64e-19s --points=4 --backend=lab)",
-         "DC response vanished; cannot normalize the kernel"),
-        (["bode", "--backend=lab", "--rabi=3.44e9MHz", "--tau=1.64e-19s", "--points=4"],
-         "bode (--rabi=3.44e9MHz --tau=1.64e-19s --points=4 --backend=lab)",
-         "DC response vanished; cannot normalize Bode gains"),
+    @pytest.mark.parametrize("argv, document, named", [
+        # the flags as given, in the handler's parameter order
+        (["kernel", "--backend=lab", "--rabi=10MHz", "--tau=50ns", "--points=4"], None,
+         "kernel (--rabi=10MHz --tau=50ns --points=4 --backend=lab)"),
+        (["fig4d", "--expensive", "--points", "2"], None, "fig4d (--points=2 --expensive)"),
+        # the document's values first, as written, then the other flags
+        (["optimal", "--rabi", "10MHz", "--max-freq", "1MHz"], {"points": 5, "max-freq": "2MHz"},
+         "optimal (--points=5 --max-freq=1MHz --rabi=10MHz)"),
+        (["offaxis"], None, "offaxis"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-    def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, argv, named, says):
+    def test_numeric_failure_names_command_and_flags(self, tmp_path, capsys, monkeypatch,
+                                                     argv, document, named):
+        # no in-domain command line is known to fail numerically, so a stub
+        # with the handler's signature raises instead
+        def fail(**kwargs):
+            raise NumericError("the handler failed")
+
+        monkeypatch.setitem(cli.COMMANDS, argv[0], functools.wraps(cli.COMMANDS[argv[0]])(fail))
+        if document is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(document))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 3
-        assert f"numeric failure in {named}: {says}" in capsys.readouterr().err
+        assert f"numeric failure in {named}: the handler failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, steps, scale", [
         (["kernel", "--backend", "lab", "--rabi", "1kHz", "--alpha", "90deg"],
@@ -612,7 +679,8 @@ def _argv(draw):
 @given(argv=_argv())
 # the first two once ended in a traceback: an overflowing probe amplitude, and
 # a subnormal Rabi rate 2 alpha/tau that halved to a flip angle of 0; the
-# third, inside the domain, in a bare "divide by zero" from a vanished DC response
+# third, inside the domain, in a bare "divide by zero" from a vanished DC
+# response (now a lab pulse shorter than a carrier period, exit 2)
 @example(argv=["kernel", "--backend=lab", "--rabi=2.55e200Hz", "--alpha=4.44e-120deg",
                "--points=2"])
 @example(argv=["kernel", "--alpha=1.81e-319deg", "--tau=1.44e3s", "--points=2"])
@@ -623,6 +691,13 @@ def test_any_flag_values_exit_with_contract_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
     err = capsys.readouterr().err
     assert not any(bare in err for bare in _BARE), err
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_drawn_flags_cover_the_handlers_parameters(command):
+    # a renamed or added flag cannot drop out of the draw unnoticed
+    params = {p.replace("_", "-") for p in inspect.signature(cli.COMMANDS[command]).parameters}
+    assert params - {"backend"} <= set(_FLAGS[command])
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
