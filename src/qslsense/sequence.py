@@ -8,6 +8,11 @@ error-free reference against which both the closed forms in
 :mod:`qslsense.analytic` and the lab-frame integrator in
 :mod:`qslsense.labframe` are checked.
 
+A segment's ``duration``, ``rabi`` and ``detuning`` may be arrays that
+broadcast together, one sequence per element: :func:`propagate` then returns
+``(..., 2)`` states and :func:`transition_probability` an array, each element
+as if run alone.
+
 The rotation-axis convention (phase 0 = Y axis, phase pi/2 = +X axis,
 initial state = upper Sz eigenstate) is the one fixed package-wide in
 :mod:`qslsense.analytic`; it reproduces the exact closed-form probability
@@ -36,9 +41,9 @@ class PulseSegment:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if self.duration < 0:
+        if np.any(np.less(self.duration, 0)):
             raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if self.rabi < 0:
+        if np.any(np.less(self.rabi, 0)):
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
 
 
@@ -70,26 +75,29 @@ def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> ControlSe
 
 
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
-    """Rotating-frame generator ``dw Sz + Om (Sy cos(theta) + Sx sin(theta))``."""
-    return (seg.detuning * spinlin.SZ
-            + seg.rabi * (math.cos(seg.phase) * spinlin.SY + math.sin(seg.phase) * spinlin.SX))
+    """Rotating-frame generator ``dw Sz + Om (Sy cos(theta) + Sx sin(theta))``, ``(..., 2, 2)``."""
+    return (np.asarray(seg.detuning)[..., None, None] * spinlin.SZ
+            + np.asarray(seg.rabi)[..., None, None]
+            * (math.cos(seg.phase) * spinlin.SY + math.sin(seg.phase) * spinlin.SX))
 
 
 def propagate(seq: ControlSequence, initial: np.ndarray) -> np.ndarray:
-    """Apply ``exp(-i H_seg t_seg)`` per segment in order; norm is preserved."""
+    """Apply ``exp(-i H_seg t_seg)`` per segment in order to ``(..., 2)`` states; norm is kept."""
     psi = np.asarray(initial, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError(f"expected a spin-1/2 state of shape (2,), got {psi.shape}")
+    if psi.shape[-1:] != (2,):
+        raise ValueError(f"expected spin-1/2 states of shape (..., 2), got {psi.shape}")
     spinlin.check_state(psi)
+    a0, a1 = psi[..., 0], psi[..., 1]
     for seg in seq.segments:
-        if seg.duration == 0.0:
+        if not np.any(seg.duration):
             continue
         u = spinlin.matexp_antihermitian(segment_hamiltonian(seg), seg.duration)
-        psi = u @ psi
-    return psi
+        a0, a1 = (u[..., 0, 0] * a0 + u[..., 0, 1] * a1,
+                  u[..., 1, 0] * a0 + u[..., 1, 1] * a1)
+    return np.stack([a0, a1], axis=-1)
 
 
-def transition_probability(seq: ControlSequence) -> float:
+def transition_probability(seq: ControlSequence) -> float | np.ndarray:
     """``1 - |<0|U|0>|^2`` for the sequence started in the upper Sz eigenstate."""
     psi = propagate(seq, KET0)
     return 1.0 - spinlin.overlap_probability(KET0, psi)

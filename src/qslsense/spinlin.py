@@ -3,7 +3,9 @@
 States are numpy complex128 vectors of length 2 or 3, operators are dense
 complex128 matrices.  No sparse structure is used anywhere: every matrix in
 this package is at most 3x3, so closed forms beat any general-purpose
-machinery.  The spin-1/2 operators are the read-only constants
+machinery.  The checks, :func:`matexp_antihermitian` and
+:func:`overlap_probability` also take stacks, ``(..., n)`` states and
+``(..., n, n)`` operators.  The spin-1/2 operators are the read-only constants
 :data:`SX`, :data:`SY` and :data:`SZ`.
 
 Conventions
@@ -46,22 +48,22 @@ SZ = _read_only(0.5 * np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
+    return bool(np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0) <= HERMITIAN_TOL)
 
 
 def check_hermitian(m: np.ndarray) -> None:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ContractViolation(f"expected a square matrix, got shape {m.shape}")
     if not is_hermitian(m):
-        dev = np.max(np.abs(m - m.conj().T))
+        dev = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
         raise ContractViolation(f"matrix is not Hermitian (max |M - M^dag| = {dev:.3e})")
 
 
 def check_state(psi: np.ndarray) -> None:
-    nrm = np.linalg.norm(np.asarray(psi))
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ContractViolation(f"state is not normalized (||psi|| = {nrm:.12f})")
+    dev = np.max(np.abs(np.linalg.norm(np.asarray(psi), axis=-1) - 1.0), initial=0.0)
+    if dev > NORM_TOL:
+        raise ContractViolation(f"state is not normalized (max | ||psi|| - 1 | = {dev:.3e})")
 
 
 def su2_propagator(wx, wy, wz, t):
@@ -92,19 +94,21 @@ def su2_propagator(wx, wy, wz, t):
 def matexp_antihermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary propagator ``exp(-i H t)`` for a Hermitian 2x2 ``h``.
 
-    Raises :class:`ContractViolation` for non-Hermitian input or any other
+    A ``(..., 2, 2)`` stack, with ``t`` broadcasting, gives a stack.  Raises
+    :class:`ContractViolation` for non-Hermitian input or any other
     dimension.  Uses the closed Pauli form of :func:`su2_propagator`, so the
     matrix is unitary to machine precision.
     """
     h = np.asarray(h, dtype=complex)
     check_hermitian(h)
-    if h.shape[0] != 2:
-        raise ContractViolation(f"only dimension 2 is supported, got {h.shape[0]}")
+    if h.shape[-1] != 2:
+        raise ContractViolation(f"only dimension 2 is supported, got {h.shape[-1]}")
     # H = a I + wx Sx + wy Sy + wz Sz
-    a = 0.5 * (h[0, 0] + h[1, 1]).real
-    u00, u01, u10, u11 = su2_propagator(2.0 * h[0, 1].real, -2.0 * h[0, 1].imag,
-                                        (h[0, 0] - h[1, 1]).real, t)
-    return np.exp(-1j * a * t) * np.array([[u00, u01], [u10, u11]])
+    a = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+    u = np.stack(su2_propagator(2.0 * h[..., 0, 1].real, -2.0 * h[..., 0, 1].imag,
+                                (h[..., 0, 0] - h[..., 1, 1]).real, t), axis=-1)
+    u *= np.exp(-1j * a * t)[..., None]
+    return u.reshape(u.shape[:-1] + (2, 2))
 
 
 def expectation(h: np.ndarray, psi: np.ndarray) -> float:
@@ -125,13 +129,13 @@ def expectation(h: np.ndarray, psi: np.ndarray) -> float:
     return val.real
 
 
-def overlap_probability(a: np.ndarray, b: np.ndarray) -> float:
-    """``|<a|b>|^2`` for two normalized states of equal dimension, clipped to [0, 1]."""
+def overlap_probability(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """``|<a|b>|^2`` of normalized states, clipped to [0, 1]: a float, or an array for stacks."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ContractViolation(f"dimension mismatch: {a.shape} vs {b.shape}")
     check_state(a)
     check_state(b)
-    p = abs(np.vdot(a, b)) ** 2
-    return float(min(max(p, 0.0), 1.0))
+    p = np.clip(np.abs(np.sum(a.conj() * b, axis=-1)) ** 2, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p

@@ -54,6 +54,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PulseSegment(1.0, -1.0)
 
+    def test_array_segment_validation(self):
+        # one negative element refuses the whole batch
+        with pytest.raises(ValueError, match="duration"):
+            PulseSegment(np.array([1.0, 0.0, -1e-12]), 1.0)
+        with pytest.raises(ValueError, match="rabi"):
+            PulseSegment(1.0, np.array([[2.0], [-1.0]]))
+
 
 class TestPropagation:
     def test_trivial_sequence_is_identity(self):
@@ -95,6 +102,46 @@ class TestPropagation:
         seq = make_bipartite(1.0, 1.0)
         with pytest.raises(ValueError):
             propagate(seq, np.array([1, 0, 0], dtype=complex))
+        with pytest.raises(ValueError, match=r"\(\.\.\., 2\)"):
+            propagate(seq, np.tile(np.array([1, 0, 0], dtype=complex), (4, 1)))
+
+
+class TestBatch:
+    """A broadcast grid of sequences equals each of its sequences run alone."""
+
+    def test_broadcast_grid_equals_each_element_alone(self):
+        om = np.geomspace(0.5, 4.0, 3)[:, None, None]
+        tau = np.array([0.0, 0.3, 1.7, 6.0])[None, :, None]
+        dw = np.array([-0.8, 0.0, 0.05, 2.0, 10.0])
+        grid = make_split_bipartite(om, tau, 0.3, 1.1, detuning=dw)
+        psi = propagate(grid, KET0)
+        p = transition_probability(grid)
+        assert psi.shape == (3, 4, 5, 2) and p.shape == (3, 4, 5)
+        for i, j, k in np.ndindex(p.shape):
+            seq = make_split_bipartite(float(om[i, 0, 0]), float(tau[0, j, 0]), 0.3, 1.1,
+                                       detuning=float(dw[k]))
+            assert np.max(np.abs(psi[i, j, k] - propagate(seq, KET0))) <= 1e-15
+            assert abs(p[i, j, k] - transition_probability(seq)) <= 1e-15
+
+    def test_zero_durations_in_a_batch_are_identity(self):
+        p = transition_probability(make_bipartite(1.0, np.array([0.0, 0.0, 2.0])))
+        assert p[:2].tolist() == [0.0, 0.0] and p[2] > 0.0
+
+    def test_batch_of_initial_states(self):
+        rng = np.random.default_rng(4)
+        states = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        seq = make_ramsey_with_delay(1.0, 0.4, 2.0, detuning=0.3)
+        out = propagate(seq, states)
+        for psi, got in zip(states, out):
+            assert np.max(np.abs(got - propagate(seq, psi))) <= 1e-15
+
+    def test_empty_batch(self):
+        p = transition_probability(make_bipartite(np.ones((2, 0)), 1.0))
+        assert p.shape == (2, 0)
+
+    def test_single_sequence_gives_a_float(self):
+        assert isinstance(transition_probability(make_bipartite(1.0, 2.0)), float)
 
 
 class TestTransitionProbability:

@@ -120,6 +120,57 @@ class TestMatexp:
         for dim in (3, 4):
             with pytest.raises(ContractViolation, match="only dimension 2"):
                 spinlin.matexp_antihermitian(np.eye(dim, dtype=complex), 1.0)
+        with pytest.raises(ContractViolation, match="only dimension 2"):
+            spinlin.matexp_antihermitian(np.zeros((4, 3, 3), dtype=complex), 1.0)
+
+
+class TestStacks:
+    """Stacks along leading axes behave as their members one by one."""
+
+    def test_matexp_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(8)
+        h = np.array([[random_hermitian(rng, 2) for _ in range(3)] for _ in range(4)])
+        t = rng.uniform(0.0, 3.0, size=(4, 1))
+        u = spinlin.matexp_antihermitian(h, t)
+        assert u.shape == (4, 3, 2, 2)
+        for i, j in np.ndindex(4, 3):
+            alone = spinlin.matexp_antihermitian(h[i, j], float(t[i, 0]))
+            assert np.max(np.abs(u[i, j] - alone)) <= 1e-15
+
+    def test_one_non_hermitian_member_fails_the_stack(self):
+        rng = np.random.default_rng(2)
+        h = np.array([random_hermitian(rng, 2) for _ in range(5)])
+        spinlin.check_hermitian(h)
+        h[3, 0, 1] += 1e-6
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            spinlin.check_hermitian(h)
+        with pytest.raises(ContractViolation, match="not Hermitian"):
+            spinlin.matexp_antihermitian(h, 1.0)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ContractViolation, match="square"):
+            spinlin.check_hermitian(np.zeros((3, 2, 3)))
+
+    def test_one_unnormalized_row_fails_the_stack(self):
+        psi = np.tile(np.array([0.6, 0.8j]), (3, 4, 1))
+        spinlin.check_state(psi)
+        psi[2, 1] *= 1.0 + 1e-8
+        with pytest.raises(ContractViolation, match="not normalized"):
+            spinlin.check_state(psi)
+
+    def test_overlap_float_for_single_states_array_for_stacks(self):
+        a = np.array([1, 0], dtype=complex)
+        b = np.array([1, 1j], dtype=complex) / np.sqrt(2)
+        single = overlap_probability(a, b)
+        assert type(single) is float and single == pytest.approx(0.5)
+        ang = np.linspace(0.0, np.pi, 7)
+        stack = np.stack([np.cos(ang), 1j * np.sin(ang)], axis=-1)
+        p = overlap_probability(a, stack)
+        assert isinstance(p, np.ndarray) and p.shape == (7,)
+        assert np.max(np.abs(p - np.cos(ang) ** 2)) <= 1e-15
+        pairs = overlap_probability(stack, stack[::-1])
+        for x, y, got in zip(stack, stack[::-1], pairs):
+            assert got == overlap_probability(x, y)
 
 
 class TestSu2Propagator:

@@ -76,6 +76,18 @@ def test_fig3b_is_one_traced_run_batch_call(tmp_path):
     assert (stats["calls"], stats["runs"]) == (1, 4 * (5 + 3))
 
 
+def test_check_propagates_its_oracle_grid_in_one_call():
+    # the 512-point grid is one batched sequence of two segments; the closed
+    # form is still evaluated point by point
+    code, report = run_traced(
+        'code = qslsense.cli.main(["--check"])\n'
+        'print(json.dumps([code, tracer.report()]))')
+    assert code == 0
+    assert report["sequence.transition_probability"]["calls"] == 1
+    assert report["spinlin.matexp_antihermitian"]["calls"] == 2
+    assert report["response.RotatingFrameRunner.run_batch"]["calls"] == 0
+
+
 def test_offaxis_runs_only_the_dc_pairs(tmp_path):
     # the delayed sinusoids are the adjoint's linear response, so each tilt
     # runs only its DC pair; the 7 frequencies (1 + 1 + 1 plus the 4 near

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qslsense import cli, labframe, spinlin, units
+from qslsense import cli, labframe, sequence, spinlin, units
 from qslsense.analytic import NumericError
 from qslsense.cli import main, resolve_pulse
 from qslsense.units import ConfigError, parse_quantity
@@ -621,6 +621,21 @@ class TestExitCodes:
         assert main(["--check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_check_fails_on_a_nan_oracle_deviation(self, capsys, monkeypatch):
+        # a NaN compares False with any bound, so it must not read as a pass
+        exact = sequence.transition_probability
+
+        def one_nan(seq):
+            p = exact(seq)
+            p[3, 5, 1] = math.nan
+            return p
+
+        monkeypatch.setattr(sequence, "transition_probability", one_nan)
+        assert cli.run_checks() == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "FAIL  exact probability matches propagator product (8x8x8 grid)"
+        assert all(line.startswith("PASS") for line in lines[1:])
 
 
 _UNITS = ("Hz", "MHz", "GHz", "rad/s", "ns", "s", "deg", "rad", "T", "", "bogus")
