@@ -61,9 +61,9 @@ def exact_transition_probability(rabi: float, duration: float, detuning: float =
     timeshares and phase jumps have no such closed form; the tests build
     them for the sequence propagator (:func:`qslsense.sequence.propagate`).
     """
-    if rabi <= 0:
+    if not rabi > 0:
         raise ValueError(f"rabi must be > 0, got {rabi}")
-    if duration < 0:
+    if not duration >= 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     om, tau, dw = rabi, duration, detuning
     eff = math.hypot(om, dw)
@@ -113,7 +113,7 @@ def effective_phase_extended(delta_omega: float, tau: float, t_r: float) -> floa
     contribute with the pi/2 scaling factor, the free interval at full rate.
     Requires 0 <= 2 t_r <= tau.
     """
-    if t_r < 0 or 2 * t_r > tau:
+    if not 0 <= 2 * t_r <= tau:
         raise ValueError(f"need 0 <= 2*t_r <= tau, got t_r={t_r}, tau={tau}")
     return 4.0 * delta_omega * t_r / math.pi + delta_omega * (tau - 2.0 * t_r)
 

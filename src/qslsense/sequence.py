@@ -1,12 +1,12 @@
 """Rotating-frame control sequences for a spin-1/2 probe.
 
-A sequence is an ordered list of piecewise-constant segments.  Each segment
-evolves the state under ``H = dw Sz + Om (Sy cos(theta) + Sx sin(theta))``
-for its duration, so propagation is a product of exact matrix exponentials
-with no integrator or step size anywhere.  That makes this module the
-error-free reference against which both the closed forms in
-:mod:`qslsense.analytic` and the lab-frame integrator in
-:mod:`qslsense.labframe` are checked.
+A sequence is a tuple of piecewise-constant segments, applied in order (an
+empty one is the identity).  Each segment evolves the state under
+``H = dw Sz + Om (Sy cos(theta) + Sx sin(theta))`` for its duration, so
+propagation is a product of exact matrix exponentials with no integrator or
+step size anywhere.  That makes this module the error-free reference against
+which both the closed forms in :mod:`qslsense.analytic` and the lab-frame
+integrator in :mod:`qslsense.labframe` are checked.
 
 A segment's ``duration``, ``rabi`` and ``detuning`` may be arrays that
 broadcast together, one sequence per element: :func:`propagate` then returns
@@ -22,6 +22,7 @@ bit-for-bit, with p = 1/2 - phi/pi at alpha = pi/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,37 +42,21 @@ class PulseSegment:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.less(self.duration, 0)):
+        if not np.all(np.greater_equal(self.duration, 0)):
             raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if np.any(np.less(self.rabi, 0)):
+        if not np.all(np.greater_equal(self.rabi, 0)):
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
 
 
-@dataclass(frozen=True)
-class ControlSequence:
-    """Nonempty ordered tuple of segments.
-
-    Zero total duration is tolerated (identity propagation) so degenerate
-    limits remain expressible.
-    """
-
-    segments: tuple[PulseSegment, ...]
-
-    def __post_init__(self):
-        if len(self.segments) == 0:
-            raise ValueError("a control sequence needs at least one segment")
-        object.__setattr__(self, "segments", tuple(self.segments))
-
-
-def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> ControlSequence:
+def make_bipartite(omega: float, tau: float, detuning: float = 0.0) -> tuple[PulseSegment, ...]:
     """Equal halves of ``tau``, the second with its drive axis turned by pi/2.
 
     Other timeshares and phase jumps are in the tests' oracles
     (``tests/oracles.py``), the reference for
     :func:`qslsense.analytic.bipartite_sensitivity`.
     """
-    return ControlSequence((PulseSegment(0.5 * tau, omega, 0.0, detuning),
-                            PulseSegment(0.5 * tau, omega, math.pi / 2, detuning)))
+    return (PulseSegment(0.5 * tau, omega, 0.0, detuning),
+            PulseSegment(0.5 * tau, omega, math.pi / 2, detuning))
 
 
 def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
@@ -81,14 +66,14 @@ def segment_hamiltonian(seg: PulseSegment) -> np.ndarray:
             * (math.cos(seg.phase) * spinlin.SY + math.sin(seg.phase) * spinlin.SX))
 
 
-def propagate(seq: ControlSequence, initial: np.ndarray) -> np.ndarray:
+def propagate(seq: Sequence[PulseSegment], initial: np.ndarray) -> np.ndarray:
     """Apply ``exp(-i H_seg t_seg)`` per segment in order to ``(..., 2)`` states; norm is kept."""
     psi = np.asarray(initial, dtype=complex)
     if psi.shape[-1:] != (2,):
         raise ValueError(f"expected spin-1/2 states of shape (..., 2), got {psi.shape}")
     spinlin.check_state(psi)
     a0, a1 = psi[..., 0], psi[..., 1]
-    for seg in seq.segments:
+    for seg in seq:
         if not np.any(seg.duration):
             continue
         u = spinlin.matexp_antihermitian(segment_hamiltonian(seg), seg.duration)
@@ -97,7 +82,9 @@ def propagate(seq: ControlSequence, initial: np.ndarray) -> np.ndarray:
     return np.stack([a0, a1], axis=-1)
 
 
-def transition_probability(seq: ControlSequence) -> float | np.ndarray:
-    """``1 - |<0|U|0>|^2`` for the sequence started in the upper Sz eigenstate."""
+def transition_probability(seq: Sequence[PulseSegment]) -> float | np.ndarray:
+    """``1 - |<0|U|0>|^2`` from the upper Sz eigenstate: a float, or an array for a grid."""
     psi = propagate(seq, KET0)
-    return 1.0 - spinlin.overlap_probability(KET0, psi)
+    spinlin.check_state(psi)
+    p = 1.0 - np.minimum(np.abs(psi[..., 0]) ** 2, 1.0)
+    return float(p) if p.ndim == 0 else p

@@ -19,7 +19,7 @@ from qslsense import labframe, spinlin
 from qslsense.analytic import MetricsReport, NumericError
 from qslsense.labframe import NvModel, Protocol, Stimulus
 from qslsense.response import KernelEstimate
-from qslsense.sequence import ControlSequence, PulseSegment
+from qslsense.sequence import PulseSegment
 
 #: spin-1 angular momentum, ``SZ1 = diag(1, 0, -1)``, basis order (+1, 0, -1)
 SX1 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
@@ -112,7 +112,7 @@ def kernel_value(t, omega: float, tau: float):
 
 
 def make_split_bipartite(omega: float, tau: float, timeshare: float, phase_jump: float,
-                         detuning: float = 0.0) -> ControlSequence:
+                         detuning: float = 0.0) -> tuple[PulseSegment, ...]:
     """Two-segment sequence: (k tau, phase 0) then ((1-k) tau, phase theta_jump).
 
     ``timeshare = 0.5`` and ``phase_jump = pi/2`` give
@@ -128,11 +128,11 @@ def make_split_bipartite(omega: float, tau: float, timeshare: float, phase_jump:
     else:
         segs = (PulseSegment(timeshare * tau, omega, 0.0, detuning),
                 PulseSegment((1.0 - timeshare) * tau, omega, phase_jump, detuning))
-    return ControlSequence(segs)
+    return segs
 
 
 def make_ramsey_with_delay(omega: float, t_r: float, tau: float,
-                           detuning: float = 0.0) -> ControlSequence:
+                           detuning: float = 0.0) -> tuple[PulseSegment, ...]:
     """Ramsey sequence with finite pulse duration: pulse, free evolution, pulse.
 
     Segments (t_r, phase 0), (tau - 2 t_r, drive off), (t_r, phase pi/2), all
@@ -145,7 +145,7 @@ def make_ramsey_with_delay(omega: float, t_r: float, tau: float,
     segs = (PulseSegment(t_r, omega, 0.0, detuning),
             PulseSegment(tau - 2 * t_r, 0.0, 0.0, detuning),
             PulseSegment(t_r, omega, math.pi / 2, detuning))
-    return ControlSequence(segs)
+    return segs
 
 
 def _crossings(t: np.ndarray, y: np.ndarray, level: float) -> list[float]:

@@ -61,6 +61,18 @@ class TestExactProbability:
                     assert abs(p1 - p2) <= 1e-10
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_transition_probability(math.nan, 1.0), "rabi must be > 0"),
+    (lambda: exact_transition_probability(1.0, math.nan), "duration must be >= 0"),
+    (lambda: effective_phase_extended(1.0, math.nan, 0.1), "need 0 <= 2"),
+    (lambda: effective_phase_extended(1.0, 1.0, math.nan), "need 0 <= 2"),
+], ids=["rabi", "duration", "tau", "t_r"])
+def test_nan_fails_the_range_checks(call, message):
+    # each check is written as "not inside the range", so a NaN fails it
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestFirstOrder:
     def test_bias_point(self):
         assert first_order_probability(math.pi / 2, 0.0) == pytest.approx(0.5)

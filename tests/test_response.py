@@ -67,6 +67,13 @@ class TestSineFit:
         with pytest.raises(NumericError):
             fit_sine_amplitude(np.column_stack([t, np.ones_like(t)]), w)
 
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+    def test_omega_out_of_range(self, omega):
+        # a NaN fails the range check too
+        t = np.linspace(0, TWO_PI, 12)
+        with pytest.raises(ValueError, match="omega must be > 0"):
+            fit_sine_amplitude(np.column_stack([t, np.sin(t)]), omega)
+
 
 class TestKernelEstimate:
     def test_probe_width_precondition(self):

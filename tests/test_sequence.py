@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qslsense import analytic, sequence
+from qslsense import analytic, spinlin
 from qslsense.sequence import (
     KET0,
-    ControlSequence,
     PulseSegment,
     make_bipartite,
     propagate,
@@ -21,38 +20,41 @@ TWO_PI = 2 * math.pi
 class TestConstruction:
     def test_bipartite_segments(self):
         seq = make_bipartite(1.0, 2.0, detuning=0.1)
-        assert len(seq.segments) == 2
-        assert seq.segments[0] == PulseSegment(1.0, 1.0, 0.0, 0.1)
-        assert seq.segments[1] == PulseSegment(1.0, 1.0, math.pi / 2, 0.1)
+        assert len(seq) == 2
+        assert seq[0] == PulseSegment(1.0, 1.0, 0.0, 0.1)
+        assert seq[1] == PulseSegment(1.0, 1.0, math.pi / 2, 0.1)
 
     def test_degenerate_timeshares(self):
         lo = make_split_bipartite(1.0, 2.0, timeshare=0.0, phase_jump=0.7)
         hi = make_split_bipartite(1.0, 2.0, timeshare=1.0, phase_jump=0.7)
-        assert len(lo.segments) == 1 and lo.segments[0].phase == 0.7
-        assert len(hi.segments) == 1 and hi.segments[0].phase == 0.0
+        assert len(lo) == 1 and lo[0].phase == 0.7
+        assert len(hi) == 1 and hi[0].phase == 0.0
         # the oracle's equal split with a quarter-turn jump is the package's sequence
         assert (make_split_bipartite(1.0, 2.0, 0.5, math.pi / 2, detuning=0.1)
                 == make_bipartite(1.0, 2.0, detuning=0.1))
 
     def test_ramsey_structure(self):
         seq = make_ramsey_with_delay(1.0, 0.5, 3.0, detuning=0.2)
-        assert [s.rabi for s in seq.segments] == [1.0, 0.0, 1.0]
-        assert seq.segments[1].duration == pytest.approx(2.0)
-        assert seq.segments[2].phase == pytest.approx(math.pi / 2)
+        assert [s.rabi for s in seq] == [1.0, 0.0, 1.0]
+        assert seq[1].duration == pytest.approx(2.0)
+        assert seq[2].phase == pytest.approx(math.pi / 2)
 
     def test_ramsey_precondition(self):
         with pytest.raises(ValueError):
             make_ramsey_with_delay(1.0, 0.6, 1.0)
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            ControlSequence(segments=())
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
             PulseSegment(-1.0, 1.0)
         with pytest.raises(ValueError):
             PulseSegment(1.0, -1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan),
+                                      (np.array([1.0, math.nan]), 1.0)],
+                             ids=["duration", "rabi", "duration-element"])
+    def test_nan_segment_rejected(self, args):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            PulseSegment(*args)
 
     def test_array_segment_validation(self):
         # one negative element refuses the whole batch
@@ -64,7 +66,7 @@ class TestConstruction:
 
 class TestPropagation:
     def test_trivial_sequence_is_identity(self):
-        seq = ControlSequence((PulseSegment(1.0, 0.0, 0.0, 0.0),))
+        seq = (PulseSegment(1.0, 0.0, 0.0, 0.0),)
         psi = propagate(seq, KET0)
         assert np.allclose(psi, KET0)
 
@@ -82,8 +84,8 @@ class TestPropagation:
                          for _ in range(4))
             fine = tuple(PulseSegment(s.duration / 10, s.rabi, s.phase, s.detuning)
                          for s in segs for _ in range(10))
-            a = propagate(ControlSequence(segs), KET0)
-            b = propagate(ControlSequence(fine), KET0)
+            a = propagate(segs, KET0)
+            b = propagate(fine, KET0)
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_concatenation_associativity(self):
@@ -94,8 +96,8 @@ class TestPropagation:
         seg_b = tuple(PulseSegment(rng.uniform(0.1, 1), rng.uniform(0, 2),
                                    rng.uniform(0, TWO_PI), rng.uniform(-1, 1))
                       for _ in range(3))
-        joined = propagate(ControlSequence(seg_a + seg_b), KET0)
-        staged = propagate(ControlSequence(seg_b), propagate(ControlSequence(seg_a), KET0))
+        joined = propagate(seg_a + seg_b, KET0)
+        staged = propagate(seg_b, propagate(seg_a, KET0))
         assert np.max(np.abs(joined - staged)) <= 1e-12
 
     def test_spin_half_only(self):
@@ -145,8 +147,26 @@ class TestBatch:
 
 
 class TestTransitionProbability:
+    def test_read_from_the_upper_amplitude(self):
+        # the readout is 1 - |psi_0|^2 of the propagated state, bit for bit
+        om = np.geomspace(0.5, 4.0, 5)[:, None, None]
+        tau = np.array([0.0, 0.3, 1.7, 6.0])[None, :, None]
+        dw = np.array([-0.8, 0.0, 0.05, 2.0])
+        for seq in (make_bipartite(om, tau, dw),
+                    make_split_bipartite(om, tau, 0.3, 1.1, detuning=dw)):
+            p = transition_probability(seq)
+            assert np.array_equal(p, 1.0 - np.abs(propagate(seq, KET0)[..., 0]) ** 2)
+
+    def test_lost_norm_of_the_final_state_raises(self, monkeypatch):
+        monkeypatch.setattr(spinlin, "matexp_antihermitian",
+                            lambda h, t: 2.0 * np.broadcast_to(np.eye(2), np.shape(h)))
+        with pytest.raises(spinlin.ContractViolation, match="not normalized"):
+            transition_probability(make_bipartite(1.0, 2.0))
+        with pytest.raises(spinlin.ContractViolation, match="not normalized"):
+            transition_probability(make_bipartite(np.ones(3), 2.0))
+
     def test_zero_duration(self):
-        seq = ControlSequence((PulseSegment(0.0, 1.0),))
+        seq = (PulseSegment(0.0, 1.0),)
         assert transition_probability(seq) == 0.0
 
     def test_exact_formula_on_grid(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qslsense import spinlin
-from qslsense.spinlin import SX, SY, SZ, ContractViolation, expectation, overlap_probability
+from qslsense.spinlin import SX, SY, SZ, ContractViolation, expectation
 
 import oracles
 # spinlin's closed form for 2x2 generators, an eigendecomposition for 3x3
@@ -158,20 +158,6 @@ class TestStacks:
         with pytest.raises(ContractViolation, match="not normalized"):
             spinlin.check_state(psi)
 
-    def test_overlap_float_for_single_states_array_for_stacks(self):
-        a = np.array([1, 0], dtype=complex)
-        b = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-        single = overlap_probability(a, b)
-        assert type(single) is float and single == pytest.approx(0.5)
-        ang = np.linspace(0.0, np.pi, 7)
-        stack = np.stack([np.cos(ang), 1j * np.sin(ang)], axis=-1)
-        p = overlap_probability(a, stack)
-        assert isinstance(p, np.ndarray) and p.shape == (7,)
-        assert np.max(np.abs(p - np.cos(ang) ** 2)) <= 1e-15
-        pairs = overlap_probability(stack, stack[::-1])
-        for x, y, got in zip(stack, stack[::-1], pairs):
-            assert got == overlap_probability(x, y)
-
 
 class TestSu2Propagator:
     """The real/imaginary-part construction equals the complex-expression oracle."""
@@ -222,26 +208,15 @@ class TestExpectation:
             expectation(oracles.SZ1, np.array([1, 0], dtype=complex))
 
 
-class TestOverlap:
-    def test_self_overlap(self):
-        psi = np.array([0.6, 0.8j], dtype=complex)
-        assert overlap_probability(psi, psi) == pytest.approx(1.0)
+class TestNan:
+    """A NaN fails every contract check: each is written as "not inside the range"."""
 
-    def test_orthogonal(self):
-        assert overlap_probability(np.array([1, 0], dtype=complex),
-                                   np.array([0, 1], dtype=complex)) == 0.0
-
-    def test_equal_superposition(self):
-        a = np.array([1, 0], dtype=complex)
-        b = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert overlap_probability(a, b) == pytest.approx(0.5)
-
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("check", [
+        lambda: spinlin.check_state(np.array([np.nan, 0.0])),
+        lambda: spinlin.check_state(np.array([[1.0, 0.0], [np.nan, 0.0]])),
+        lambda: spinlin.check_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        lambda: expectation(SZ, np.array([np.nan, 0.0])),
+    ], ids=["state", "state-stack-row", "hermitian", "expectation"])
+    def test_nan_raises(self, check):
         with pytest.raises(ContractViolation):
-            overlap_probability(np.array([1, 0], dtype=complex),
-                                np.array([1, 0, 0], dtype=complex))
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ContractViolation):
-            overlap_probability(np.array([2, 0], dtype=complex),
-                                np.array([1, 0], dtype=complex))
+            check()

@@ -618,9 +618,17 @@ class TestExitCodes:
         assert main([]) == 2
 
     def test_check_mode_passes(self, capsys):
+        # every check by name: a dropped or renamed one fails here
         assert main(["--check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  exact probability matches propagator product (8x8x8 grid)",
+            "PASS  metric constants at alpha = 90 deg",
+            "PASS  first-order expansion quality",
+            "PASS  timeshare/phase optimum at (0.5, pi/2)",
+            "PASS  speed-limit bounds coincide for the driven qubit",
+            "PASS  transfer function continuous at w = Om",
+            "PASS  transfer function vanishes at the first root",
+        ]
 
     def test_check_fails_on_a_nan_oracle_deviation(self, capsys, monkeypatch):
         # a NaN compares False with any bound, so it must not read as a pass
