@@ -20,7 +20,6 @@ first-order sign at once; no other convention leaks out of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +32,11 @@ class NumericError(RuntimeError):
     """A numerical procedure (root bracketing, fitting) failed; message has diagnostics."""
 
 
-@dataclass
-class MetricsReport:
-    """Resolution and bandwidth metrics of one sequence configuration.
-
-    Time metrics are seconds, bandwidths rad/s.  Fields not computed by a
-    given producer (e.g. the sample-based estimator of the test suite,
-    ``numeric_metrics`` in tests/oracles.py, fills no bandwidths) are left
-    as None.
-    """
-
-    t_fwhm: float | None = None
-    t_20_80: float | None = None
-    t_10_90: float | None = None
-    t_square: float | None = None
-    bw_first_root: float | None = None
-    bw_3db: float | None = None
-    epsilon: float | None = None
-    p0: float | None = None
-
-
 def exact_transition_probability(rabi: float, duration: float, detuning: float = 0.0) -> float:
     """Exact transition probability of the equal-timeshare, 90-degree-jump sequence.
 
     ``rabi`` (rad/s, > 0) and ``duration`` tau (s, >= 0) fix the pulses; the
-    ``detuning`` (rad/s) may be of any size, not only << rabi.  Other
+    ``detuning`` (rad/s) may be of any finite size, not only << rabi.  Other
     timeshares and phase jumps have no such closed form; the tests build
     them for the sequence propagator (:func:`qslsense.sequence.propagate`).
     """
@@ -65,6 +44,8 @@ def exact_transition_probability(rabi: float, duration: float, detuning: float =
         raise ValueError(f"rabi must be > 0, got {rabi}")
     if not duration >= 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
+    if not math.isfinite(detuning):
+        raise ValueError(f"detuning must be finite, got {detuning}")
     om, tau, dw = rabi, duration, detuning
     eff = math.hypot(om, dw)
     num = (om**2 * (4 * dw**2 * math.cos(tau * eff / 2)
@@ -291,17 +272,3 @@ def qsl_times(hamiltonian, state, ground_energy: float = 0.0) -> tuple[float, fl
     t_mean = math.inf if gap <= 0 else (math.pi / 2.0) / gap
     return t_var, t_mean
 
-
-def metrics_report(omega: float, tau: float) -> MetricsReport:
-    """All closed-form metrics of the sequence at (omega, tau); needs alpha <= pi/2."""
-    alpha = omega * tau / 2.0
-    return MetricsReport(
-        t_fwhm=time_resolution_fwhm(tau, alpha),
-        t_20_80=rise_time(tau, omega, "r20_80"),
-        t_10_90=rise_time(tau, omega, "r10_90"),
-        t_square=equivalent_duration(tau, alpha),
-        bw_first_root=bandwidth_first_root(omega, alpha),
-        bw_3db=bandwidth_3db(omega, alpha),
-        epsilon=phase_scaling_factor(alpha),
-        p0=0.25 * (1.0 - math.cos(2 * alpha)),
-    )

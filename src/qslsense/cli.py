@@ -139,12 +139,16 @@ def _make_runner(backend: str, omega: float, tau: float):
 def cmd_metrics(rabi=None, alpha=None, tau=None) -> dict:
     omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     _check_flip_angle(alpha)
-    rep = analytic.metrics_report(omega, tau)
-    return {"": (["omega_rad_s", "tau_s", "alpha_rad", "t_fwhm_s", "t_20_80_s",
-                  "t_10_90_s", "t_square_s", "bw_first_root_rad_s", "bw_3db_rad_s",
-                  "epsilon", "p0"],
-                 [[omega, tau, alpha, rep.t_fwhm, rep.t_20_80, rep.t_10_90,
-                   rep.t_square, rep.bw_first_root, rep.bw_3db, rep.epsilon, rep.p0]])}
+    a = omega * tau / 2.0  # the closed forms' own angle, which may differ from alpha by an ulp
+    row = {"omega_rad_s": omega, "tau_s": tau, "alpha_rad": alpha,
+           "t_fwhm_s": analytic.time_resolution_fwhm(tau, a),
+           "t_20_80_s": analytic.rise_time(tau, omega, "r20_80"),
+           "t_10_90_s": analytic.rise_time(tau, omega, "r10_90"),
+           "t_square_s": analytic.equivalent_duration(tau, a),
+           "bw_first_root_rad_s": analytic.bandwidth_first_root(omega, a),
+           "bw_3db_rad_s": analytic.bandwidth_3db(omega, a),
+           "epsilon": analytic.phase_scaling_factor(a), "p0": 0.25 * (1.0 - math.cos(2 * a))}
+    return {"": (list(row), [list(row.values())])}
 
 
 def _kernel_probes(tau: float, alpha: float, n: int):
@@ -152,9 +156,10 @@ def _kernel_probes(tau: float, alpha: float, n: int):
     return analytic.time_resolution_fwhm(tau, alpha) / 12.0, np.linspace(-0.55 * tau, 0.55 * tau, n)
 
 
-def _bode(sim, tau: float, wmax: float, n: int) -> response.BodeSeries:
+def _bode(sim, wmax: float, n: int) -> response.BodeSeries:
     """Bode gains on n frequencies over [0, wmax] at a stimulus phase of 1e-3 rad."""
-    return response.bode_response(sim, np.linspace(0.0, wmax, n), 1e-3 / (labframe.GAMMA_E * tau))
+    return response.bode_response(sim, np.linspace(0.0, wmax, n),
+                                  1e-3 / (labframe.GAMMA_E * sim.tau))
 
 
 def cmd_kernel(rabi=None, alpha=None, tau=None, points=121, backend="rotating") -> dict:
@@ -169,7 +174,7 @@ def cmd_bode(rabi=None, alpha=None, tau=None, points=34, max_freq=None,
              backend="rotating") -> dict:
     omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     wmax = 3.3 * omega if max_freq is None else max_freq
-    series = _bode(_make_runner(backend, omega, tau), tau, wmax, points)
+    series = _bode(_make_runner(backend, omega, tau), wmax, points)
     return {"": (["omega_rad_s", "gain_norm", "chi_rad"],
                  [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])}
 
@@ -206,8 +211,7 @@ def cmd_fig3c(rabi, points=34) -> dict:
     rows = []
     for deg in FIG3_ANGLES_DEG:
         alpha = math.radians(deg)
-        tau = 2.0 * alpha / rabi
-        series = _bode(response.RotatingFrameRunner(rabi, tau), tau, wmax, points)
+        series = _bode(response.RotatingFrameRunner(rabi, 2.0 * alpha / rabi), wmax, points)
         rows.extend((alpha, w, g) for w, g in zip(series.frequencies, series.gains))
     return {"": (["alpha_rad", "omega_rad_s", "gain_norm"], rows)}
 
@@ -429,11 +433,6 @@ def run(command: str, kwargs: dict, out: str | None) -> int:
 
 def run_checks() -> int:
     """Fast analytic cross-checks; prints one pass/fail line each."""
-    checks = []
-
-    def add(name, fn):
-        checks.append((name, fn))
-
     def oracle_grid():
         om, ratio, tau = np.meshgrid(np.geomspace(TWO_PI * 1e6, TWO_PI * 1e8, 8),
                                      np.geomspace(1e-4, 1.0, 8), np.geomspace(1e-9, 1e-6, 8),
@@ -444,39 +443,39 @@ def run_checks() -> int:
         # a NaN deviation fails: the comparison is False for it
         return np.max(np.abs(np.subtract(p1, p2.ravel()))) <= 1e-10
 
-    add("exact probability matches propagator product (8x8x8 grid)", oracle_grid)
-    add("metric constants at alpha = 90 deg", lambda: all([
-        abs(analytic.time_resolution_fwhm(1.0, math.pi / 2) - 2.0 / 3.0) < 1e-9,
-        abs(analytic.rise_time(1.0, math.pi, "r20_80") - (1 - math.acos(0.2) / math.pi)) < 1e-9,
-        abs(analytic.rise_time(1.0, math.pi, "r10_90") - (1 - math.acos(0.6) / math.pi)) < 1e-9,
-        abs(analytic.equivalent_duration(1.0, math.pi / 2) - 2.0 / math.pi) < 1e-9,
-        abs(analytic.bandwidth_first_root(1.0, math.pi / 2) - 3.0) < 1e-9,
-        abs(analytic.bandwidth_3db(1.0, math.pi / 2) - 1.19) < 1e-2,
-    ]))
-    add("first-order expansion quality", lambda: all(
-        abs(analytic.first_order_probability(a, 1e-3 * 2 * a)
-            - analytic.exact_transition_probability(1.0, 2 * a, 1e-3)) <= 10e-6
-        for a in np.linspace(0.02, math.pi / 2, 50)))
-
     def optimum():
         k, th, _ = optimize.scan_timeshare_phase(1.0, 2.0)
         return abs(k - 0.5) < 1e-6 and abs(th - math.pi / 2) < 1e-6
-
-    add("timeshare/phase optimum at (0.5, pi/2)", optimum)
 
     def qsl():
         t_var, t_mean = analytic.qsl_times(2.0 * spinlin.SY, np.array([1.0, 0.0], dtype=complex),
                                            -1.0)
         return abs(t_var - math.pi / 2) < 1e-12 and abs(t_mean - math.pi / 2) < 1e-12
 
-    add("speed-limit bounds coincide for the driven qubit", qsl)
-    add("transfer function continuous at w = Om", lambda: all(
-        abs(analytic.transfer_value(1.0 + s * 1e-6, 1.0, math.pi)
-            - analytic.transfer_value(1.0, 1.0, math.pi))
-        <= 1e-6 * analytic.transfer_value(1.0, 1.0, math.pi) for s in (-1.0, 1.0)))
-    add("transfer function vanishes at the first root", lambda:
-        analytic.transfer_value(analytic.bandwidth_first_root(1.0, math.pi / 2),
-                                1.0, math.pi) < 1e-12)
+    checks = [
+        ("exact probability matches propagator product (8x8x8 grid)", oracle_grid),
+        ("metric constants at alpha = 90 deg", lambda: all([
+            abs(analytic.time_resolution_fwhm(1.0, math.pi / 2) - 2.0 / 3.0) < 1e-9,
+            abs(analytic.rise_time(1.0, math.pi, "r20_80") - (1 - math.acos(0.2) / math.pi)) < 1e-9,
+            abs(analytic.rise_time(1.0, math.pi, "r10_90") - (1 - math.acos(0.6) / math.pi)) < 1e-9,
+            abs(analytic.equivalent_duration(1.0, math.pi / 2) - 2.0 / math.pi) < 1e-9,
+            abs(analytic.bandwidth_first_root(1.0, math.pi / 2) - 3.0) < 1e-9,
+            abs(analytic.bandwidth_3db(1.0, math.pi / 2) - 1.19) < 1e-2,
+        ])),
+        ("first-order expansion quality", lambda: all(
+            abs(analytic.first_order_probability(a, 1e-3 * 2 * a)
+                - analytic.exact_transition_probability(1.0, 2 * a, 1e-3)) <= 10e-6
+            for a in np.linspace(0.02, math.pi / 2, 50))),
+        ("timeshare/phase optimum at (0.5, pi/2)", optimum),
+        ("speed-limit bounds coincide for the driven qubit", qsl),
+        ("transfer function continuous at w = Om", lambda: all(
+            abs(analytic.transfer_value(1.0 + s * 1e-6, 1.0, math.pi)
+                - analytic.transfer_value(1.0, 1.0, math.pi))
+            <= 1e-6 * analytic.transfer_value(1.0, 1.0, math.pi) for s in (-1.0, 1.0))),
+        ("transfer function vanishes at the first root", lambda:
+            analytic.transfer_value(analytic.bandwidth_first_root(1.0, math.pi / 2),
+                                    1.0, math.pi) < 1e-12),
+    ]
 
     failures = 0
     for name, fn in checks:
@@ -504,6 +503,3 @@ def main(argv=None) -> int:
         print(f"numeric failure in {label}: {exc}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,8 +32,8 @@ midpoint t_m, into its diagonal part and its one Sx term:
 where ``R(theta) = exp(-i theta Sx)`` has the spin-1 closed form
 ``1 - i sin(theta) Sx + (cos(theta) - 1) Sx^2``, so no eigensolver runs.
 The split differs from ``exp(-i H(t_m) h)`` by O(h^3) per step, so the
-scheme is second order.  Every factor is unitary, so the norm is kept to
-rounding over arbitrarily long products.  In the frame rotating with Delta
+scheme is second order.  Every factor is unitary, so the norm drifts by
+rounding alone (:data:`NORM_DRIFT_TOL`).  In the frame rotating with Delta
 the split is the midpoint rule, so its leading error comes from the fast
 counter-rotating part of the drive: strongly driven models (a Rabi rate
 that is a sizeable fraction of the carrier) carry more of it than weakly
@@ -75,6 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import NumericError
 from .units import ConfigError
 
 TWO_PI = 2.0 * math.pi
@@ -87,6 +88,8 @@ GAMMA_E = TWO_PI * GAMMA_E_CYCLES_PER_TESLA
 GAUSS_AREA = math.sqrt(math.pi / (4.0 * math.log(2.0)))
 #: most steps a lab run may build (:func:`_blocks`) or a rotating-frame run may take
 MAX_RUN_STEPS = 10**6
+#: largest drift of a final state's norm from 1 that :func:`run_protocol_batch` returns
+NORM_DRIFT_TOL = 1e-6
 
 #: carrier phase of the second pulse window relative to the first
 PHASE_JUMP = -math.pi / 2
@@ -529,11 +532,16 @@ def run_protocol_batch(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     Each entry of ``stims`` may be a Stimulus or None (reference run).  Runs
     are independent and results identical to serial single runs.  Every run
     steps with the batch's finest default step (:func:`default_timestep`);
-    one of more than :data:`MAX_RUN_STEPS` steps is refused (:func:`_blocks`).
+    one of more than :data:`MAX_RUN_STEPS` steps is refused (:func:`_blocks`), and so
+    is a batch whose final norm drifts by more than :data:`NORM_DRIFT_TOL`.
     """
     dt = _batch_timestep(model, stims)
     psis = np.tile(basis_state(protocol.prep), (len(stims), 1))
     psis = _evolve_batch(model, stims, protocol, 0.0, protocol.duration, dt, psis)
+    drift = np.abs(np.linalg.norm(psis, axis=1) - 1.0).max(initial=0.0)
+    if not drift <= NORM_DRIFT_TOL:
+        raise NumericError(f"a final state's norm drifts by {drift:.3e}, more than "
+                           f"{NORM_DRIFT_TOL:g}, over the {protocol.duration:.3e} s protocol")
     return 1.0 - np.abs(psis[:, _BASIS_INDEX[protocol.prep]]) ** 2
 
 

@@ -285,6 +285,8 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("samples must be an (n, 2) array of (t, value)")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
     if not omega > 0:
         raise ValueError("omega must be > 0")
     t, y = arr[:, 0], arr[:, 1]

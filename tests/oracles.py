@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from qslsense import labframe, spinlin
-from qslsense.analytic import MetricsReport, NumericError
+from qslsense.analytic import NumericError
 from qslsense.labframe import NvModel, Protocol, Stimulus
 from qslsense.response import KernelEstimate
 from qslsense.sequence import PulseSegment
@@ -162,7 +162,7 @@ def _crossings(t: np.ndarray, y: np.ndarray, level: float) -> list[float]:
     return out
 
 
-def numeric_metrics(kernel: KernelEstimate) -> MetricsReport:
+def numeric_metrics(kernel: KernelEstimate) -> dict:
     """Sample-based kernel metrics: FWHM, rise times, and equivalent duration.
 
     FWHM comes from half-peak threshold crossings with linear interpolation,
@@ -170,8 +170,8 @@ def numeric_metrics(kernel: KernelEstimate) -> MetricsReport:
     and the rise times from the 20/80% and 10/90% crossings of the
     cumulative (step-response) integral.  The cumulative definition matches
     the closed forms of :func:`qslsense.analytic.rise_time` only as
-    alpha -> 0; see that docstring.  Bandwidths, epsilon and p0 are not
-    estimated from samples and stay None.
+    alpha -> 0; see that docstring.  Returns the four by name, each in seconds
+    (None where its crossings are missing); nothing else is read off samples.
     """
     t = kernel.times
     y = kernel.values.copy()
@@ -213,8 +213,7 @@ def numeric_metrics(kernel: KernelEstimate) -> MetricsReport:
                if levels[0.2] and levels[0.8] else None)
     t_10_90 = (levels[0.9][0] - levels[0.1][0]
                if levels[0.1] and levels[0.9] else None)
-    return MetricsReport(t_fwhm=t_fwhm, t_20_80=t_20_80, t_10_90=t_10_90,
-                         t_square=total / peak)
+    return {"t_fwhm": t_fwhm, "t_20_80": t_20_80, "t_10_90": t_10_90, "t_square": total / peak}
 
 
 def read_csv(path):

@@ -14,7 +14,6 @@ from qslsense.analytic import (
     equivalent_duration,
     exact_transition_probability,
     first_order_probability,
-    metrics_report,
     phase_scaling_factor,
     phase_scaling_magnitude,
     qsl_times,
@@ -71,6 +70,12 @@ def test_nan_fails_the_range_checks(call, message):
     # each check is written as "not inside the range", so a NaN fails it
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+def test_non_finite_detuning_rejected_by_name(detuning):
+    with pytest.raises(ValueError, match="detuning must be finite"):
+        exact_transition_probability(1.0, 1.0, detuning)
 
 
 class TestFirstOrder:
@@ -416,16 +421,6 @@ class TestQsl:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             qsl_times(spinlin.SZ, np.array([0, 1], dtype=complex), ground_energy=0.4)
-
-
-def test_metrics_report_is_complete():
-    om = TWO_PI * 10e6
-    rep = metrics_report(om, math.pi / om)
-    assert rep.t_fwhm == pytest.approx((2 / 3) * math.pi / om, rel=1e-12)
-    assert rep.bw_first_root == pytest.approx(3 * om, rel=1e-12)
-    assert rep.epsilon == pytest.approx(-2 / math.pi, abs=1e-14)
-    assert rep.p0 == pytest.approx(0.5, abs=1e-14)
-    assert rep.bw_3db is not None and rep.t_square is not None
 
 
 def test_bandwidth_3db_scan_failure_raises():

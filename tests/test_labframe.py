@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qslsense import analytic, cli, labframe, spinlin
+from qslsense.analytic import NumericError
 from qslsense.labframe import (
     NvModel,
     Protocol,
@@ -565,6 +566,14 @@ class TestRunProtocol:
         batch = run_protocol_batch(m, stims, protocol)
         singles = [run_at(m, [s], protocol, dt)[0] for s in stims]
         assert all(batch[i] == singles[i] for i in range(3))
+
+    @pytest.mark.parametrize("tau", [10.0, 1e7])
+    def test_long_run_that_loses_its_norm_is_refused(self, tau):
+        # one carrier period's rounding, raised to the number of periods: the
+        # norm drifts by about 1e-5 at 10 s, and at 1e7 s p would read -1.7e72
+        m = NvModel.resonant(TWO_PI * 10e6, B0_1GHZ)
+        with pytest.raises(NumericError, match=r"norm drifts by \S+, more than 1e-06"):
+            run_protocol_batch(m, [None], bipartite_protocol(tau))
 
 
 class TestRunStepLimit:

@@ -74,6 +74,15 @@ class TestSineFit:
         with pytest.raises(ValueError, match="omega must be > 0"):
             fit_sine_amplitude(np.column_stack([t, np.sin(t)]), omega)
 
+    @pytest.mark.parametrize("column, row, bad", [(0, 3, math.nan), (1, 5, math.nan),
+                                                  (1, 7, math.inf)], ids=["t", "y", "y_inf"])
+    def test_non_finite_sample_rejected(self, column, row, bad):
+        t = np.linspace(0, TWO_PI, 12)
+        samples = np.column_stack([t, np.sin(t)])
+        samples[row, column] = bad
+        with pytest.raises(ValueError, match="samples must be finite"):
+            fit_sine_amplitude(samples, 1.0)
+
 
 class TestKernelEstimate:
     def test_probe_width_precondition(self):
@@ -186,13 +195,13 @@ class TestNumericMetrics:
     def test_fwhm_matches_closed_form(self, alpha):
         est, step = self.sampled_kernel(alpha)
         rep = numeric_metrics(est)
-        assert abs(rep.t_fwhm - analytic.time_resolution_fwhm(est.tau, alpha)) <= step
+        assert abs(rep["t_fwhm"] - analytic.time_resolution_fwhm(est.tau, alpha)) <= step
 
     @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 2])
     def test_equivalent_duration_matches_closed_form(self, alpha):
         est, step = self.sampled_kernel(alpha)
         rep = numeric_metrics(est)
-        assert abs(rep.t_square - analytic.equivalent_duration(est.tau, alpha)) <= step
+        assert abs(rep["t_square"] - analytic.equivalent_duration(est.tau, alpha)) <= step
 
     @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 2])
     def test_rise_times_match_cumulative_thresholds(self, alpha):
@@ -203,24 +212,24 @@ class TestNumericMetrics:
         om, tau = est.omega, est.tau
         t2080 = tau - 2 / om * math.acos((2 * math.cos(alpha) + 3) / 5)
         t1090 = tau - 2 / om * math.acos((math.cos(alpha) + 4) / 5)
-        assert abs(rep.t_20_80 - t2080) <= step
-        assert abs(rep.t_10_90 - t1090) <= step
-        assert rep.bw_first_root is None and rep.p0 is None
+        assert abs(rep["t_20_80"] - t2080) <= step
+        assert abs(rep["t_10_90"] - t1090) <= step
+        assert set(rep) == {"t_fwhm", "t_20_80", "t_10_90", "t_square"}
 
     def test_square_kernel_widths_coincide(self):
         t = np.linspace(-1.0, 1.0, 2001)
         vals = np.where(np.abs(t) <= 0.5, 1.0, 0.0)
         rep = numeric_metrics(KernelEstimate(times=t, values=vals, tau=2.0, omega=1.0))
         step = t[1] - t[0]
-        assert abs(rep.t_fwhm - 1.0) <= 2 * step
-        assert abs(rep.t_square - 1.0) <= 2 * step
+        assert abs(rep["t_fwhm"] - 1.0) <= 2 * step
+        assert abs(rep["t_square"] - 1.0) <= 2 * step
 
     def test_negative_kernel_sign_normalized(self):
         est, step = self.sampled_kernel(math.pi / 2)
         flipped = KernelEstimate(times=est.times, values=-est.values,
                                  tau=est.tau, omega=est.omega)
-        assert numeric_metrics(flipped).t_fwhm == pytest.approx(
-            numeric_metrics(est).t_fwhm)
+        assert numeric_metrics(flipped)["t_fwhm"] == pytest.approx(
+            numeric_metrics(est)["t_fwhm"])
 
     def test_multimodal_rejected_with_candidates(self):
         t = np.linspace(-1, 1, 801)

@@ -118,6 +118,14 @@ class TestCliCommands:
         assert row["t_square_s"] == pytest.approx(2 / math.pi * tau, rel=1e-9)
         assert row["bw_first_root_rad_s"] == pytest.approx(3 * row["omega_rad_s"], rel=1e-9)
         assert row["bw_3db_rad_s"] == pytest.approx(1.19 * row["omega_rad_s"], rel=1e-2)
+        # the CSV row is the handler's row, whose values hold beyond the CSV's 12 digits
+        header, [values] = cli.cmd_metrics(rabi=TWO_PI * 10e6, alpha=math.pi / 2)[""]
+        assert rows[0] == ["%.12g" % v for v in values]
+        full = dict(zip(header, values))
+        assert full["t_fwhm_s"] == pytest.approx(2 / 3 * full["tau_s"], rel=1e-12)
+        assert full["bw_first_root_rad_s"] == pytest.approx(3 * full["omega_rad_s"], rel=1e-12)
+        assert full["epsilon"] == pytest.approx(-2 / math.pi, abs=1e-14)
+        assert full["p0"] == pytest.approx(0.5, abs=1e-14)
 
     def test_fig2_branches_meet_continuously(self, tmp_path):
         out = tmp_path / "fig2.csv"
