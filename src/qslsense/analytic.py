@@ -12,8 +12,8 @@ read out in the upper Sz eigenstate.  Under this convention a positive
 detuning lowers the transition probability: at flip angle alpha = pi/2,
 ``p = 1/2 - phi/pi`` where ``phi = detuning * duration``.  Consequently the
 phase scaling factor :func:`phase_scaling_factor` is negative on
-(0, pi); :func:`phase_scaling_magnitude` provides the positive magnitude
-(2/pi at alpha = pi/2).  Flipping the second axis to -X flips every
+(0, pi); the value usually quoted is its magnitude (2/pi at
+alpha = pi/2).  Flipping the second axis to -X flips every
 first-order sign at once; no other convention leaks out of this module.
 """
 
@@ -72,7 +72,7 @@ def phase_scaling_factor(alpha: float) -> float:
     """Signed ratio of effective to ideal Ramsey phase, ``sin(a)(cos(a)-1)/a``.
 
     Negative on (0, pi) under this package's axis convention; the commonly
-    quoted positive value is its magnitude, see :func:`phase_scaling_magnitude`.
+    quoted positive value is its magnitude, 2/pi ~ 0.637 at alpha = pi/2.
     alpha = 0 returns the limit 0.
     """
     if not 0.0 <= alpha <= math.pi:
@@ -80,11 +80,6 @@ def phase_scaling_factor(alpha: float) -> float:
     if alpha == 0.0:
         return 0.0
     return math.sin(alpha) * (math.cos(alpha) - 1.0) / alpha
-
-
-def phase_scaling_magnitude(alpha: float) -> float:
-    """|phase_scaling_factor|; equals 2/pi ~ 0.637 at alpha = pi/2."""
-    return abs(phase_scaling_factor(alpha))
 
 
 def effective_phase_extended(delta_omega: float, tau: float, t_r: float) -> float:

@@ -165,18 +165,19 @@ def _bode(sim, wmax: float, n: int) -> response.BodeSeries:
 def cmd_kernel(rabi=None, alpha=None, tau=None, points=121, backend="rotating") -> dict:
     omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     _check_flip_angle(alpha)
-    est = response.estimate_kernel(_make_runner(backend, omega, tau),
-                                   *_kernel_probes(tau, alpha, points))
-    return {"": (["t_s", "k_norm"], zip(est.times, est.values / est.normalization))}
+    fwhm, grid = _kernel_probes(tau, alpha, points)
+    values, norm = response.estimate_kernel(_make_runner(backend, omega, tau), fwhm, grid)
+    return {"": (["t_s", "k_norm"], zip(grid, values / norm))}
 
 
 def cmd_bode(rabi=None, alpha=None, tau=None, points=34, max_freq=None,
              backend="rotating") -> dict:
     omega, tau, alpha = resolve_pulse(rabi, alpha, tau)
     wmax = 3.3 * omega if max_freq is None else max_freq
-    series = _bode(_make_runner(backend, omega, tau), wmax, points)
+    sim = _make_runner(backend, omega, tau)
+    series = _bode(sim, wmax, points)
     return {"": (["omega_rad_s", "gain_norm", "chi_rad"],
-                 [(w, g, series.chi) for w, g in zip(series.frequencies, series.gains)])}
+                 [(w, g, sim.chi) for w, g in zip(series.frequencies, series.gains)])}
 
 
 def cmd_fig2(rabi, tau_max=None, points=200) -> dict:
@@ -186,7 +187,7 @@ def cmd_fig2(rabi, tau_max=None, points=200) -> dict:
     rows = []
     for tau in np.linspace(tau_max / points, tau_max, points):
         if tau <= 2.0 * t_r:
-            ratio = analytic.phase_scaling_magnitude(0.5 * rabi * tau)
+            ratio = abs(analytic.phase_scaling_factor(0.5 * rabi * tau))
             branch = "solid"
         else:
             ratio = analytic.effective_phase_extended(1.0, tau, t_r) / tau
@@ -198,12 +199,13 @@ def cmd_fig2(rabi, tau_max=None, points=200) -> dict:
 def cmd_fig3b(rabi, points=101) -> dict:
     alphas = [math.radians(deg) for deg in FIG3_ANGLES_DEG]
     sims = [response.RotatingFrameRunner(rabi, 2.0 * alpha / rabi) for alpha in alphas]
+    fwhms, grids = zip(*(_kernel_probes(sim.tau, alpha, points)
+                         for sim, alpha in zip(sims, alphas)))
     # all four angles' probes and DC pairs are stepped in one pass
-    ests = response.estimate_kernels(
-        sims, *zip(*(_kernel_probes(sim.tau, alpha, points) for sim, alpha in zip(sims, alphas))))
+    ests = response.estimate_kernels(sims, fwhms, grids)
     return {"": (["alpha_rad", "t_s", "k_norm"],
-                 [(alpha, t, v) for alpha, est in zip(alphas, ests)
-                  for t, v in zip(est.times, est.values / est.normalization)])}
+                 [(alpha, t, v) for alpha, grid, (values, norm) in zip(alphas, grids, ests)
+                  for t, v in zip(grid, values / norm)])}
 
 
 def cmd_fig3c(rabi, points=34) -> dict:
@@ -222,13 +224,12 @@ def cmd_fig3d(rabi, omega_points=81, tau_points=80) -> dict:
                           f"got {omega_points} x {tau_points}")
     wgrid = np.linspace(0.0, 4.0 * rabi, omega_points)
     tgrid = np.linspace(math.pi / rabi / tau_points, math.pi / rabi, tau_points)
-    surface = optimize.sensitivity_surface(rabi, wgrid, tgrid)
+    values, ridge = optimize.sensitivity_surface(rabi, wgrid, tgrid)
     # a generator: the surface has omega_points * tau_points rows
     return {"": (["omega_rad_s", "tau_s", "eta_s"],
-                 ((w, tau, surface.values[i, j])
-                  for i, w in enumerate(surface.omega_grid)
-                  for j, tau in enumerate(surface.tau_grid))),
-            "_ridge": (["omega_rad_s", "tau_star_s"], surface.ridge)}
+                 ((w, tau, values[i, j])
+                  for i, w in enumerate(wgrid) for j, tau in enumerate(tgrid))),
+            "_ridge": (["omega_rad_s", "tau_star_s"], ridge)}
 
 
 def cmd_fig4d(points=13, expensive=False) -> dict:
@@ -274,7 +275,7 @@ def cmd_offaxis(points=11) -> dict:
             grid = np.concatenate([grid, np.array([0.5, 0.8, 0.9, 0.95]) * model.carrier])
         series = response.bode_response(sim, grid, amp)
         for w, g, fl in zip(series.frequencies, series.gains, series.flagged):
-            rows.append([series.chi, w, g, float(fl)])
+            rows.append([sim.chi, w, g, float(fl)])
     return {"": (["chi_rad", "omega_rad_s", "gain_norm", "flagged"], rows)}
 
 

@@ -589,7 +589,7 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
             # A sin(w t + phi) = A (cos(phi) sin(w t) + sin(phi) cos(w t))
             out[k] = s.amplitude * (math.cos(phi) * sums[w][0] + math.sin(phi) * sums[w][1])
     first, stop = np.searchsorted(t, np.reshape(edges, (-1, 2)).T)
-    per = max(1, _CONTRACT_ENTRIES // len(t))
+    per = max(1, _CONTRACT_ENTRIES // max(len(t), 1))  # t is empty for a protocol of no duration
     for i in range(0, len(rows), per):
         a, b = first[i:i + per].min(), stop[i:i + per].max()
         field = stimulus_field([stims[k] for k in rows[i:i + per]])(t[a:b])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,29 +19,6 @@ from .analytic import bipartite_sensitivity, transfer_value
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass
-class SensitivitySurface:
-    """Sensitivity over a (signal frequency) x (pulse duration) grid.
-
-    ``values[i, j]`` is the sensitivity at ``omega_grid[i]``,
-    ``tau_grid[j]``; ``ridge`` holds (omega, tau*) rows of the per-frequency
-    optimal duration.
-    """
-
-    omega_grid: np.ndarray
-    tau_grid: np.ndarray
-    values: np.ndarray
-    ridge: np.ndarray
-
-    def __post_init__(self):
-        self.omega_grid = np.asarray(self.omega_grid, dtype=float)
-        self.tau_grid = np.asarray(self.tau_grid, dtype=float)
-        if np.any(np.diff(self.omega_grid) <= 0) or np.any(np.diff(self.tau_grid) <= 0):
-            raise ValueError("grids must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("surface values must be finite")
 
 
 def golden_section_max(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -152,15 +128,24 @@ def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, boo
     return float(tau_star), False
 
 
-def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid) -> SensitivitySurface:
-    """Sensitivity over the full (omega, tau) grid plus the optimal-duration ridge."""
+def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid) -> tuple[np.ndarray, np.ndarray]:
+    """Sensitivity over the full (omega, tau) grid plus the optimal-duration ridge.
+
+    Returns ``(values, ridge)``: ``values[i, j]`` at ``omega_grid[i]``,
+    ``tau_grid[j]``, and one (omega, tau*) row of optimal duration per
+    frequency.  The grids must be strictly increasing, tau at most pi/Om.
+    """
     omega_grid = np.asarray(omega_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if np.any(np.diff(omega_grid) <= 0) or np.any(np.diff(tau_grid) <= 0):
+        raise ValueError("grids must be strictly increasing")
     tau_cap = math.pi / omega_rabi
-    if tau_grid[-1] > tau_cap * (1.0 + 1e-12):
+    if np.any(tau_grid > tau_cap * (1.0 + 1e-12)):
         raise ValueError(f"tau grid exceeds the flip-angle cap pi/Om = {tau_cap:.3e} s")
     values = np.empty((len(omega_grid), len(tau_grid)))
     for j, tau in enumerate(tau_grid):
         values[:, j] = sinusoid_sensitivity(omega_grid, omega_rabi, tau)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("surface values must be finite")
     ridge = np.array([[w, optimal_duration(w, omega_rabi)[0]] for w in omega_grid])
-    return SensitivitySurface(omega_grid, tau_grid, values, ridge)
+    return values, ridge

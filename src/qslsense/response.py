@@ -28,8 +28,8 @@ response of its integrator from one reference run and its adjoint
 same two passes for any number of probes, and runs the DC pair through
 :func:`qslsense.labframe.run_protocol_batch`.  The raw
 kernel estimate equals ``c * sin(Om(tau/2 - |t|))`` where the constant
-``c`` is calibrated against the DC (constant stimulus) response and stored
-in ``KernelEstimate.normalization`` (c = -sin(alpha)/2 under this package's
+``c`` is calibrated against the DC (constant stimulus) response and returned
+as the kernel's ``normalization`` (c = -sin(alpha)/2 under this package's
 sign convention, -1/2 at alpha = pi/2); only the kernel's shape is
 convention-free.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,47 +75,17 @@ def _group_bounds(n_runs: int, sizes) -> list[tuple[int, int]]:
 
 
 @dataclass
-class KernelEstimate:
-    """Sampled kernel: times (s, relative to the sequence center) and raw values.
-
-    ``values[i]`` is the probability change per unit (detuning amplitude *
-    time), i.e. dp / (GAMMA_E * probe_area).  ``values / normalization``
-    recovers the unit-amplitude kernel shape.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    tau: float
-    omega: float
-    normalization: float = 1.0
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("kernel times must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("kernel values must be finite")
-
-
-@dataclass
 class BodeSeries:
     """Gains |A(w)| normalized to the DC response, with per-point quality flags."""
 
     frequencies: np.ndarray
     gains: np.ndarray
-    chi: float = 0.0
-    flagged: np.ndarray = field(default=None)
+    flagged: np.ndarray
 
     def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
         self.gains = np.asarray(self.gains, dtype=float)
-        if np.any(np.diff(self.frequencies) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
         if np.any(self.gains < 0):
             raise ValueError("gains must be >= 0")
-        if self.flagged is None:
-            self.flagged = np.zeros(len(self.frequencies), dtype=bool)
 
 
 class RotatingFrameRunner:
@@ -311,14 +281,16 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
     return math.hypot(a, b), math.atan2(b, a), resid
 
 
-def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
+def estimate_kernel(sim, probe_fwhm: float, t_grid) -> tuple[np.ndarray, float]:
     """Sample the sensing kernel by stepping a narrow Gaussian probe along ``t_grid``.
 
-    ``t_grid`` is in kernel time (seconds relative to the sequence center).
-    The probe must be at least 10x narrower than the expected kernel FWHM.
-    The probe amplitude targets a peak phase of ~1e-3 rad so the response
-    stays linear.  The DC calibration constant is measured with a constant
-    stimulus and stored as ``normalization``.
+    ``t_grid`` is in kernel time (seconds relative to the sequence center),
+    strictly increasing.  The probe must be at least 10x narrower than the
+    expected kernel FWHM; its amplitude targets a peak phase of ~1e-3 rad so
+    the response stays linear.  Returns ``(values, normalization)``: the
+    probability change per unit (detuning amplitude * time), dp / (GAMMA_E *
+    probe_area), at each time, and the DC calibration constant, measured
+    with a constant stimulus, that divides ``values`` into the kernel shape.
 
     The changes come from ``sim.probe_responses``: the rotating runner runs
     the probes, the lab runner contracts them with its integrator's kernel.
@@ -326,10 +298,10 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> KernelEstimate:
     around that call.
     """
     probes, dc = kernel_stimuli(sim, probe_fwhm, t_grid)
-    return kernel_from_changes(sim, t_grid, probes, dc, *sim.probe_responses(probes, dc))
+    return kernel_from_changes(sim, probes, dc, *sim.probe_responses(probes, dc))
 
 
-def estimate_kernels(sims, probe_fwhms, t_grids) -> list[KernelEstimate]:
+def estimate_kernels(sims, probe_fwhms, t_grids) -> list[tuple[np.ndarray, float]]:
     """:func:`estimate_kernel` for rotating runners at one Rabi rate, in one ``run_batch`` call.
 
     Each runner adds the groups of :meth:`RotatingFrameRunner.probe_responses`
@@ -337,12 +309,15 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[KernelEstimate]:
     """
     parts = [kernel_stimuli(*args) for args in zip(sims, probe_fwhms, t_grids)]
     changes = _pooled_changes(sims, parts)
-    return [kernel_from_changes(sim, grid, probes, dc, *ch)
-            for sim, grid, (probes, dc), ch in zip(sims, t_grids, parts, changes)]
+    return [kernel_from_changes(sim, probes, dc, *ch)
+            for sim, (probes, dc), ch in zip(sims, parts, changes)]
 
 
 def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
     """The Gaussian probes along ``t_grid`` and the DC stimulus of :func:`estimate_kernel`."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("kernel times must be strictly increasing")
     alpha = 0.5 * sim.omega * sim.tau
     expected = analytic.time_resolution_fwhm(sim.tau, alpha)
     if probe_fwhm > expected / 10.0:
@@ -351,19 +326,20 @@ def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stim
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
     amplitude = 1e-3 / (labframe.GAMMA_E * probe_fwhm * labframe.GAUSS_AREA)
     # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
-    return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm)
-             for t in np.asarray(t_grid, dtype=float).tolist()],
+    return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid.tolist()],
             Stimulus.constant(1e-3 / (labframe.GAMMA_E * sim.tau)))
 
 
-def kernel_from_changes(sim, t_grid, probes, dc: Stimulus, dp, dp_dc: float) -> KernelEstimate:
-    """:func:`estimate_kernel`'s estimate from the probability changes ``dp`` and ``dp_dc``."""
+def kernel_from_changes(sim, probes, dc: Stimulus, dp, dp_dc: float) -> tuple[np.ndarray, float]:
+    """:func:`estimate_kernel`'s ``(values, normalization)`` from ``dp`` and ``dp_dc``."""
     if dp_dc == 0.0:
         raise NumericError("DC response vanished; cannot normalize the kernel")
     shape_area = 2.0 * (1.0 - math.cos(0.5 * sim.omega * sim.tau)) / sim.omega
     ge = labframe.GAMMA_E
-    return KernelEstimate(times=t_grid, values=dp / (ge * probes[0].area()), tau=sim.tau,
-                          omega=sim.omega, normalization=dp_dc / (ge * dc.amplitude * shape_area))
+    values = dp / (ge * np.array([p.area() for p in probes]))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("kernel values must be finite")
+    return values, dp_dc / (ge * dc.amplitude * shape_area)
 
 
 def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
@@ -373,7 +349,8 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     steps, the probability change is fit to a sinusoid in the delay, and
     |amplitude| is normalized to the DC (constant stimulus) response.  The
     w = 0 gain is 1 by definition.  Points whose fit residual exceeds
-    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.
+    ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.  A grid
+    that is negative or not strictly increasing is refused before any run.
 
     The changes come from ``sim.probe_responses`` with one group of 10
     delays per frequency: the rotating runner runs the DC pair and every
@@ -388,6 +365,8 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(omega_grid < 0):
         raise ValueError("frequencies must be >= 0")
+    if np.any(np.diff(omega_grid) <= 0):
+        raise ValueError("frequencies must be strictly increasing")
     gains = np.ones(len(omega_grid))
     flags = np.zeros(len(omega_grid), dtype=bool)
     swept, grid = np.flatnonzero(omega_grid), omega_grid.tolist()
@@ -404,4 +383,4 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
                 np.column_stack([delays, dp[10 * k:10 * k + 10]]), w)
             gains[i] = amp / abs(dp_dc)
             flags[i] = resid > 0.05 * max(amp, 0.05 * abs(dp_dc))
-    return BodeSeries(frequencies=omega_grid, gains=gains, chi=sim.chi, flagged=flags)
+    return BodeSeries(omega_grid, gains, flags)

@@ -18,7 +18,6 @@ import numpy as np
 from qslsense import labframe, spinlin
 from qslsense.analytic import NumericError
 from qslsense.labframe import NvModel, Protocol, Stimulus
-from qslsense.response import KernelEstimate
 from qslsense.sequence import PulseSegment
 
 #: spin-1 angular momentum, ``SZ1 = diag(1, 0, -1)``, basis order (+1, 0, -1)
@@ -162,8 +161,8 @@ def _crossings(t: np.ndarray, y: np.ndarray, level: float) -> list[float]:
     return out
 
 
-def numeric_metrics(kernel: KernelEstimate) -> dict:
-    """Sample-based kernel metrics: FWHM, rise times, and equivalent duration.
+def numeric_metrics(times, values) -> dict:
+    """FWHM, rise times and equivalent duration of the kernel sampled as ``values`` at ``times``.
 
     FWHM comes from half-peak threshold crossings with linear interpolation,
     the equivalent duration from trapezoid quadrature divided by the peak,
@@ -173,8 +172,8 @@ def numeric_metrics(kernel: KernelEstimate) -> dict:
     alpha -> 0; see that docstring.  Returns the four by name, each in seconds
     (None where its crossings are missing); nothing else is read off samples.
     """
-    t = kernel.times
-    y = kernel.values.copy()
+    t = np.asarray(times, dtype=float)
+    y = np.array(values, dtype=float)
     peak_idx = int(np.argmax(np.abs(y)))
     if y[peak_idx] < 0:
         y = -y

@@ -15,7 +15,6 @@ from qslsense.analytic import (
     exact_transition_probability,
     first_order_probability,
     phase_scaling_factor,
-    phase_scaling_magnitude,
     qsl_times,
     rise_time,
     time_resolution_fwhm,
@@ -100,7 +99,7 @@ class TestFirstOrder:
 
 class TestPhaseScaling:
     def test_magnitude_at_90deg(self):
-        assert phase_scaling_magnitude(math.pi / 2) == pytest.approx(2 / math.pi, abs=1e-15)
+        assert abs(phase_scaling_factor(math.pi / 2)) == pytest.approx(2 / math.pi, abs=1e-15)
 
     def test_zero_at_pi(self):
         assert phase_scaling_factor(math.pi) == pytest.approx(0.0, abs=1e-15)
@@ -114,7 +113,7 @@ class TestPhaseScaling:
 
     def test_magnitude_below_one(self):
         for alpha in np.linspace(1e-3, math.pi, 100):
-            assert phase_scaling_magnitude(alpha) < 1.0
+            assert abs(phase_scaling_factor(alpha)) < 1.0
 
     def test_matches_finite_difference_slope(self):
         # eps * tau / 2 equals dp/d(detuning) of the exact probability at zero detuning
@@ -137,7 +136,7 @@ class TestEffectivePhaseExtended:
     def test_qsl_point_matches_scaling_factor(self):
         dw, tau = 0.7, 2.0
         assert effective_phase_extended(dw, tau, tau / 2) == pytest.approx(
-            phase_scaling_magnitude(math.pi / 2) * dw * tau, abs=1e-14)
+            abs(phase_scaling_factor(math.pi / 2)) * dw * tau, abs=1e-14)
 
     def test_derived_arithmetic(self):
         val = effective_phase_extended(TWO_PI * 1e6, 1e-6, 100e-9)
@@ -161,7 +160,7 @@ class TestBipartiteSensitivity:
         eta = bipartite_sensitivity(om, math.pi / om, 0.5, math.pi / 2)
         assert eta == pytest.approx(-1.0 / om, abs=1e-14)
         assert abs(eta) == pytest.approx(
-            phase_scaling_magnitude(math.pi / 2) * (math.pi / om) / 2, abs=1e-14)
+            abs(phase_scaling_factor(math.pi / 2)) * (math.pi / om) / 2, abs=1e-14)
 
     def test_timeshare_symmetry(self):
         for k in np.linspace(0, 1, 21):

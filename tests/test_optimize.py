@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qslsense import analytic
+from qslsense import analytic, optimize
 from qslsense.optimize import (
-    SensitivitySurface,
     golden_section_max,
     optimal_duration,
     scan_timeshare_phase,
@@ -136,31 +135,42 @@ class TestOptimalDurationScalarOracle:
 class TestSurface:
     def test_dc_row_monotone(self):
         om = 1.0
-        surf = sensitivity_surface(om, np.array([0.0, 1.0]), np.linspace(0.05, math.pi, 50))
-        assert np.all(np.diff(surf.values[0]) > 0)
+        values, _ = sensitivity_surface(om, np.array([0.0, 1.0]), np.linspace(0.05, math.pi, 50))
+        assert np.all(np.diff(values[0]) > 0)
 
     def test_ridge_consistent_and_decreasing(self):
         om = 1.0
         wgrid = np.linspace(0.0, 4.0, 17)
-        surf = sensitivity_surface(om, wgrid, np.linspace(0.05, math.pi, 60))
-        for w, tau_star in surf.ridge:
+        _, ridge = sensitivity_surface(om, wgrid, np.linspace(0.05, math.pi, 60))
+        for w, tau_star in ridge:
             direct, _ = optimal_duration(w, om)
             assert abs(tau_star - direct) <= 1e-6
-        assert np.all(np.diff(surf.ridge[:, 1]) <= 1e-9)
+        assert np.all(np.diff(ridge[:, 1]) <= 1e-9)
 
     def test_row_contains_first_root(self):
         # frequencies above the bandwidth see zero crossings of the response
         om = 1.0
         wgrid = np.array([3.5])
         tgrid = np.linspace(0.05, math.pi, 400)
-        surf = sensitivity_surface(om, wgrid, tgrid)
-        assert surf.values[0].min() < 1e-3 * surf.values[0].max()
+        values, _ = sensitivity_surface(om, wgrid, tgrid)
+        assert values[0].min() < 1e-3 * values[0].max()
 
     def test_tau_cap_enforced(self):
         with pytest.raises(ValueError):
             sensitivity_surface(1.0, np.array([0.0]), np.array([0.5, 4.0]))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SensitivitySurface(np.array([1.0, 0.5]), np.array([1.0]),
-                               np.zeros((2, 1)), np.zeros((2, 2)))
+    def test_validation(self, monkeypatch):
+        # refused before any value or ridge point is computed
+        def refuse(*args):
+            raise AssertionError("a refused grid must not reach the optimisation")
+
+        monkeypatch.setattr(optimize, "sinusoid_sensitivity", refuse)
+        monkeypatch.setattr(optimize, "optimal_duration", refuse)
+        for wgrid, tgrid in (([1.0, 0.5], [1.0]), ([0.0], [1.0, 1.0]), ([0.0, 0.0], [0.5, 4.0])):
+            with pytest.raises(ValueError, match="grids must be strictly increasing"):
+                sensitivity_surface(1.0, np.array(wgrid), np.array(tgrid))
+
+    def test_empty_tau_grid(self):
+        values, ridge = sensitivity_surface(1.0, [0.0, 1.0], [])
+        assert values.shape == (2, 0)
+        assert ridge.tolist() == [[w, optimal_duration(w, 1.0)[0]] for w in (0.0, 1.0)]

@@ -10,7 +10,6 @@ from qslsense.analytic import NumericError
 from qslsense.labframe import Stimulus
 from qslsense.response import (
     BodeSeries,
-    KernelEstimate,
     LabFrameRunner,
     RotatingFrameRunner,
     bode_response,
@@ -26,6 +25,10 @@ TWO_PI = 2 * math.pi
 
 def rotating_runner(alpha=math.pi / 2, rabi=TWO_PI * 10e6):
     return RotatingFrameRunner(rabi, 2 * alpha / rabi)
+
+
+def refuse_to_run(*args, **kwargs):
+    raise AssertionError("a refused grid must not reach a run")
 
 
 class TestSineFit:
@@ -95,9 +98,9 @@ class TestKernelEstimate:
         tau, om = sim.tau, sim.omega
         probe = analytic.time_resolution_fwhm(tau, 0.5 * om * tau) / 12
         grid = np.linspace(-0.55 * tau, 0.55 * tau, 111)
-        est = estimate_kernel(sim, probe, grid)
+        values, norm = estimate_kernel(sim, probe, grid)
         shape = kernel_value(grid, om, tau)
-        rms = math.sqrt(float(np.mean((est.values / est.normalization - shape) ** 2)))
+        rms = math.sqrt(float(np.mean((values / norm - shape) ** 2)))
         assert rms < 0.02 * shape.max()
 
     def test_normalization_is_half_sine(self):
@@ -105,27 +108,27 @@ class TestKernelEstimate:
         for alpha in (math.pi / 4, math.pi / 2):
             sim = rotating_runner(alpha)
             probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
-            est = estimate_kernel(sim, probe, np.linspace(-0.5, 0.5, 21) * sim.tau)
-            assert est.normalization == pytest.approx(-math.sin(alpha) / 2, abs=2e-3)
+            _, norm = estimate_kernel(sim, probe, np.linspace(-0.5, 0.5, 21) * sim.tau)
+            assert norm == pytest.approx(-math.sin(alpha) / 2, abs=2e-3)
 
     def test_dc_gain_matches_first_order_sensitivity(self):
         # |c| * kernel area = |eps| tau / 2 within 1 percent
         sim = rotating_runner()
         alpha = 0.5 * sim.omega * sim.tau
         probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
-        est = estimate_kernel(sim, probe, np.linspace(-0.4, 0.4, 9) * sim.tau)
+        _, norm = estimate_kernel(sim, probe, np.linspace(-0.4, 0.4, 9) * sim.tau)
         area = 2 * (1 - math.cos(alpha)) / sim.omega
-        eta = analytic.phase_scaling_magnitude(alpha) * sim.tau / 2
-        assert abs(est.normalization) * area == pytest.approx(eta, rel=0.01)
+        eta = abs(analytic.phase_scaling_factor(alpha)) * sim.tau / 2
+        assert abs(norm) * area == pytest.approx(eta, rel=0.01)
 
     def test_compact_support(self):
         sim = rotating_runner()
         tau = sim.tau
         probe = analytic.time_resolution_fwhm(tau, 0.5 * sim.omega * tau) / 12
         outside = tau / 2 + 4 * probe
-        est = estimate_kernel(sim, probe, np.array([-outside, outside]))
-        peak = abs(est.normalization)  # kernel peak is sin(alpha) * |c|
-        assert np.max(np.abs(est.values)) < 1e-3 * peak
+        values, norm = estimate_kernel(sim, probe, np.array([-outside, outside]))
+        peak = abs(norm)  # kernel peak is sin(alpha) * |c|
+        assert np.max(np.abs(values)) < 1e-3 * peak
 
     def test_offaxis_20deg_kernel_matches_axial(self):
         # the probe's transverse part leaves an edge effect of order
@@ -140,18 +143,35 @@ class TestKernelEstimate:
             sim = LabFrameRunner(labframe.NvModel.resonant(TWO_PI * 20e6, b0,
                                                            chi=math.radians(chi)))
             probe = analytic.time_resolution_fwhm(sim.tau, math.pi / 2) / 12
-            est = estimate_kernel(sim, probe, grid * sim.tau)
-            shapes[chi] = est.values / est.normalization
-            norms[chi] = est.normalization
+            values, norms[chi] = estimate_kernel(sim, probe, grid * sim.tau)
+            shapes[chi] = values / norms[chi]
         dev = np.max(np.abs(shapes[20.0] - shapes[0.0]))
         assert dev < 0.02 * np.max(np.abs(shapes[0.0]))
         assert norms[20.0] / norms[0.0] == pytest.approx(math.cos(math.radians(20.0)),
                                                          rel=1e-3)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelEstimate(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]),
-                           tau=1.0, omega=1.0)
+    def test_validation(self, monkeypatch):
+        # refused before any probe runs, on either runner and pooled
+        sims = [rotating_runner(), cli_lab_runner(90.0)]
+        fwhm = analytic.time_resolution_fwhm(sims[0].tau, math.pi / 2) / 12
+        for sim in sims:
+            monkeypatch.setattr(sim, "probe_responses", refuse_to_run)
+        monkeypatch.setattr(RotatingFrameRunner, "run_batch", refuse_to_run)
+        for grid in ([0.0, 0.0], [1e-9, 0.0]):
+            for sim in sims:
+                with pytest.raises(ValueError, match="kernel times must be strictly increasing"):
+                    estimate_kernel(sim, fwhm, grid)
+            with pytest.raises(ValueError, match="kernel times must be strictly increasing"):
+                response.estimate_kernels(sims[:1] * 2, [fwhm] * 2, [[0.0, 1e-9], grid])
+
+    @pytest.mark.parametrize("runner", [rotating_runner, lambda: cli_lab_runner(90.0)],
+                             ids=["rotating", "lab"])
+    def test_empty_grid_gives_empty_values(self, runner):
+        sim = runner()
+        fwhm = analytic.time_resolution_fwhm(sim.tau, math.pi / 2) / 12
+        values, norm = estimate_kernel(sim, fwhm, [])
+        assert values.shape == (0,)
+        assert norm == pytest.approx(-0.5, abs=2e-3)  # -sin(alpha)/2, as with probes
 
 
 class TestBode:
@@ -176,11 +196,14 @@ class TestBode:
         with pytest.raises(ValueError):
             bode_response(sim, np.array([-1.0, 1.0]), 1e-9)
 
-    def test_series_validation(self):
-        with pytest.raises(ValueError):
-            BodeSeries(frequencies=np.array([1.0, 1.0]), gains=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            BodeSeries(frequencies=np.array([1.0, 2.0]), gains=np.array([-0.1, 1.0]))
+    def test_series_validation(self, monkeypatch):
+        # a repeated frequency is refused before any run, on either runner
+        for sim in (rotating_runner(), cli_lab_runner(90.0)):
+            monkeypatch.setattr(sim, "probe_responses", refuse_to_run)
+            with pytest.raises(ValueError, match="frequencies must be strictly increasing"):
+                bode_response(sim, np.array([0.0, 1e7, 1e7]), 1e-9)
+        with pytest.raises(ValueError, match="gains must be >= 0"):
+            BodeSeries(np.array([1.0, 2.0]), np.array([-0.1, 1.0]), np.zeros(2, dtype=bool))
 
 
 class TestNumericMetrics:
@@ -188,28 +211,27 @@ class TestNumericMetrics:
         om = 1.0
         tau = 2 * alpha / om
         t = np.linspace(-0.55 * tau, 0.55 * tau, n)
-        return KernelEstimate(times=t, values=kernel_value(t, om, tau),
-                              tau=tau, omega=om), t[1] - t[0]
+        return t, kernel_value(t, om, tau), tau, t[1] - t[0]
 
     @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 2])
     def test_fwhm_matches_closed_form(self, alpha):
-        est, step = self.sampled_kernel(alpha)
-        rep = numeric_metrics(est)
-        assert abs(rep["t_fwhm"] - analytic.time_resolution_fwhm(est.tau, alpha)) <= step
+        t, values, tau, step = self.sampled_kernel(alpha)
+        rep = numeric_metrics(t, values)
+        assert abs(rep["t_fwhm"] - analytic.time_resolution_fwhm(tau, alpha)) <= step
 
     @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 2])
     def test_equivalent_duration_matches_closed_form(self, alpha):
-        est, step = self.sampled_kernel(alpha)
-        rep = numeric_metrics(est)
-        assert abs(rep["t_square"] - analytic.equivalent_duration(est.tau, alpha)) <= step
+        t, values, tau, step = self.sampled_kernel(alpha)
+        rep = numeric_metrics(t, values)
+        assert abs(rep["t_square"] - analytic.equivalent_duration(tau, alpha)) <= step
 
     @pytest.mark.parametrize("alpha", [math.pi / 4, math.pi / 2])
     def test_rise_times_match_cumulative_thresholds(self, alpha):
         # the sampled estimator implements the integral (step-response)
         # definition: tau - (2/Om) arccos((2 cos a + 3)/5) and the 10-90 analogue
-        est, step = self.sampled_kernel(alpha)
-        rep = numeric_metrics(est)
-        om, tau = est.omega, est.tau
+        t, values, tau, step = self.sampled_kernel(alpha)
+        rep = numeric_metrics(t, values)
+        om = 1.0
         t2080 = tau - 2 / om * math.acos((2 * math.cos(alpha) + 3) / 5)
         t1090 = tau - 2 / om * math.acos((math.cos(alpha) + 4) / 5)
         assert abs(rep["t_20_80"] - t2080) <= step
@@ -219,29 +241,27 @@ class TestNumericMetrics:
     def test_square_kernel_widths_coincide(self):
         t = np.linspace(-1.0, 1.0, 2001)
         vals = np.where(np.abs(t) <= 0.5, 1.0, 0.0)
-        rep = numeric_metrics(KernelEstimate(times=t, values=vals, tau=2.0, omega=1.0))
+        rep = numeric_metrics(t, vals)
         step = t[1] - t[0]
         assert abs(rep["t_fwhm"] - 1.0) <= 2 * step
         assert abs(rep["t_square"] - 1.0) <= 2 * step
 
     def test_negative_kernel_sign_normalized(self):
-        est, step = self.sampled_kernel(math.pi / 2)
-        flipped = KernelEstimate(times=est.times, values=-est.values,
-                                 tau=est.tau, omega=est.omega)
-        assert numeric_metrics(flipped)["t_fwhm"] == pytest.approx(
-            numeric_metrics(est)["t_fwhm"])
+        t, values, _, _ = self.sampled_kernel(math.pi / 2)
+        assert numeric_metrics(t, -values)["t_fwhm"] == pytest.approx(
+            numeric_metrics(t, values)["t_fwhm"])
 
     def test_multimodal_rejected_with_candidates(self):
         t = np.linspace(-1, 1, 801)
         vals = np.exp(-((t + 0.5) / 0.1) ** 2) + np.exp(-((t - 0.5) / 0.1) ** 2)
         with pytest.raises(NumericError, match="candidate peaks"):
-            numeric_metrics(KernelEstimate(times=t, values=vals, tau=2.0, omega=1.0))
+            numeric_metrics(t, vals)
 
     def test_unresolved_peak_rejected(self):
         t = np.linspace(-1, 1, 9)
         vals = np.exp(-(t / 0.5) ** 2)
         with pytest.raises(ValueError, match="resolvable"):
-            numeric_metrics(KernelEstimate(times=t, values=vals, tau=2.0, omega=1.0))
+            numeric_metrics(t, vals)
 
 
 def test_lab_runner_agrees_with_rotating_runner():
@@ -455,10 +475,9 @@ class TestPooledKernels:
     @staticmethod
     def assert_same_bits(pooled, singles):
         assert len(pooled) == len(singles)
-        for a, b in zip(pooled, singles):
-            assert a.values.tolist() == b.values.tolist()
-            assert a.times.tolist() == b.times.tolist()
-            assert (a.normalization, a.tau, a.omega) == (b.normalization, b.tau, b.omega)
+        for (values_a, norm_a), (values_b, norm_b) in zip(pooled, singles):
+            assert values_a.tolist() == values_b.tolist()
+            assert norm_a == norm_b
 
     @pytest.mark.parametrize("rabi_mhz, n", [(10.0, 21), (17.0, 5), (6.0, 1)])
     def test_fig3b_angles_equal_single_estimates(self, rabi_mhz, n):
@@ -584,22 +603,22 @@ class TestAdjointKernel:
         alpha = 0.5 * sim.omega * sim.tau
         probe = analytic.time_resolution_fwhm(sim.tau, alpha) / 12
         grid = np.linspace(-0.55, 0.55, 9) * sim.tau
-        est = estimate_kernel(sim, probe, grid)
+        values, norm = estimate_kernel(sim, probe, grid)
         amp = 1e-3 / (labframe.GAMMA_E * probe * math.sqrt(math.pi / (4 * math.log(2))))
         stims = [Stimulus.gaussian(sign * amp, sim.tau / 2 + t, probe)
                  for sign in (1.0, -1.0) for t in grid]
         p = labframe.run_protocol_batch(sim.model, stims, sim.protocol)
         central = (p[:len(grid)] - p[len(grid):]) / 2 / (labframe.GAMMA_E * stims[0].area())
         peak = np.max(np.abs(central))
-        assert np.max(np.abs(est.values - central)) <= 1e-6 * peak
+        assert np.max(np.abs(values - central)) <= 1e-6 * peak
         # the normalization is measured with a one-sided DC stimulus; its
         # second-order term is up to 3e-5 of it on these cases
         amp_dc = 1e-3 / (labframe.GAMMA_E * sim.tau)
         p_dc = labframe.run_protocol_batch(
             sim.model, [Stimulus.constant(amp_dc), Stimulus.constant(-amp_dc)], sim.protocol)
         shape_area = 2 * (1 - math.cos(alpha)) / sim.omega
-        norm = (p_dc[0] - p_dc[1]) / 2 / (labframe.GAMMA_E * amp_dc * shape_area)
-        assert est.normalization == pytest.approx(norm, rel=1e-4)
+        dc_norm = (p_dc[0] - p_dc[1]) / 2 / (labframe.GAMMA_E * amp_dc * shape_area)
+        assert norm == pytest.approx(dc_norm, rel=1e-4)
 
     @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
     def test_patched_step_reaches_both_entry_points(self, monkeypatch, chi_deg):
@@ -621,6 +640,16 @@ class TestAdjointKernel:
         got = labframe.linear_response(sim.model, probes, sim.protocol)
         assert np.max(np.abs(got - central)) <= 1e-6 * peak
         assert np.max(np.abs(plain - central)) > 1e-6 * peak
+
+    def test_protocol_with_no_steps_gives_zeros(self):
+        # a protocol of no duration takes no step: no stimulus changes p
+        sim = cli_lab_runner(90.0)
+        stims = kernel_probes(sim, 3) + [Stimulus.constant(1e-6), Stimulus.sinusoid(1e-6, 1e8),
+                                         None]
+        protocol = labframe.Protocol(())
+        p = labframe.run_protocol_batch(sim.model, stims + [None], protocol)
+        got = labframe.linear_response(sim.model, stims, protocol)
+        assert got.tolist() == (p[:-1] - p[-1]).tolist() == [0.0] * len(stims)
 
     def test_memory_does_not_grow_with_probe_count(self):
         sim = cli_lab_runner(30.0, tau=2e-9)
