@@ -56,10 +56,10 @@ batch, and each run's arithmetic is elementwise and independent of the
 other runs, so a batched result is bit-identical to the same run on its
 own.
 
-:func:`linear_response` gives the exact first-order response of this
-discrete integrator to a stimulus, from one reference run and its adjoint
-on the same blocks, for any number of stimuli in 16 B per step.  Both entry
-points refuse a run of over :data:`MAX_RUN_STEPS` built steps in :func:`_blocks`.
+:func:`linear_response` gives the integrator's exact first-order response
+to any number of stimuli in 16 B per step, from one reference run and its
+adjoint, both propagated forward on the same blocks.  Both entry points
+refuse a run of over :data:`MAX_RUN_STEPS` built steps in :func:`_blocks`.
 
 Carrier phase convention: the second pulse window of the two-pulse protocol
 is carrier-phase-shifted by -pi/2, which reproduces the rotating-frame axis
@@ -153,9 +153,9 @@ class NvModel:
 class Stimulus:
     """Time-domain field waveform to be sensed, amplitude in tesla.
 
-    kind "constant": value = amplitude everywhere.
     kind "gaussian": amplitude * exp(-4 ln2 (t - center)^2 / fwhm^2).
-    kind "sinusoid": amplitude * sin(frequency * t + phase).
+    kind "sinusoid": amplitude * sin(frequency * t + phase); :meth:`constant`
+    is the sinusoid of frequency 0 at phase pi/2, exactly ``amplitude``.
     """
 
     kind: str
@@ -166,7 +166,7 @@ class Stimulus:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "gaussian", "sinusoid"):
+        if self.kind not in ("gaussian", "sinusoid"):
             raise ValueError(f"unknown stimulus kind {self.kind!r}")
         _require_finite(amplitude=self.amplitude, center=self.center, fwhm=self.fwhm,
                         frequency=self.frequency, phase=self.phase)
@@ -177,7 +177,7 @@ class Stimulus:
 
     @classmethod
     def constant(cls, amplitude: float) -> "Stimulus":
-        return cls("constant", amplitude)
+        return cls("sinusoid", amplitude, phase=math.pi / 2)
 
     @classmethod
     def gaussian(cls, amplitude: float, center: float, fwhm: float) -> "Stimulus":
@@ -230,9 +230,7 @@ def stimulus_field(stims):
                 rows, params = rows[:k], [p[:k] for p in params]
             amplitude, center, fwhm_sq, frequency, phase = params
             tk = t[rows] if t.ndim == 2 else t
-            if kind == "constant":
-                out[rows] = amplitude
-            elif kind == "gaussian":
+            if kind == "gaussian":
                 out[rows] = amplitude * np.exp(-4.0 * math.log(2.0) * (tk - center) ** 2 / fwhm_sq)
             else:
                 out[rows] = amplitude * np.sin(frequency * tk + phase)
@@ -381,11 +379,8 @@ def _matmul(left, right):
                  + left[3 * i + 2] * right[6 + j] for i in range(3) for j in range(3))
 
 
-def _matvec(m, v, adjoint=False):
-    """``m @ v`` (or ``m^dagger @ v``) for a row-major 9-tuple ``m`` and a 3-tuple ``v``."""
-    if adjoint:
-        return tuple(np.conj(m[i]) * v[0] + np.conj(m[3 + i]) * v[1]
-                     + np.conj(m[6 + i]) * v[2] for i in range(3))
+def _matvec(m, v):
+    """``m @ v`` for a row-major 9-tuple ``m`` and a 3-tuple ``v``."""
     return tuple(m[3 * i] * v[0] + m[3 * i + 1] * v[1] + m[3 * i + 2] * v[2]
                  for i in range(3))
 
@@ -463,8 +458,7 @@ def _block_factors(model: NvModel, field, block):
 
     The block is padded with identity steps to a power-of-two length and
     put in bit-reversed order (:func:`_product_tree`).  Returns
-    ``(real, tm, e_plus, e_minus, us)``: ``real`` marks the block's own
-    steps among the positions, ``tm`` the (positions,) midpoints,
+    ``(tm, e_plus, e_minus, us)``: the (positions,) midpoints,
     ``e+- = exp(-i h (D +- z)/2)`` (positions, runs), and the 9 components
     of the unitaries (:func:`_step_unitaries`).  A padding step has
     ``e+- = 1`` and ``theta = 0``, so its unitary is the identity and the
@@ -472,7 +466,6 @@ def _block_factors(model: NvModel, field, block):
     """
     a, h, on, phase, first, stop, _ = block
     perm = _bit_reversal(1 << (stop - first - 1).bit_length())
-    real = perm < stop - first
     tm = a + (first + perm + 0.5) * h
     bs = np.ascontiguousarray(field(tm).T)
     z = GAMMA_E * (model.b0 + bs * math.cos(model.chi))
@@ -483,11 +476,10 @@ def _block_factors(model: NvModel, field, block):
     else:
         drive = np.zeros(tm.size)
     theta = h * (drive[:, None] + GAMMA_E * bs * math.sin(model.chi))
-    if not real.all():
-        pad = ~real
-        e_plus[pad] = e_minus[pad] = 1.0
-        theta[pad] = 0.0
-    return real, tm, e_plus, e_minus, _step_unitaries(e_plus, e_minus, theta)
+    pad = perm >= stop - first
+    e_plus[pad] = e_minus[pad] = 1.0
+    theta[pad] = 0.0
+    return tm, e_plus, e_minus, _step_unitaries(e_plus, e_minus, theta)
 
 
 def _block_products(model: NvModel, field, blocks):
@@ -506,12 +498,12 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
     """Strang-split stepping of a batch of runs sharing the time grid, by block products.
 
     ``stims`` holds a Stimulus or None per row of ``psis``.  The runs whose
-    stimulus is None or constant (powered carrier periods), then the others,
+    stimulus is None or of frequency 0 (powered carrier periods), then the others,
     each group only if it holds a run, step on their own :func:`_blocks` in
     chunks of :data:`_CHUNK_RUNS` runs, as the module docstring describes.
     """
     out = np.array(psis, dtype=complex)  # each row is read once, then overwritten
-    periodic = [s is None or s.kind == "constant" for s in stims]
+    periodic = [s is None or (s.kind == "sinusoid" and s.frequency == 0) for s in stims]
     for flag in sorted(set(periodic), reverse=True):
         rows = [r for r, f in enumerate(periodic) if f == flag]
         period = TWO_PI / model.carrier if flag else math.inf
@@ -549,9 +541,9 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     """First-order probability change of :func:`run_protocol_batch` for each stimulus.
 
     This is the exact linear response of the discrete integrator, from one
-    reference run with no stimulus and its adjoint (forward and backward
-    propagation; Khaneja et al., J. Magn. Reson. 172, 296 (2005)).  With
-    ``a = <prep|psi(T)>``, the state ``psi_n`` after step n and
+    reference run with no stimulus and its adjoint (Khaneja et al., J. Magn.
+    Reson. 172, 296 (2005)), both propagated forward (:func:`_adjoint_kernel`).
+    With ``a = <prep|psi(T)>``, the state ``psi_n`` after step n and
     ``lam_n = U(T, t_n)^dagger |prep>``, the derivative of ``p = 1 - |a|^2``
     by the stimulus field at the midpoint of step n is
 
@@ -562,7 +554,7 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     A stimulus's response is ``sum_n G_n b(t_n)`` on the plain grid of
     :func:`_blocks` at the batch's finest default step, the only step either
     this or :func:`run_protocol_batch` takes for the same stimuli; the latter
-    steps every stimulus but a constant one on that grid.  Both are refused
+    steps all but a sinusoid of frequency 0 on that grid.  Both are refused
     past :data:`MAX_RUN_STEPS` steps by :func:`_blocks`, per step it builds.
 
     G and the step times take 16 B per step (62 kB for the 3870 steps of a
@@ -581,13 +573,13 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
         if s is not None and s.kind == "gaussian":
             rows.append(k)
             edges.append((s.center - 6.0 * s.fwhm, s.center + 6.0 * s.fwhm))
-        elif s is not None:  # a constant is the sinusoid of frequency 0 at phase pi/2
-            w, phi = (s.frequency, s.phase) if s.kind == "sinusoid" else (0.0, math.pi / 2)
+        elif s is not None:
+            w = s.frequency
             if w not in sums:
                 units = [Stimulus.sinusoid(1.0, w, phase) for phase in (0.0, math.pi / 2)]
                 sums[w] = stimulus_field(units)(t) @ g
             # A sin(w t + phi) = A (cos(phi) sin(w t) + sin(phi) cos(w t))
-            out[k] = s.amplitude * (math.cos(phi) * sums[w][0] + math.sin(phi) * sums[w][1])
+            out[k] = s.amplitude * (math.cos(s.phase) * sums[w][0] + math.sin(s.phase) * sums[w][1])
     first, stop = np.searchsorted(t, np.reshape(edges, (-1, 2)).T)
     per = max(1, _CONTRACT_ENTRIES // max(len(t), 1))  # t is empty for a protocol of no duration
     for i in range(0, len(rows), per):
@@ -600,50 +592,48 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
 def _adjoint_kernel(model: NvModel, stims, protocol: Protocol, dt: float):
     """``(t, G)`` of :func:`linear_response`: the plain grid's step midpoints, increasing.
 
-    The steps share :func:`_evolve_batch`'s blocks and product trees.  A
-    forward pass keeps the state at each block start; a backward pass over
-    the blocks rebuilds each tree and walks it down to the states before
-    and the adjoint states after every step; ``stims`` name a refusal's scale.
+    Both passes run forward on :func:`_evolve_batch`'s blocks and product trees,
+    as ``lam_n = U(t_n, 0) U(T, 0)^dagger |prep>``: the first takes the basis states
+    to the prep row of U(T, 0), hence ``a`` and ``lam_0``, the second walks ``psi``
+    and ``lam`` through each block (:func:`_block_overlaps`).  ``stims`` name a refusal's scale.
     """
     blocks = _blocks(model, stims, protocol, 0.0, protocol.duration, dt)
     no_field = stimulus_field([None])
-    psi = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
-    starts = []
+    j = _BASIS_INDEX[protocol.prep]
+    u = tuple(np.eye(3, dtype=complex)[k:k + 1] for k in range(3))  # run r starts at |r>
     for top in _block_products(model, no_field, blocks):
-        starts.append(psi)
-        psi = _matvec(top, psi)
-    a_conj = np.conj(psi[_BASIS_INDEX[protocol.prep]])
-    lam = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
+        u = _matvec(top, u)
+    a_conj, lam = np.conj(u[j][0, j]), tuple(np.conj(u[j][:, k:k + 1]) for k in range(3))
+    psi = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
+    parts = [(np.empty(0), np.empty(0))]  # a protocol of no duration has no block
+    for block in blocks:  # one block's per-step states at a time
+        tm, s, psi, lam = _block_overlaps(model, no_field, block, psi, lam)
+        parts.append((tm, (-2.0 * block[1]) * (a_conj * s).imag))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _block_overlaps(model: NvModel, field, block, psi, lam):
+    """Walk a block's tree down to ``psi`` and ``lam`` before every step, from those at its start.
+
+    Returns ``(t, s, psi, lam)``: the midpoints and ``s_n = i lam_n^dagger dU_n psi_{n-1} / h``,
+    in step order, and the states after the block.
+    """
+    tm, e_plus, e_minus, us = _block_factors(model, field, block)
+    levels = list(_product_tree(us))
+    top, before = levels.pop(), (psi, lam)
+    while levels:  # each level is dropped once walked
+        earlier = [x[:len(x) // 2] for x in levels.pop()]
+        before = [tuple(map(np.concatenate, zip(v, _matvec(earlier, v)))) for v in before]
+    (psi_before, lam_before), (pp, p0, pm), (lp, l0, lm) = before, *map(_matvec, [us] * 2, before)
     kappa = 0.5 * GAMMA_E * math.cos(model.chi)
     sigma = GAMMA_E * math.sin(model.chi) / math.sqrt(2.0)
-    end = sum(stop - first for _, _, _, _, first, stop, _ in blocks)
-    t, g = np.empty(end), np.empty(end)
-    for block, psi_before in zip(reversed(blocks), reversed(starts)):
-        real, tm, e_plus, e_minus, us = _block_factors(model, no_field, block)
-        levels = list(_product_tree(us))
-        lam_after = lam
-        lam = _matvec(levels.pop(), lam, adjoint=True)
-        while levels:  # each level is dropped once walked
-            u = levels.pop()
-            half = len(u[0]) // 2
-            earlier, later = [x[:half] for x in u], [x[half:] for x in u]
-            psi_before = tuple(map(np.concatenate, zip(
-                psi_before, _matvec(earlier, psi_before))))
-            lam_after = tuple(map(np.concatenate, zip(
-                _matvec(later, lam_after, adjoint=True), lam_after)))
-        (pp, p0, pm), (lp, l0, lm) = _matvec(us, psi_before), lam_after
-        lam_before = _matvec(us, lam_after, adjoint=True)
-        # dU/db = -i h kappa (Sz U + U Sz) - i h sqrt(2) sigma P Sx R P, so
-        # lam_n^dagger dU psi_{n-1} = -i h (kappa sz + sigma sx) with
-        # sz = lam_n^dagger Sz psi_n + lam_{n-1}^dagger Sz psi_{n-1} and
-        # sx = sqrt(2) (P* lam_n)^dagger Sx (P* psi_n), as R P psi_{n-1} = P* psi_n
-        sz = (np.conj(lp) * pp - np.conj(lm) * pm + np.conj(lam_before[0]) * psi_before[0]
-              - np.conj(lam_before[2]) * psi_before[2])
-        sx = ((e_plus * np.conj(lp) + e_minus * np.conj(lm)) * p0
-              + np.conj(l0) * (np.conj(e_plus) * pp + np.conj(e_minus) * pm))
-        h = block[1]
-        grad = (-2.0 * h) * (a_conj * (kappa * sz + sigma * sx)).imag[:, 0]
-        end -= block[5] - block[4]
-        steps = end + _bit_reversal(len(tm))[real]
-        t[steps], g[steps] = tm[real], grad[real]
-    return t, g
+    # dU/db = -i h kappa (Sz U + U Sz) - i h sqrt(2) sigma P Sx R P, so
+    # lam_n^dagger dU psi_{n-1} = -i h (kappa sz + sigma sx) with
+    # sz = lam_n^dagger Sz psi_n + lam_{n-1}^dagger Sz psi_{n-1} and
+    # sx = sqrt(2) (P* lam_n)^dagger Sx (P* psi_n), as R P psi_{n-1} = P* psi_n
+    sz = (np.conj(lp) * pp - np.conj(lm) * pm + np.conj(lam_before[0]) * psi_before[0]
+          - np.conj(lam_before[2]) * psi_before[2])
+    sx = ((e_plus * np.conj(lp) + e_minus * np.conj(lm)) * p0
+          + np.conj(l0) * (np.conj(e_plus) * pp + np.conj(e_minus) * pm))
+    steps = _bit_reversal(len(tm))[:block[5] - block[4]]  # step i's position; an involution
+    return tm[steps], (kappa * sz + sigma * sx)[steps, 0], _matvec(top, psi), _matvec(top, lam)

@@ -121,8 +121,7 @@ def optimal_duration(omega_signal: float, omega_rabi: float) -> tuple[float, boo
     if top <= 0 or (top - float(vals.min())) <= 1e-12 * top:
         return float(taus[int(np.argmax(vals))]), True
     i = int(np.argmax(vals))
-    lo = taus[max(i - 1, 0)]
-    hi = taus[min(i + 1, len(taus) - 1)]
+    lo, hi = taus[max(i - 1, 0)], taus[min(i + 1, len(taus) - 1)]
     tau_star, _ = golden_section_max(
         lambda t: sinusoid_sensitivity(omega_signal, omega_rabi, t), lo, hi)
     return float(tau_star), False
@@ -133,12 +132,19 @@ def sensitivity_surface(omega_rabi: float, omega_grid, tau_grid) -> tuple[np.nda
 
     Returns ``(values, ridge)``: ``values[i, j]`` at ``omega_grid[i]``,
     ``tau_grid[j]``, and one (omega, tau*) row of optimal duration per
-    frequency.  The grids must be strictly increasing, tau at most pi/Om.
+    frequency.  Before any work it refuses grids that are not strictly
+    increasing, a negative or non-finite omega, a tau outside (0, pi/Om]
+    and an Om that is not finite and > 0.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    tau_grid = np.asarray(tau_grid, dtype=float)
+    if not (math.isfinite(omega_rabi) and omega_rabi > 0):
+        raise ValueError(f"Rabi frequency must be finite and > 0, got {omega_rabi}")
+    omega_grid, tau_grid = np.asarray(omega_grid, dtype=float), np.asarray(tau_grid, dtype=float)
     if np.any(np.diff(omega_grid) <= 0) or np.any(np.diff(tau_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
+    if not (np.isfinite(omega_grid).all() and (omega_grid >= 0).all()):
+        raise ValueError("signal frequencies must be finite and >= 0")
+    if not (tau_grid > 0).all():
+        raise ValueError("durations must be > 0")
     tau_cap = math.pi / omega_rabi
     if np.any(tau_grid > tau_cap * (1.0 + 1e-12)):
         raise ValueError(f"tau grid exceeds the flip-angle cap pi/Om = {tau_cap:.3e} s")

@@ -307,14 +307,18 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[tuple[np.ndarray, float
     Each runner adds the groups of :meth:`RotatingFrameRunner.probe_responses`
     on its own grid, so each estimate has the same bits as alone.
     """
+    if not len(sims) == len(probe_fwhms) == len(t_grids):
+        raise ValueError("sims, probe_fwhms and t_grids must be of one length")
     parts = [kernel_stimuli(*args) for args in zip(sims, probe_fwhms, t_grids)]
-    changes = _pooled_changes(sims, parts)
+    changes = _pooled_changes(sims, parts) if parts else []
     return [kernel_from_changes(sim, probes, dc, *ch)
             for sim, (probes, dc), ch in zip(sims, parts, changes)]
 
 
 def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
     """The Gaussian probes along ``t_grid`` and the DC stimulus of :func:`estimate_kernel`."""
+    if not (math.isfinite(probe_fwhm) and probe_fwhm > 0):
+        raise ValueError(f"probe_fwhm must be finite and > 0, got {probe_fwhm}")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("kernel times must be strictly increasing")

@@ -316,13 +316,13 @@ def rotate_sx(cos_t, g, q, plus, zero, minus):
 def step_grid(model, stim, protocol, t0, t1, dt):
     """The stepper's grid for one run as (midpoint, h, pulse_on, phase) per step.
 
-    A run with no stimulus or a constant one steps a driven span [a, b] of at
-    least two carrier periods T, when one period's ceil(T/dt) steps fit in
-    one block, as floor((b - a)/T) periods of ceil(T/dt) equal steps from a,
-    then the rest of the span; every other span is ``ceil(span/dt)`` equal
-    steps.
+    A run with no stimulus or a sinusoid of frequency 0 (a constant) steps a
+    driven span [a, b] of at least two carrier periods T, when one period's
+    ceil(T/dt) steps fit in one block, as floor((b - a)/T) periods of
+    ceil(T/dt) equal steps from a, then the rest of the span; every other
+    span is ``ceil(span/dt)`` equal steps.
     """
-    periodic = stim is None or stim.kind == "constant"
+    periodic = stim is None or (stim.kind == "sinusoid" and stim.frequency == 0)
     period = TWO_PI / model.carrier if periodic else math.inf
     for a, b, on, phase in labframe._spans(protocol, t0, t1):
         pieces = [(a, b, 1)]

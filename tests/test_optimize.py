@@ -170,6 +170,29 @@ class TestSurface:
             with pytest.raises(ValueError, match="grids must be strictly increasing"):
                 sensitivity_surface(1.0, np.array(wgrid), np.array(tgrid))
 
+    @pytest.mark.parametrize("rabi, wgrid, tgrid, message", [
+        (0.0, [0.0], [0.5], "Rabi frequency must be finite and > 0"),
+        (-1.0, [0.0], [0.5], "Rabi frequency must be finite and > 0"),
+        (math.nan, [0.0], [0.5], "Rabi frequency must be finite and > 0"),
+        (math.inf, [0.0], [0.5], "Rabi frequency must be finite and > 0"),
+        (1.0, [0.0, 1.0], [-0.5, 0.5], "durations must be > 0"),
+        (1.0, [0.0], [0.0, 0.5], "durations must be > 0"),
+        (1.0, [0.0], [math.nan], "durations must be > 0"),
+        (1.0, [-1.0, 1.0], [0.5], "signal frequencies must be finite and >= 0"),
+        (1.0, [-2.0], [0.5], "signal frequencies must be finite and >= 0"),
+        (1.0, [0.0, math.inf], [0.5], "signal frequencies must be finite and >= 0"),
+        (1.0, [math.nan], [0.5], "signal frequencies must be finite and >= 0"),
+    ])
+    def test_bad_rabi_rate_durations_and_frequencies_refused_first(
+            self, monkeypatch, rabi, wgrid, tgrid, message):
+        def refuse(*args):
+            raise AssertionError("a refused input must not reach the optimisation")
+
+        monkeypatch.setattr(optimize, "sinusoid_sensitivity", refuse)
+        monkeypatch.setattr(optimize, "optimal_duration", refuse)
+        with pytest.raises(ValueError, match=message):
+            sensitivity_surface(rabi, np.array(wgrid), np.array(tgrid))
+
     def test_empty_tau_grid(self):
         values, ridge = sensitivity_surface(1.0, [0.0, 1.0], [])
         assert values.shape == (2, 0)

@@ -164,6 +164,32 @@ class TestKernelEstimate:
             with pytest.raises(ValueError, match="kernel times must be strictly increasing"):
                 response.estimate_kernels(sims[:1] * 2, [fwhm] * 2, [[0.0, 1e-9], grid])
 
+    @pytest.mark.parametrize("fwhm", [0.0, -1e-10, math.nan, math.inf])
+    def test_probe_fwhm_refused_by_name(self, monkeypatch, fwhm):
+        sims = [rotating_runner(), cli_lab_runner(90.0)]
+        for sim in sims:
+            monkeypatch.setattr(sim, "probe_responses", refuse_to_run)
+        monkeypatch.setattr(RotatingFrameRunner, "run_batch", refuse_to_run)
+        for sim in sims:
+            with pytest.raises(ValueError, match="^probe_fwhm must be finite and > 0"):
+                estimate_kernel(sim, fwhm, [0.0])
+        with pytest.raises(ValueError, match="^probe_fwhm must be finite and > 0"):
+            response.estimate_kernels(sims[:1], [fwhm], [[0.0]])
+
+    def test_pooled_lists_of_unequal_length_refused_by_name(self, monkeypatch):
+        monkeypatch.setattr(RotatingFrameRunner, "run_batch", refuse_to_run)
+        sim = rotating_runner()
+        fwhm = analytic.time_resolution_fwhm(sim.tau, math.pi / 2) / 12
+        for sims, fwhms, grids in (([sim], [fwhm] * 2, [[0.0]] * 2),
+                                   ([sim] * 2, [fwhm], [[0.0]]),
+                                   ([sim] * 2, [fwhm] * 2, [[0.0]])):
+            with pytest.raises(ValueError, match="^sims, probe_fwhms and t_grids must be of one"):
+                response.estimate_kernels(sims, fwhms, grids)
+
+    def test_no_pooled_kernels_gives_an_empty_list(self, monkeypatch):
+        monkeypatch.setattr(RotatingFrameRunner, "run_batch", refuse_to_run)
+        assert response.estimate_kernels([], [], []) == []
+
     @pytest.mark.parametrize("runner", [rotating_runner, lambda: cli_lab_runner(90.0)],
                              ids=["rotating", "lab"])
     def test_empty_grid_gives_empty_values(self, runner):
@@ -280,8 +306,6 @@ def test_lab_runner_agrees_with_rotating_runner():
 
 def parent_stimulus_value(stim, t):
     """One stimulus's field at the times ``t``, written out per kind."""
-    if stim.kind == "constant":
-        return np.full_like(t, stim.amplitude)
     if stim.kind == "gaussian":
         return stim.amplitude * np.exp(
             -4.0 * math.log(2.0) * (t - stim.center) ** 2 / stim.fwhm**2)
@@ -640,6 +664,27 @@ class TestAdjointKernel:
         got = labframe.linear_response(sim.model, probes, sim.protocol)
         assert np.max(np.abs(got - central)) <= 1e-6 * peak
         assert np.max(np.abs(plain - central)) > 1e-6 * peak
+
+    @pytest.mark.parametrize("chi_deg", [0.0, 45.0])
+    def test_matches_central_differences_per_single_step(self, monkeypatch, chi_deg):
+        # a Gaussian of FWHM h/50 on a step midpoint is seen by that step
+        # alone (its neighbours' midpoints are 50 FWHM away), so each
+        # response is one step's G; with 1e-5 rad in the step, the central
+        # differences are 6e-11 of the largest one apart from it
+        sim = cli_lab_runner(90.0, chi_deg)
+        dt = labframe.default_timestep(sim.model)
+        monkeypatch.setattr(labframe, "default_timestep",
+                            lambda model, stim=None, factor=100.0: dt)
+        t, _ = labframe._adjoint_kernel(sim.model, [], sim.protocol, dt)
+        h = t[1] - t[0]
+        amp = 1e-5 / (labframe.GAMMA_E * h)
+        probes = [Stimulus.gaussian(amp, float(t[i]), h / 50)
+                  for i in np.linspace(0, len(t) - 1, 9).astype(int)]
+        minus = [dataclasses.replace(s, amplitude=-s.amplitude) for s in probes]
+        p = labframe.run_protocol_batch(sim.model, probes + minus, sim.protocol)
+        central = (p[:len(probes)] - p[len(probes):]) / 2
+        got = labframe.linear_response(sim.model, probes, sim.protocol)
+        assert np.max(np.abs(got - central)) <= 1.8e-10 * np.max(np.abs(central))
 
     def test_protocol_with_no_steps_gives_zeros(self):
         # a protocol of no duration takes no step: no stimulus changes p
