@@ -44,17 +44,19 @@ Steps are not applied one at a time.  For a block of up to 1024 steps,
 each step's 3x3 unitary ``P R(theta) P`` (``P = exp(-i Delta h/2)``) is
 built in closed form for every run at once, the block's product is formed
 by pairwise (tree) reduction, and the product is applied to the states.
-Runs go through in chunks of a fixed number of steps x runs, so memory is
-bounded by one block of one chunk for any protocol and batch.  A run with
+Runs go through in chunks of a fixed number of runs, and consecutive
+blocks of a chunk share one tree of at most :data:`_TREE_ENTRIES` entries,
+each padded with identity steps to the longest one's power of two, so
+memory is bounded by one tree for any protocol and batch.  A run with
 no stimulus or a constant one sees an H that is periodic in the carrier
 inside a pulse window, so a window of at least two carrier periods, whose
 period fits in one block, is stepped on a grid commensurate with the
 carrier and one period's product is raised to the number of whole periods
 by repeated squaring (Shirley, Phys. Rev. 138, B979 (1965)).  Each run's
-grid depends only on the run, the block length does not depend on the
-batch, and each run's arithmetic is elementwise and independent of the
-other runs, so a batched result is bit-identical to the same run on its
-own.
+grid depends only on the run, a block's product and association depend
+neither on the batch nor on the blocks it shares a tree with, and each
+run's arithmetic is elementwise and independent of the other runs, so a
+batched result is bit-identical to the same run on its own.
 
 :func:`linear_response` gives the integrator's exact first-order response
 to any number of stimuli in 16 B per step, from one reference run and its
@@ -98,9 +100,12 @@ _BASIS_INDEX = {"ms_minus1": 0, "ms0": 1, "ms_plus1": 2}
 
 #: time steps per block of step unitaries (:func:`_blocks`)
 _BLOCK_STEPS = 1024
-#: runs per chunk of a block, 3072 steps x runs entries (4 runs, 4096
-#: entries, took about 0.5 MB more peak memory in `fig4d` plus `offaxis`)
+#: runs per chunk (4 runs, 4096 entries per 1024-step block, took about
+#: 0.5 MB more peak memory in `fig4d` plus `offaxis`)
 _CHUNK_RUNS = 3
+#: (steps x blocks x runs) entries at most per product tree (:func:`_groups`),
+#: one 1024-step block of a full chunk
+_TREE_ENTRIES = _BLOCK_STEPS * _CHUNK_RUNS
 #: (stimuli x steps) entries at most per chunk of :func:`linear_response`'s
 #: Gaussians: a chunk spans at most every step, so it holds this // steps
 _CONTRACT_ENTRIES = 2**13
@@ -386,14 +391,15 @@ def _matvec(m, v):
 
 
 def _product_tree(us):
-    """Yield the levels of the pairwise product tree of a block's step unitaries.
+    """Yield the levels of the pairwise product tree of a group of blocks' step unitaries.
 
-    ``us`` is a row-major 9-tuple of (2^L, runs) arrays in bit-reversed step
-    order (:func:`_block_factors`); it is the first level.  In that order
+    ``us`` is a row-major 9-tuple of (2^L, blocks, runs) arrays in bit-reversed
+    step order (:func:`_block_factors`); it is the first level.  In that order
     the neighbouring steps 2j and 2j+1 sit at the same position of the
     first and the second half, so each next level is ``second @ first``
-    on contiguous halves, again in bit-reversed order.  The last level is
-    the block's product, shape (1, runs).
+    on contiguous halves, again in bit-reversed order.  Position 0 of level
+    k is the product of steps 0 .. 2^k - 1, reduced as in a tree of those
+    steps alone: a block's own product, ``u[:1, b]`` at its padded length's level.
     """
     yield us
     while len(us[0]) > 1:
@@ -453,44 +459,56 @@ def _blocks(model: NvModel, stims, protocol: Protocol, t0: float, t1: float, dt:
             for a, b, on, phase, power, n in pieces for i0 in range(0, n, _BLOCK_STEPS)]
 
 
-def _block_factors(model: NvModel, field, block):
-    """Step factors of one block for every run of ``field``, in bit-reversed step order.
+def _log_length(block) -> int:
+    """log2 of a block's step count rounded up to a power of two."""
+    return (block[5] - block[4] - 1).bit_length()
 
-    The block is padded with identity steps to a power-of-two length and
-    put in bit-reversed order (:func:`_product_tree`).  Returns
-    ``(tm, e_plus, e_minus, us)``: the (positions,) midpoints,
-    ``e+- = exp(-i h (D +- z)/2)`` (positions, runs), and the 9 components
-    of the unitaries (:func:`_step_unitaries`).  A padding step has
-    ``e+- = 1`` and ``theta = 0``, so its unitary is the identity and the
-    tree's products are exact over it.
+
+def _groups(blocks, runs: int):
+    """Split ``blocks`` into the fewest lists of consecutive blocks that fit one tree each.
+
+    A tree counts each block at the longest block's power of two and holds at
+    most :data:`_TREE_ENTRIES` (steps x blocks x ``runs``) entries; the
+    lists' lengths differ by at most one.
     """
-    a, h, on, phase, first, stop, _ = block
-    perm = _bit_reversal(1 << (stop - first - 1).bit_length())
+    most = max(1, _TREE_ENTRIES // (runs << max(map(_log_length, blocks), default=0)))
+    each = -(-len(blocks) // -(-len(blocks) // most)) if blocks else 1
+    return [blocks[i:i + each] for i in range(0, len(blocks), each)]
+
+
+def _block_factors(model: NvModel, field, group):
+    """Step factors of a group of blocks for every run of ``field``, in bit-reversed step order.
+
+    Each (block, run) pair is a column of (positions, blocks, runs) arrays,
+    each block padded with identity steps to the group's longest power of
+    two (:func:`_product_tree`).  Returns ``(h, tm, pad, e_plus, e_minus, us)``:
+    the (blocks,) steps, the (positions, blocks) midpoints and padding mask,
+    ``e+- = exp(-i h (D +- z)/2)`` and the 9 components of the unitaries
+    (:func:`_step_unitaries`).  A padding step has ``e+- = 1`` and
+    ``theta = 0``, so its unitary is the identity.
+    """
+    a, h, on, phase, first, stop, _ = map(np.array, zip(*group))
+    perm = _bit_reversal(1 << max(map(_log_length, group)))[:, None]
     tm = a + (first + perm + 0.5) * h
-    bs = np.ascontiguousarray(field(tm).T)
+    bs = np.ascontiguousarray(field(tm.ravel()).reshape(-1, *tm.shape).transpose(1, 2, 0))
     z = GAMMA_E * (model.b0 + bs * math.cos(model.chi))
-    e_plus = np.exp(-0.5j * h * (model.d + z))
-    e_minus = np.exp(-0.5j * h * (model.d - z))
-    if on:
-        drive = GAMMA_E * model.b1 * np.cos(model.carrier * tm + phase)
-    else:
-        drive = np.zeros(tm.size)
-    theta = h * (drive[:, None] + GAMMA_E * bs * math.sin(model.chi))
+    e_plus = np.exp(-0.5j * h[:, None] * (model.d + z))
+    e_minus = np.exp(-0.5j * h[:, None] * (model.d - z))
+    drive = np.where(on, GAMMA_E * model.b1 * np.cos(model.carrier * tm + phase), 0.0)
+    theta = h[:, None] * (drive[:, :, None] + GAMMA_E * bs * math.sin(model.chi))
     pad = perm >= stop - first
     e_plus[pad] = e_minus[pad] = 1.0
     theta[pad] = 0.0
-    return tm, e_plus, e_minus, _step_unitaries(e_plus, e_minus, theta)
+    return h, tm, pad, e_plus, e_minus, _step_unitaries(e_plus, e_minus, theta)
 
 
-def _block_products(model: NvModel, field, blocks):
-    """Yield the product of each block's step unitaries, raised to the block's ``power``.
-
-    Each product holds every run of ``field`` (:func:`_blocks`).
-    """
-    for block in blocks:
-        for top in _product_tree(_block_factors(model, field, block)[-1]):
-            pass
-        yield _power(top, block[-1])
+def _block_products(model: NvModel, field, groups):
+    """Yield each block's product raised to its ``power``, one tree per group (:func:`_groups`)."""
+    for group in groups:
+        tree = enumerate(_product_tree(_block_factors(model, field, group)[-1]))
+        levels = {k: us for k, us in tree if k in map(_log_length, group)}  # the ones used
+        for b, block in enumerate(group):
+            yield _power(tuple(u[:1, b] for u in levels[_log_length(block)]), block[-1])
 
 
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
@@ -499,8 +517,8 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
 
     ``stims`` holds a Stimulus or None per row of ``psis``.  The runs whose
     stimulus is None or of frequency 0 (powered carrier periods), then the others,
-    each group only if it holds a run, step on their own :func:`_blocks` in
-    chunks of :data:`_CHUNK_RUNS` runs, as the module docstring describes.
+    each group only if it holds a run, step on their own :func:`_blocks` in chunks
+    of :data:`_CHUNK_RUNS` runs, a chunk's blocks in few trees (:func:`_groups`).
     """
     out = np.array(psis, dtype=complex)  # each row is read once, then overwritten
     periodic = [s is None or (s.kind == "sinusoid" and s.frequency == 0) for s in stims]
@@ -512,7 +530,7 @@ def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: floa
             chunk = rows[r0:r0 + _CHUNK_RUNS]
             field = stimulus_field([stims[r] for r in chunk])
             state = tuple(out[chunk, k][None, :] for k in range(3))
-            for top in _block_products(model, field, blocks):
+            for top in _block_products(model, field, _groups(blocks, len(chunk))):
                 state = _matvec(top, state)
             out[chunk] = np.concatenate(state).T
     return out
@@ -597,43 +615,53 @@ def _adjoint_kernel(model: NvModel, stims, protocol: Protocol, dt: float):
     to the prep row of U(T, 0), hence ``a`` and ``lam_0``, the second walks ``psi``
     and ``lam`` through each block (:func:`_block_overlaps`).  ``stims`` name a refusal's scale.
     """
-    blocks = _blocks(model, stims, protocol, 0.0, protocol.duration, dt)
+    groups = _groups(_blocks(model, stims, protocol, 0.0, protocol.duration, dt), 1)
     no_field = stimulus_field([None])
     j = _BASIS_INDEX[protocol.prep]
     u = tuple(np.eye(3, dtype=complex)[k:k + 1] for k in range(3))  # run r starts at |r>
-    for top in _block_products(model, no_field, blocks):
+    for top in _block_products(model, no_field, groups):
         u = _matvec(top, u)
-    a_conj, lam = np.conj(u[j][0, j]), tuple(np.conj(u[j][:, k:k + 1]) for k in range(3))
-    psi = tuple(np.full((1, 1), x) for x in basis_state(protocol.prep))
+    # psi and lam_0 as the two columns of each component
+    state = tuple(np.array([[x, np.conj(u[j][0, k])]])
+                  for k, x in enumerate(basis_state(protocol.prep)))
     parts = [(np.empty(0), np.empty(0))]  # a protocol of no duration has no block
-    for block in blocks:  # one block's per-step states at a time
-        tm, s, psi, lam = _block_overlaps(model, no_field, block, psi, lam)
-        parts.append((tm, (-2.0 * block[1]) * (a_conj * s).imag))
+    for group in groups:  # one group's per-step states at a time
+        tm, g, state = _block_overlaps(model, no_field, group, state, np.conj(u[j][0, j]))
+        parts.append((tm, g))
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _block_overlaps(model: NvModel, field, block, psi, lam):
-    """Walk a block's tree down to ``psi`` and ``lam`` before every step, from those at its start.
+def _block_overlaps(model: NvModel, field, group, state, a_conj):
+    """Walk a group's tree down to ``psi`` and ``lam`` before every step, from those at its start.
 
-    Returns ``(t, s, psi, lam)``: the midpoints and ``s_n = i lam_n^dagger dU_n psi_{n-1} / h``,
-    in step order, and the states after the block.
+    ``state`` holds ``psi`` and ``lam`` as the two columns of each component;
+    the blocks chain by their own products (:func:`_product_tree`).  Returns
+    ``(t, G, state)``: the midpoints and ``G_n = -2 h Im(conj(a) s_n)``, with
+    ``s_n = i lam_n^dagger dU_n psi_{n-1} / h``, in step order, and the states after.
     """
-    tm, e_plus, e_minus, us = _block_factors(model, field, block)
-    levels = list(_product_tree(us))
-    top, before = levels.pop(), (psi, lam)
+    h, tm, pad, e_plus, e_minus, us = _block_factors(model, field, group)
+    levels, starts = list(_product_tree(us)), []
+    for b, block in enumerate(group):
+        starts.append(state)
+        state = _matvec(tuple(u[:1, b] for u in levels[_log_length(block)]), state)
+    before = tuple(np.stack(c, axis=1) for c in zip(*starts))  # (1, blocks, 2) each
+    levels.pop()  # the group's top, not a block's own product
     while levels:  # each level is dropped once walked
         earlier = [x[:len(x) // 2] for x in levels.pop()]
-        before = [tuple(map(np.concatenate, zip(v, _matvec(earlier, v)))) for v in before]
-    (psi_before, lam_before), (pp, p0, pm), (lp, l0, lm) = before, *map(_matvec, [us] * 2, before)
+        before = tuple(map(np.concatenate, zip(before, _matvec(earlier, before))))
+    # p, l: psi_n and lam_n by component (+1, 0, -1); q, k: psi_{n-1} and lam_{n-1}
+    (pp, lp), (p0, l0), (pm, lm), (qp, kp), _, (qm, km) = (
+        (x[..., :1], x[..., 1:]) for x in _matvec(us, before) + before)
     kappa = 0.5 * GAMMA_E * math.cos(model.chi)
     sigma = GAMMA_E * math.sin(model.chi) / math.sqrt(2.0)
     # dU/db = -i h kappa (Sz U + U Sz) - i h sqrt(2) sigma P Sx R P, so
     # lam_n^dagger dU psi_{n-1} = -i h (kappa sz + sigma sx) with
     # sz = lam_n^dagger Sz psi_n + lam_{n-1}^dagger Sz psi_{n-1} and
     # sx = sqrt(2) (P* lam_n)^dagger Sx (P* psi_n), as R P psi_{n-1} = P* psi_n
-    sz = (np.conj(lp) * pp - np.conj(lm) * pm + np.conj(lam_before[0]) * psi_before[0]
-          - np.conj(lam_before[2]) * psi_before[2])
+    sz = np.conj(lp) * pp - np.conj(lm) * pm + np.conj(kp) * qp - np.conj(km) * qm
     sx = ((e_plus * np.conj(lp) + e_minus * np.conj(lm)) * p0
           + np.conj(l0) * (np.conj(e_plus) * pp + np.conj(e_minus) * pm))
-    steps = _bit_reversal(len(tm))[:block[5] - block[4]]  # step i's position; an involution
-    return tm[steps], (kappa * sz + sigma * sx)[steps, 0], _matvec(top, psi), _matvec(top, lam)
+    g = (-2.0 * h) * (a_conj * (kappa * sz + sigma * sx)[..., 0]).imag
+    steps = _bit_reversal(len(tm))  # step i sits at position steps[i]; an involution
+    real = ~pad[steps].T
+    return tm[steps].T[real], g[steps].T[real], state

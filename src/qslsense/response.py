@@ -84,7 +84,7 @@ class BodeSeries:
 
     def __post_init__(self):
         self.gains = np.asarray(self.gains, dtype=float)
-        if np.any(self.gains < 0):
+        if not np.all(self.gains >= 0):
             raise ValueError("gains must be >= 0")
 
 
@@ -257,8 +257,8 @@ def fit_sine_amplitude(samples, omega: float) -> tuple[float, float, float]:
         raise ValueError("samples must be an (n, 2) array of (t, value)")
     if not np.isfinite(arr).all():
         raise ValueError("samples must be finite")
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and > 0")
     t, y = arr[:, 0], arr[:, 1]
     if len(t) < 4:
         raise ValueError(f"need at least 4 samples, got {len(t)}")
@@ -309,6 +309,8 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[tuple[np.ndarray, float
     """
     if not len(sims) == len(probe_fwhms) == len(t_grids):
         raise ValueError("sims, probe_fwhms and t_grids must be of one length")
+    if any(not isinstance(s, RotatingFrameRunner) or s.omega != sims[0].omega for s in sims):
+        raise ValueError("sims must be RotatingFrameRunners at one Rabi rate")
     parts = [kernel_stimuli(*args) for args in zip(sims, probe_fwhms, t_grids)]
     changes = _pooled_changes(sims, parts) if parts else []
     return [kernel_from_changes(sim, probes, dc, *ch)

@@ -647,6 +647,92 @@ class TestRunStepLimit:
         assert at_limit.tolist() == run_protocol_batch(m, stims, protocol).tolist()
 
 
+def fig4d_case():
+    """fig4d's lowest Rabi rate, 0.1 D, whose carrier periods are powered."""
+    m = fig4d_model(0.1)
+    bs = m.b1 / (10 * math.sqrt(2))
+    stims = [Stimulus.constant(bs), Stimulus.constant(-bs), None]
+    return m, bipartite_protocol(math.pi / m.rabi), stims, stims
+
+
+def offaxis_case():
+    """Eleven mixed runs on the offaxis model at chi = 45 deg, four chunks."""
+    m = offaxis_model(45.0)
+    stims = mixed_stimuli(m, math.pi / m.rabi, 11)
+    return m, bipartite_protocol(math.pi / m.rabi), stims, stims
+
+
+def lab_kernel_case():
+    """The lab_kernel workload's 10 ns CLI lab kernel at 75 deg: its DC pair and 121 probes."""
+    tau, alpha = 10e-9, math.radians(75.0)
+    m = NvModel.resonant(2 * alpha / tau, B0_1GHZ)
+    fwhm = analytic.time_resolution_fwhm(tau, alpha) / 12
+    amp = 1e-3 / (labframe.GAMMA_E * fwhm * labframe.GAUSS_AREA)
+    probes = [Stimulus.gaussian(amp, tau / 2 + t, fwhm)
+              for t in np.linspace(-0.55, 0.55, 121) * tau]
+    return m, bipartite_protocol(tau), [Stimulus.constant(1e-3 / (labframe.GAMMA_E * tau)),
+                                        None], probes
+
+
+class TestGroupedTrees:
+    """Consecutive blocks of the same runs share one product tree (labframe._groups)."""
+
+    @staticmethod
+    def record_trees(monkeypatch):
+        """The (positions, blocks, runs) shape of every product tree built from now on."""
+        shapes, product_tree = [], labframe._product_tree
+
+        def recording(us):
+            shapes.append(us[0].shape)
+            return product_tree(us)
+
+        monkeypatch.setattr(labframe, "_product_tree", recording)
+        return shapes
+
+    @pytest.mark.parametrize("case", [fig4d_case, offaxis_case, lab_kernel_case],
+                             ids=["fig4d-0.1D", "offaxis-45deg-11-runs", "lab-kernel-10ns"])
+    def test_one_block_per_tree_gives_the_same_bits(self, monkeypatch, case):
+        m, protocol, runs, responses = case()
+        shapes = self.record_trees(monkeypatch)
+
+        def both():
+            return (run_protocol_batch(m, runs, protocol).tolist(),
+                    labframe.linear_response(m, responses, protocol).tolist())
+
+        grouped, trees = both(), len(shapes)
+        assert max(s[1] for s in shapes) > 1
+        monkeypatch.setattr(labframe, "_TREE_ENTRIES", 1)  # a tree holds one block
+        assert both() == grouped
+        assert all(s[1] == 1 for s in shapes[trees:])
+        assert len(shapes) - trees > trees
+
+    @pytest.mark.parametrize("argv, shapes", [
+        # the adjoint's two passes of 2 trees of 2 blocks, then the DC pair
+        (["kernel", "--backend", "lab", "--tau", "10ns", "--alpha", "75deg", "--points", "121"],
+         [(1024, 2, 1)] * 4 + [(128, 4, 2)]),
+        # one tree of the 3 runs' 4 blocks per prep
+        (["fig4d", "--points", "1"], [(128, 4, 3)] * 2),
+        # per chi: the adjoint's two passes of one tree each, then the DC pair
+        (["offaxis", "--points", "1"], ([(1024, 2, 1)] * 2 + [(128, 4, 2)]) * 3),
+    ], ids=["lab-kernel-10ns", "fig4d", "offaxis"])
+    def test_trees_per_pass(self, tmp_path, monkeypatch, argv, shapes):
+        built = self.record_trees(monkeypatch)
+        assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+        assert built == shapes
+        assert max(map(math.prod, built)) <= labframe._TREE_ENTRIES == 3072
+
+    def test_groups_are_balanced_within_the_budget(self):
+        # greedy grouping would give 3 + 1 and 8 + 2 blocks
+        def sizes(steps, runs):
+            blocks = [(0.0, 1.0, True, 0.0, 0, n, 1) for n in steps]
+            return list(map(len, labframe._groups(blocks, runs)))
+
+        assert sizes([1024, 911, 1024, 911], 1) == [2, 2]
+        assert sizes([1024, 911, 1024, 911], 3) == [1, 1, 1, 1]
+        assert sizes([128, 64] * 5, 3) == [5, 5]
+        assert sizes([], 3) == []
+
+
 def test_trace_csv_round_trip(tmp_path):
     m = NvModel.resonant(TWO_PI * 20e6, B0_1GHZ)
     protocol = bipartite_protocol(math.pi / m.rabi)

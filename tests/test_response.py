@@ -70,11 +70,12 @@ class TestSineFit:
         with pytest.raises(NumericError):
             fit_sine_amplitude(np.column_stack([t, np.ones_like(t)]), w)
 
-    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_omega_out_of_range(self, omega):
-        # a NaN fails the range check too
+        # a NaN fails the range check too; an infinite omega would fit
+        # sin(inf t), NaN with a RuntimeWarning
         t = np.linspace(0, TWO_PI, 12)
-        with pytest.raises(ValueError, match="omega must be > 0"):
+        with pytest.raises(ValueError, match="^omega must be finite and > 0$"):
             fit_sine_amplitude(np.column_stack([t, np.sin(t)]), omega)
 
     @pytest.mark.parametrize("column, row, bad", [(0, 3, math.nan), (1, 5, math.nan),
@@ -186,6 +187,15 @@ class TestKernelEstimate:
             with pytest.raises(ValueError, match="^sims, probe_fwhms and t_grids must be of one"):
                 response.estimate_kernels(sims, fwhms, grids)
 
+    def test_pooled_runners_must_be_rotating_at_one_rabi_rate(self, monkeypatch):
+        # refused by name before any probe is built
+        monkeypatch.setattr(response, "kernel_stimuli", refuse_to_run)
+        sim = rotating_runner()
+        fwhm = analytic.time_resolution_fwhm(sim.tau, math.pi / 2) / 12
+        for other in (cli_lab_runner(90.0), RotatingFrameRunner(1.5 * sim.omega, sim.tau)):
+            with pytest.raises(ValueError, match="^sims must be RotatingFrameRunners at one Rabi"):
+                response.estimate_kernels([sim, other], [fwhm] * 2, [[0.0]] * 2)
+
     def test_no_pooled_kernels_gives_an_empty_list(self, monkeypatch):
         monkeypatch.setattr(RotatingFrameRunner, "run_batch", refuse_to_run)
         assert response.estimate_kernels([], [], []) == []
@@ -230,6 +240,10 @@ class TestBode:
                 bode_response(sim, np.array([0.0, 1e7, 1e7]), 1e-9)
         with pytest.raises(ValueError, match="gains must be >= 0"):
             BodeSeries(np.array([1.0, 2.0]), np.array([-0.1, 1.0]), np.zeros(2, dtype=bool))
+
+    def test_series_refuses_nan_gains(self):
+        with pytest.raises(ValueError, match="gains must be >= 0"):
+            BodeSeries([0.0], [math.nan], [False])
 
 
 class TestNumericMetrics:
