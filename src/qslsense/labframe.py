@@ -53,10 +53,10 @@ inside a pulse window, so a window of at least two carrier periods, whose
 period fits in one block, is stepped on a grid commensurate with the
 carrier and one period's product is raised to the number of whole periods
 by repeated squaring (Shirley, Phys. Rev. 138, B979 (1965)).  Each run's
-grid depends only on the run, a block's product and association depend
-neither on the batch nor on the blocks it shares a tree with, and each
-run's arithmetic is elementwise and independent of the other runs, so a
-batched result is bit-identical to the same run on its own.
+grid depends only on the run, a block's product (read at its tree's top)
+has the same bits in any batch and group, as identity padding multiplies
+exactly, and each run's arithmetic is elementwise and independent of the
+other runs, so a batched result is bit-identical to the same run on its own.
 
 :func:`linear_response` gives the integrator's exact first-order response
 to any number of stimuli in 16 B per step, from one reference run and its
@@ -397,9 +397,8 @@ def _product_tree(us):
     step order (:func:`_block_factors`); it is the first level.  In that order
     the neighbouring steps 2j and 2j+1 sit at the same position of the
     first and the second half, so each next level is ``second @ first``
-    on contiguous halves, again in bit-reversed order.  Position 0 of level
-    k is the product of steps 0 .. 2^k - 1, reduced as in a tree of those
-    steps alone: a block's own product, ``u[:1, b]`` at its padded length's level.
+    on contiguous halves, again in bit-reversed order.  Column b of the last
+    level, the top, is block b's product, as identity padding multiplies exactly.
     """
     yield us
     while len(us[0]) > 1:
@@ -485,7 +484,8 @@ def _block_factors(model: NvModel, field, group):
     the (blocks,) steps, the (positions, blocks) midpoints and padding mask,
     ``e+- = exp(-i h (D +- z)/2)`` and the 9 components of the unitaries
     (:func:`_step_unitaries`).  A padding step has ``e+- = 1`` and
-    ``theta = 0``, so its unitary is the identity.
+    ``theta = 0``, so its unitary is the identity, and multiplying by it is
+    exact (``1 p + 0 q + 0 r`` is ``p``) whatever a block is grouped with.
     """
     a, h, on, phase, first, stop, _ = map(np.array, zip(*group))
     perm = _bit_reversal(1 << max(map(_log_length, group)))[:, None]
@@ -503,12 +503,12 @@ def _block_factors(model: NvModel, field, group):
 
 
 def _block_products(model: NvModel, field, groups):
-    """Yield each block's product raised to its ``power``, one tree per group (:func:`_groups`)."""
+    """Yield each block's product raised to its ``power``, read from its group's tree's top."""
     for group in groups:
-        tree = enumerate(_product_tree(_block_factors(model, field, group)[-1]))
-        levels = {k: us for k, us in tree if k in map(_log_length, group)}  # the ones used
+        for top in _product_tree(_block_factors(model, field, group)[-1]):
+            pass  # one level alive at a time; the last is the top
         for b, block in enumerate(group):
-            yield _power(tuple(u[:1, b] for u in levels[_log_length(block)]), block[-1])
+            yield _power(tuple(u[:, b] for u in top), block[-1])
 
 
 def _evolve_batch(model: NvModel, stims, protocol: Protocol, t0: float, t1: float,
@@ -635,17 +635,17 @@ def _block_overlaps(model: NvModel, field, group, state, a_conj):
     """Walk a group's tree down to ``psi`` and ``lam`` before every step, from those at its start.
 
     ``state`` holds ``psi`` and ``lam`` as the two columns of each component;
-    the blocks chain by their own products (:func:`_product_tree`).  Returns
+    the blocks chain by their products, the columns of the tree's top.  Returns
     ``(t, G, state)``: the midpoints and ``G_n = -2 h Im(conj(a) s_n)``, with
     ``s_n = i lam_n^dagger dU_n psi_{n-1} / h``, in step order, and the states after.
     """
     h, tm, pad, e_plus, e_minus, us = _block_factors(model, field, group)
     levels, starts = list(_product_tree(us)), []
-    for b, block in enumerate(group):
+    top = levels.pop()
+    for b in range(len(group)):
         starts.append(state)
-        state = _matvec(tuple(u[:1, b] for u in levels[_log_length(block)]), state)
+        state = _matvec(tuple(u[:, b] for u in top), state)
     before = tuple(np.stack(c, axis=1) for c in zip(*starts))  # (1, blocks, 2) each
-    levels.pop()  # the group's top, not a block's own product
     while levels:  # each level is dropped once walked
         earlier = [x[:len(x) // 2] for x in levels.pop()]
         before = tuple(map(np.concatenate, zip(before, _matvec(earlier, before))))

@@ -58,6 +58,15 @@ class TestExactProbability:
                         sequence.make_bipartite(om, tau, detuning=ratio * om))
                     assert abs(p1 - p2) <= 1e-10
 
+    def test_gap_to_sequence_on_the_check_grid_is_rounding(self):
+        # --check's 8x8x8 grid, whose gate is 1e-10; measured 2.40e-14
+        om, ratio, tau = np.meshgrid(np.geomspace(TWO_PI * 1e6, TWO_PI * 1e8, 8),
+                                     np.geomspace(1e-4, 1.0, 8), np.geomspace(1e-9, 1e-6, 8),
+                                     indexing="ij")
+        p1 = [exact_transition_probability(*x) for x in zip(om.flat, tau.flat, (ratio * om).flat)]
+        p2 = sequence.transition_probability(sequence.make_bipartite(om, tau, ratio * om))
+        assert np.max(np.abs(np.subtract(p1, p2.ravel()))) <= 3 * 2.40e-14
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda: exact_transition_probability(math.nan, 1.0), "rabi must be > 0"),

@@ -505,6 +505,21 @@ class TestBlockStepper:
         assert patched.tolist() == run_at(m, stims, protocol, half).tolist()
         assert patched.tolist() != plain.tolist()
 
+    def test_kernel_step_error_is_second_order_at_its_measured_size(self, monkeypatch):
+        # the 10 ns, 75 deg CLI lab kernel's probes at dt, dt/2 and dt/4: the
+        # gap of successive halvings, relative to the largest response,
+        # measured 2.70e-6 at the default step with ratio 4.00 per halving
+        m, protocol, _, probes = lab_kernel_case()
+        responses = []
+        for k in (1, 2, 4):
+            monkeypatch.setattr(labframe, "default_timestep",
+                                lambda model, stim=None, k=k: default_timestep(model, stim) / k)
+            responses.append(labframe.linear_response(m, probes, protocol))
+        scale = np.max(np.abs(responses[-1]))
+        coarse, fine = (np.max(np.abs(a - b)) / scale for a, b in zip(responses, responses[1:]))
+        assert 2.5 <= coarse / fine <= 6.0
+        assert 2.70e-6 / 3 <= coarse <= 3 * 2.70e-6
+
 
 class TestRunProtocol:
     def test_selective_pi_pulse_transfers_population(self):
@@ -720,6 +735,29 @@ class TestGroupedTrees:
         assert cli.main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
         assert built == shapes
         assert max(map(math.prod, built)) <= labframe._TREE_ENTRIES == 3072
+
+    def test_the_top_holds_each_block_product_bit_for_bit(self, monkeypatch):
+        # a padding step is an exact identity, so a block's column of its
+        # group's top has the bits of a tree of that block alone
+        m, protocol, stims, _ = fig4d_case()
+        dt = labframe._batch_timestep(m, stims)
+        fig4d = (m, labframe.stimulus_field(stims), len(stims), labframe._blocks(
+            m, stims, protocol, 0.0, protocol.duration, dt, TWO_PI / m.carrier))
+        m, protocol, _, probes = lab_kernel_case()
+        dt = labframe._batch_timestep(m, probes)
+        kernel = (m, labframe.stimulus_field([None]), 1,  # the adjoint's plain grid
+                  labframe._blocks(m, probes, protocol, 0.0, protocol.duration, dt))
+
+        def products():
+            return [[u.tobytes() for u in p] for m, field, runs, blocks in (fig4d, kernel)
+                    for p in labframe._block_products(m, field, labframe._groups(blocks, runs))]
+
+        groups = [g for *_, runs, blocks in (fig4d, kernel) for g in labframe._groups(blocks, runs)]
+        assert max(map(len, groups)) > 1
+        assert any(len({labframe._log_length(b) for b in g}) > 1 for g in groups)
+        grouped = products()
+        monkeypatch.setattr(labframe, "_TREE_ENTRIES", 1)  # a tree holds one block
+        assert products() == grouped
 
     def test_groups_are_balanced_within_the_budget(self):
         # greedy grouping would give 3 + 1 and 8 + 2 blocks

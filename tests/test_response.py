@@ -359,6 +359,17 @@ class FixedStepRunner(RotatingFrameRunner):
         return (self.tau / 2) / (self.steps - 0.5)
 
 
+class ScaledStepRunner(RotatingFrameRunner):
+    """Rotating runner whose step is its own rule's divided by ``k``."""
+
+    def __init__(self, omega, tau, k):
+        super().__init__(omega, tau)
+        self.k = k
+
+    def _step(self, stim):
+        return super()._step(stim) / self.k
+
+
 def mixed_stimuli(sim, n_runs):
     """``n_runs`` stimuli cycling through Gaussian, sinusoid, None and constant."""
     bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
@@ -395,6 +406,24 @@ class TestRotatingBlocks:
         batch = sim.run_batch(stims)
         singles = [sim.run_batch([s])[0] for s in stims]
         assert batch.tolist() == singles
+
+    @pytest.mark.parametrize("alpha_deg, measured", [(90.0, 4.97e-7), (45.0, 4.40e-7)])
+    def test_kernel_step_error_is_second_order_at_its_measured_size(self, alpha_deg, measured):
+        # the 10 MHz kernel's 41 points at h, h/2 and h/4: the gap of
+        # successive halvings, relative to the largest k_norm, measured at the
+        # default step with ratio 4.0 per halving
+        om, alpha = TWO_PI * 10e6, math.radians(alpha_deg)
+        tau = 2 * alpha / om
+        fwhm = analytic.time_resolution_fwhm(tau, alpha) / 12
+        grid = np.linspace(-0.55 * tau, 0.55 * tau, 41)
+        kernels = []
+        for k in (1, 2, 4):
+            values, norm = estimate_kernel(ScaledStepRunner(om, tau, k), fwhm, grid)
+            kernels.append(values / norm)
+        scale = np.max(np.abs(kernels[-1]))
+        coarse, fine = (np.max(np.abs(a - b)) / scale for a, b in zip(kernels, kernels[1:]))
+        assert 2.5 <= coarse / fine <= 6.0
+        assert measured / 3 <= coarse <= 3 * measured
 
     def test_empty_batch_is_empty_like_the_lab_runner(self):
         sim = rotating_runner()
