@@ -588,10 +588,12 @@ def linear_response(model: NvModel, stims, protocol: Protocol) -> np.ndarray:
     out = np.zeros(len(stims))
     sums, rows, edges = {}, [], []
     for k, s in enumerate(stims):
-        if s is not None and s.kind == "gaussian":
+        if s is None or s.amplitude == 0.0:
+            continue  # no field: a change of exactly 0, and no chunk's span widened
+        if s.kind == "gaussian":
             rows.append(k)
             edges.append((s.center - 6.0 * s.fwhm, s.center + 6.0 * s.fwhm))
-        elif s is not None:
+        else:
             w = s.frequency
             if w not in sums:
                 units = [Stimulus.sinusoid(1.0, w, phase) for phase in (0.0, math.pi / 2)]

@@ -9,20 +9,19 @@ Two interchangeable protocol runners drive the estimators:
   :mod:`qslsense.labframe`, for strong-driving and off-axis studies.
 
 The estimators use only this contract of a runner: ``omega`` (Rabi,
-rad/s), ``tau`` (s), ``chi`` (rad) and ``probe_responses(probes, dc,
-sizes=None)``, the probability changes the probes and a constant (DC)
-stimulus cause.  Both runners turn a field into a detuning with the one
-gyromagnetic ratio :data:`labframe.GAMMA_E`.
-``sizes`` cuts the probes into consecutive groups, each on a time grid of
-its own on the rotating runner.  Kernel time runs from the sequence
-midpoint, tau/2.
+rad/s), ``tau`` (s), ``chi`` (rad) and ``probe_responses(probes, dc)``,
+the probability changes the probes and a constant (DC) stimulus cause.
+Both runners turn a field into a detuning with the one gyromagnetic ratio
+:data:`labframe.GAMMA_E`.  Kernel time runs from the sequence midpoint,
+tau/2.
 
 The kernel estimator probes the sequence with a narrow Gaussian stepped
-along a delay grid and divides the probability change by the probe area;
+along a delay grid and divides the probability change, taken against a
+probe of zero amplitude, by the probe area;
 the Bode estimator sine-fits the change over 10 delays of a sinusoid.
 The rotating runner runs every probe and the DC pair in one
-:meth:`RotatingFrameRunner.run_batch` call (a whole Bode sweep, each
-frequency's delays a group), while the lab runner takes the exact linear
+:meth:`RotatingFrameRunner.run_batch` call (a whole Bode sweep), each run
+on its own time grid, while the lab runner takes the exact linear
 response of its integrator from one reference run and its adjoint
 (:func:`qslsense.labframe.linear_response`), so the lab probes cost the
 same two passes for any number of probes, and runs the DC pair through
@@ -44,7 +43,6 @@ spin's transition frequencies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,15 +61,6 @@ _BLOCK_ENTRIES = 4096
 #: nonzero frequencies per probe_responses call of bode_response; bounds
 #: the stimuli and per-run arrays held at once (about 5 kB per frequency)
 _SWEEP_FREQUENCIES = 200
-
-
-def _group_bounds(n_runs: int, sizes) -> list[tuple[int, int]]:
-    """(start, stop) of each consecutive group of ``sizes`` runs; one group if None."""
-    sizes = [n_runs] if sizes is None else list(sizes)
-    if any(s < 0 for s in sizes) or sum(sizes) != n_runs:
-        raise ValueError(f"group sizes must be >= 0 and sum to the {n_runs} runs, got {sizes}")
-    stops = list(itertools.accumulate(sizes))
-    return list(zip([0] + stops[:-1], stops))
 
 
 @dataclass
@@ -96,8 +85,8 @@ class RotatingFrameRunner:
     Stepping is exact per step (2x2 rotation about the midpoint-sampled
     axis), second order in the stimulus variation.
 
-    ``run_batch`` steps several groups of runs, each on its own time grid
-    (and possibly another runner's ``tau``), in one pass.  The runs are
+    ``run_batch`` steps several runs, each on its own time grid (and
+    possibly another runner's ``tau``), in one pass.  The runs are
     sorted by step count, longest first, so at step j the runs still
     stepping are a prefix, and only that prefix is updated: no run takes a
     step its own grid does not have.  The stimuli (at per-run step times)
@@ -105,8 +94,8 @@ class RotatingFrameRunner:
     :data:`_BLOCK_ENTRIES` steps x runs (one step if the runs alone exceed
     it), as one step-major array, then applied step by step.
     Every factor and state update is elementwise and out of place, so a
-    run's result has the same bits in any batch or group as alone on the
-    same grid, and memory does not grow with the span.  A run of more than
+    run's result has the same bits in any batch as alone, and memory does
+    not grow with the span.  A run of more than
     :data:`labframe.MAX_RUN_STEPS` steps raises
     :class:`~qslsense.units.ConfigError` before any step is taken.
     """
@@ -134,34 +123,28 @@ class RotatingFrameRunner:
     def _step(self, stim: Stimulus | None) -> float:
         return min(1.0 / (100.0 * max(self._scales(stim).values())), self.tau / 100.0)
 
-    def run_batch(self, stims, sizes=None, runners=None) -> np.ndarray:
-        """Transition probabilities for consecutive groups of stimuli, each on its own grid.
+    def run_batch(self, stims, runners=None) -> np.ndarray:
+        """Transition probabilities of ``stims``, each run on its own grid.
 
-        ``sizes`` cuts ``stims`` into consecutive groups of those sizes; the
-        default is one group.  A group is stepped on the grid it would get
-        alone on its runner (``runners``, one per group, sharing this one's
-        Rabi rate; default this one): ``dt`` is the runner's smallest
-        ``_step`` of its stimuli, and each half takes ``n = ceil((tau/2)/dt)``
-        steps of ``h = (tau/2)/n``.
+        ``runners`` gives one runner per stimulus, sharing this one's Rabi
+        rate (default this one).  With ``dt`` a run's runner's ``_step`` of
+        its stimulus, each half takes ``n = ceil((tau/2)/dt)`` steps of
+        ``h = (tau/2)/n``.
         """
-        bounds = _group_bounds(len(stims), sizes)
-        runners = [self] * len(bounds) if runners is None else list(runners)
-        if len(runners) != len(bounds) or any(r.omega != self.omega for r in runners):
-            raise ValueError("runners must give one runner per group, at this Rabi rate")
+        runners = [self] * len(stims) if runners is None else list(runners)
+        if len(runners) != len(stims) or any(r.omega != self.omega for r in runners):
+            raise ValueError("runners must give one runner per stimulus, at this Rabi rate")
         if len(stims) == 0:
             return np.empty(0)
         n_steps = np.empty(len(stims), dtype=np.int64)
-        h_steps = np.empty(len(stims))
-        halves = np.empty(len(stims))
-        for (a, b), sim in zip(bounds, runners):
-            if b > a:
-                half = sim.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
-                dt = min(sim._step(s) for s in stims[a:b])
-                n = labframe.step_count(half, dt)
-                if 2 * n > labframe.MAX_RUN_STEPS:
-                    binding = min(stims[a:b], key=sim._step)
-                    raise labframe.too_many_steps(2 * n, dt, sim._scales(binding))
-                n_steps[a:b], h_steps[a:b], halves[a:b] = n, half / n, half
+        h_steps, halves = np.empty(len(stims)), np.empty(len(stims))
+        for k, (stim, sim) in enumerate(zip(stims, runners)):
+            half = sim.tau / 2  # tau - tau/2 == tau/2 exactly, so both halves share n and h
+            dt = sim._step(stim)
+            n = labframe.step_count(half, dt)
+            if 2 * n > labframe.MAX_RUN_STEPS:
+                raise labframe.too_many_steps(2 * n, dt, sim._scales(stim))
+            n_steps[k], h_steps[k], halves[k] = n, half / n, half
         # longest runs first, so the runs still stepping are always a prefix
         order = np.argsort(-n_steps, kind="stable")
         n_steps, h_steps, halves = n_steps[order], h_steps[order], halves[order, None]
@@ -186,32 +169,26 @@ class RotatingFrameRunner:
         p[order] = 1.0 - np.abs(psi0) ** 2
         return p
 
-    def probe_responses(self, probes, dc: Stimulus, sizes=None) -> tuple[np.ndarray, float]:
+    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
         """Probability changes caused by each probe and by the constant stimulus ``dc``.
 
-        One :meth:`run_batch` call.  Without ``sizes`` it holds two groups:
-        the probes with a reference run, then ``dc`` with a reference run
-        on its own grid.  With ``sizes`` it holds ``dc`` and a reference run,
-        then the probes in groups of ``sizes``, each on its own grid, and
-        every change is taken against the DC pair's reference run.
+        One :meth:`run_batch` call of ``(*probes, dc, None)``, each run on
+        its own grid; every change is taken against the run without a
+        stimulus.
         """
-        probes = list(probes)
-        if sizes is None:
-            return _pooled_changes([self], [(probes, dc)])[0]
-        p = self.run_batch([dc, None] + probes, [2] + list(sizes))
-        return p[2:] - p[1], float(p[0] - p[1])
+        return _pooled_changes([self], [(list(probes), dc)])[0]
 
 
 def _pooled_changes(sims, parts) -> list[tuple[np.ndarray, float]]:
     """``(dp, dp_dc)`` of each rotating runner's ``(probes, dc)``, from one ``run_batch`` call.
 
-    A part is the groups ``(*probes, None)`` and ``(dc, None)`` on its runner's grid.
+    A part is the runs ``(*probes, dc, None)`` on its runner, each change taken against None.
     """
-    p = sims[0].run_batch([s for probes, dc in parts for s in (*probes, None, dc, None)],
-                          [k for probes, _ in parts for k in (len(probes) + 1, 2)],
-                          [sim for sim in sims for _ in range(2)])
-    ends = np.cumsum([len(probes) + 3 for probes, _ in parts])
-    return [(q[:-3] - q[-3], float(q[-2] - q[-1])) for q in np.split(p, ends[:-1])]
+    p = sims[0].run_batch([s for probes, dc in parts for s in (*probes, dc, None)],
+                          [sim for sim, (probes, dc) in zip(sims, parts)
+                           for _ in (*probes, dc, None)])
+    ends = np.cumsum([len(probes) + 2 for probes, _ in parts])
+    return [(q[:-2] - q[-1], float(q[-2] - q[-1])) for q in np.split(p, ends[:-1])]
 
 
 class LabFrameRunner:
@@ -226,18 +203,15 @@ class LabFrameRunner:
         self.chi = model.chi
         self.protocol = labframe.bipartite_protocol(self.tau)
 
-    def probe_responses(self, probes, dc: Stimulus, sizes=None) -> tuple[np.ndarray, float]:
+    def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:
         """First-order probability change caused by each probe, and the change caused by ``dc``.
 
         The probes' changes are the exact linear response of the integrator
         (:func:`~qslsense.labframe.linear_response`): one reference run and
         its adjoint, on the finest grid any probe needs, for any number of
-        probes.  ``sizes`` is checked as on the rotating runner but does not
-        split the grid.  ``dc`` is run with a reference run.
+        probes.  ``dc`` is run with a reference run.
         """
-        probes = list(probes)
-        _group_bounds(len(probes), sizes)
-        dp = labframe.linear_response(self.model, probes, self.protocol)
+        dp = labframe.linear_response(self.model, list(probes), self.protocol)
         p = labframe.run_protocol_batch(self.model, [dc, None], self.protocol)
         return dp, float(p[0] - p[1])
 
@@ -294,8 +268,9 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> tuple[np.ndarray, float]:
 
     The changes come from ``sim.probe_responses``: the rotating runner runs
     the probes, the lab runner contracts them with its integrator's kernel.
-    :func:`kernel_stimuli` and :func:`kernel_from_changes` are the halves
-    around that call.
+    Each is taken against a last probe of zero amplitude, which the rotating
+    runner steps on the probes' grid.  :func:`kernel_stimuli` and
+    :func:`kernel_from_changes` are the halves around that call.
     """
     probes, dc = kernel_stimuli(sim, probe_fwhm, t_grid)
     return kernel_from_changes(sim, probes, dc, *sim.probe_responses(probes, dc))
@@ -304,8 +279,8 @@ def estimate_kernel(sim, probe_fwhm: float, t_grid) -> tuple[np.ndarray, float]:
 def estimate_kernels(sims, probe_fwhms, t_grids) -> list[tuple[np.ndarray, float]]:
     """:func:`estimate_kernel` for rotating runners at one Rabi rate, in one ``run_batch`` call.
 
-    Each runner adds the groups of :meth:`RotatingFrameRunner.probe_responses`
-    on its own grid, so each estimate has the same bits as alone.
+    Each runner adds the runs of :meth:`RotatingFrameRunner.probe_responses`,
+    each on its own grid, so each estimate has the same bits as alone.
     """
     if not len(sims) == len(probe_fwhms) == len(t_grids):
         raise ValueError("sims, probe_fwhms and t_grids must be of one length")
@@ -318,7 +293,8 @@ def estimate_kernels(sims, probe_fwhms, t_grids) -> list[tuple[np.ndarray, float
 
 
 def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stimulus]:
-    """The Gaussian probes along ``t_grid`` and the DC stimulus of :func:`estimate_kernel`."""
+    """The probes of :func:`estimate_kernel`, the Gaussians along ``t_grid`` and then the
+    reference probe (the same Gaussian at kernel time 0 with amplitude 0), and its DC stimulus."""
     if not (math.isfinite(probe_fwhm) and probe_fwhm > 0):
         raise ValueError(f"probe_fwhm must be finite and > 0, got {probe_fwhm}")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -332,17 +308,19 @@ def kernel_stimuli(sim, probe_fwhm: float, t_grid) -> tuple[list[Stimulus], Stim
             f"{expected:.3e} s requires <= {expected / 10.0:.3e} s")
     amplitude = 1e-3 / (labframe.GAMMA_E * probe_fwhm * labframe.GAUSS_AREA)
     # Python floats, not numpy scalars, as centres: fig3b holds 616 probes at once
-    return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid.tolist()],
+    return ([Stimulus.gaussian(amplitude, sim.tau / 2.0 + t, probe_fwhm) for t in t_grid.tolist()]
+            + [Stimulus.gaussian(0.0, sim.tau / 2.0, probe_fwhm)],
             Stimulus.constant(1e-3 / (labframe.GAMMA_E * sim.tau)))
 
 
 def kernel_from_changes(sim, probes, dc: Stimulus, dp, dp_dc: float) -> tuple[np.ndarray, float]:
-    """:func:`estimate_kernel`'s ``(values, normalization)`` from ``dp`` and ``dp_dc``."""
+    """:func:`estimate_kernel`'s ``(values, normalization)`` from ``dp`` and ``dp_dc``,
+    each probe's change taken against the last (reference) probe's."""
     if dp_dc == 0.0:
         raise NumericError("DC response vanished; cannot normalize the kernel")
     shape_area = 2.0 * (1.0 - math.cos(0.5 * sim.omega * sim.tau)) / sim.omega
     ge = labframe.GAMMA_E
-    values = dp / (ge * np.array([p.area() for p in probes]))
+    values = (dp[:-1] - dp[-1]) / (ge * np.array([p.area() for p in probes[:-1]]))
     if not np.all(np.isfinite(values)):
         raise ValueError("kernel values must be finite")
     return values, dp_dc / (ge * dc.amplitude * shape_area)
@@ -358,9 +336,9 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
     ``0.05 * max(|A|, 0.05 |dp_dc|)`` are flagged, not dropped.  A grid
     that is negative or not strictly increasing is refused before any run.
 
-    The changes come from ``sim.probe_responses`` with one group of 10
-    delays per frequency: the rotating runner runs the DC pair and every
-    group in one ``run_batch`` call, each group on its own grid; the lab
+    The changes come from ``sim.probe_responses`` of the 10 delays of
+    every frequency: the rotating runner runs them and the DC pair in one
+    ``run_batch`` call, each run on its own grid; the lab
     runner runs the DC pair and takes every delay's first-order change
     from one :func:`~qslsense.labframe.linear_response` pass.  These are
     sinusoidal in the delay to rounding, so on the lab runner ``flagged``
@@ -381,7 +359,7 @@ def bode_response(sim, omega_grid, amplitude: float) -> BodeSeries:
                  for i in swept[c0:c0 + _SWEEP_FREQUENCIES]]
         stims = [Stimulus.sinusoid(amplitude, w, phase=-w * d)
                  for _, w, delays in chunk for d in delays]
-        dp, dp_dc = sim.probe_responses(stims, Stimulus.constant(amplitude), [10] * len(chunk))
+        dp, dp_dc = sim.probe_responses(stims, Stimulus.constant(amplitude))
         if dp_dc == 0.0:
             raise NumericError("DC response vanished; cannot normalize Bode gains")
         for k, (i, w, delays) in enumerate(chunk):

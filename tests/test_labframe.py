@@ -521,6 +521,26 @@ class TestBlockStepper:
         assert 2.70e-6 / 3 <= coarse <= 3 * 2.70e-6
 
 
+    @pytest.mark.parametrize("command, columns, measured", [
+        (lambda: cli.cmd_fig4d(points=3), slice(1, None), 2.71e-5),
+        (lambda: cli.cmd_offaxis(points=3), slice(2, 3), 9.66e-6),
+    ], ids=["fig4d", "offaxis"])
+    def test_command_step_error_is_second_order_at_its_measured_size(
+            self, monkeypatch, command, columns, measured):
+        # `fig4d --points 3` (its six probabilities) and `offaxis --points 3`
+        # (its gains) at dt, dt/2 and dt/4: the gap of successive halvings,
+        # relative to the largest value, with ratio 4.00 per halving
+        outputs = []
+        for k in (1, 2, 4):
+            monkeypatch.setattr(labframe, "default_timestep",
+                                lambda model, stim=None, k=k: default_timestep(model, stim) / k)
+            outputs.append(np.array([row[columns] for row in command()[""][1]], dtype=float))
+        scale = np.max(np.abs(outputs[-1]))
+        coarse, fine = (np.max(np.abs(a - b)) / scale for a, b in zip(outputs, outputs[1:]))
+        assert 2.5 <= coarse / fine <= 6.0
+        assert measured / 3 <= coarse <= 3 * measured
+
+
 class TestRunProtocol:
     def test_selective_pi_pulse_transfers_population(self):
         # resonant pulse of area pi at moderate drive: ms0 -> ms-1 nearly perfectly

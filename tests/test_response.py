@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -327,25 +328,23 @@ def parent_stimulus_value(stim, t):
 
 
 def per_step_probabilities(sim, stims):
-    """RotatingFrameRunner.run_batch as one SU(2) factor per time step (the oracle)."""
-    n_runs = len(stims)
-    dt = min(sim._step(s) for s in stims)
-    psi0 = np.zeros(n_runs, dtype=complex)
-    psi1 = np.zeros(n_runs, dtype=complex)
-    psi0[:] = 1.0
-    for (t_a, t_b, wx, wy) in ((0.0, sim.tau / 2, 0.0, sim.omega),
-                               (sim.tau / 2, sim.tau, sim.omega, 0.0)):
-        n = max(1, int(math.ceil((t_b - t_a) / dt)))
-        h = (t_b - t_a) / n
-        tm = t_a + (np.arange(n) + 0.5) * h
-        dw = np.zeros((n_runs, n))
-        for k, stim in enumerate(stims):
-            if stim is not None:
-                dw[k] = labframe.GAMMA_E * parent_stimulus_value(stim, tm)
-        for i in range(n):
-            u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[:, i], h)
-            psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
-    return 1.0 - np.abs(psi0) ** 2
+    """RotatingFrameRunner.run_batch as one SU(2) factor per time step, run by run (the oracle)."""
+    p = []
+    for stim in stims:
+        dt = sim._step(stim)  # each run on its own grid
+        psi0, psi1 = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+        for (t_a, t_b, wx, wy) in ((0.0, sim.tau / 2, 0.0, sim.omega),
+                                   (sim.tau / 2, sim.tau, sim.omega, 0.0)):
+            n = max(1, int(math.ceil((t_b - t_a) / dt)))
+            h = (t_b - t_a) / n
+            tm = t_a + (np.arange(n) + 0.5) * h
+            dw = (np.zeros(n) if stim is None
+                  else labframe.GAMMA_E * parent_stimulus_value(stim, tm))
+            for i in range(n):
+                u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw[i:i + 1], h)
+                psi0, psi1 = u00 * psi0 + u01 * psi1, u10 * psi0 + u11 * psi1
+        p.extend((1.0 - np.abs(psi0) ** 2).tolist())
+    return np.array(p)
 
 
 class FixedStepRunner(RotatingFrameRunner):
@@ -461,64 +460,43 @@ def test_stimulus_field_per_run_times_for_the_first_runs():
 
 
 class TestPooledBatch:
-    """One run_batch call over consecutive groups, each on its own time grid."""
+    """One run_batch call over runs, each on its own time grid."""
 
     @staticmethod
-    def groups(sim):
+    def stimuli(sim):
         bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
-        return [
-            [Stimulus.sinusoid(bs, 2.5 * sim.omega, phase=0.3 * k) for k in range(3)],
-            [Stimulus.sinusoid(-bs, 5.0 * sim.omega, phase=1.0)],
-            [None],
-            [Stimulus.constant(bs), None],
-            [],
-            [Stimulus.sinusoid(bs, 1.5 * sim.omega, phase=-0.2 * k) for k in range(4)],
-            [Stimulus.gaussian(3 * bs, sim.tau * 0.4, sim.tau / 40), None],
-            [Stimulus.sinusoid(bs, 3.7 * sim.omega)] * 2,
-        ]
+        return ([Stimulus.sinusoid(bs, 2.5 * sim.omega, phase=0.3 * k) for k in range(3)]
+                + [Stimulus.sinusoid(-bs, 5.0 * sim.omega, phase=1.0), None,
+                   Stimulus.constant(bs), None]
+                + [Stimulus.sinusoid(bs, 1.5 * sim.omega, phase=-0.2 * k) for k in range(4)]
+                + [Stimulus.gaussian(3 * bs, sim.tau * 0.4, sim.tau / 40), None]
+                + [Stimulus.sinusoid(bs, 3.7 * sim.omega)] * 2)
 
     def test_bit_identical_to_separate_batches_and_per_step_loop(self):
         sim = rotating_runner()
-        groups = self.groups(sim)
-        counts = [math.ceil(sim.tau / 2 / min(sim._step(s) for s in g)) for g in groups if g]
+        stims = self.stimuli(sim)
+        counts = [math.ceil(sim.tau / 2 / sim._step(s)) for s in stims]
         # several step counts, not in sorted order
         assert len(set(counts)) >= 4 and counts != sorted(counts, reverse=True)
-        flat = [s for g in groups for s in g]
-        pooled = sim.run_batch(flat, [len(g) for g in groups]).tolist()
-        assert pooled == [p for g in groups for p in sim.run_batch(g).tolist()]
-        assert pooled == [p for g in groups if g for p in per_step_probabilities(sim, g).tolist()]
-
-    def test_default_is_one_group(self):
-        sim = rotating_runner()
-        stims = mixed_stimuli(sim, 6)
-        assert sim.run_batch(stims, [6]).tolist() == sim.run_batch(stims).tolist()
-
-    @pytest.mark.parametrize("sizes", [[2, 2], [3, 1, 2], [5, -1], [6, -1], []])
-    def test_sizes_must_be_non_negative_and_cover_the_runs(self, sizes):
-        sim = rotating_runner()
-        lab = LabFrameRunner(labframe.NvModel.resonant(sim.omega, 0.0))
-        stims = mixed_stimuli(sim, 5)
-        with pytest.raises(ValueError, match="group sizes"):
-            sim.run_batch(stims, sizes)
-        for runner in (sim, lab):
-            with pytest.raises(ValueError, match="group sizes"):
-                runner.probe_responses(stims, Stimulus.constant(1e-6), sizes)
+        pooled = sim.run_batch(stims).tolist()
+        assert pooled == [sim.run_batch([s])[0] for s in stims]
+        assert pooled == per_step_probabilities(sim, stims).tolist()
 
     def test_memory_does_not_grow_with_run_count(self):
         # a block holds at most _BLOCK_ENTRIES = 4096 (steps x runs)
         # entries, 20 steps of 200 runs or 2 steps of 2000, so what grows
         # with the run count is a few per-run arrays and the gathered
-        # stimulus parameters, about 150 B per run: the peaks are 0.88 and
-        # 1.14 MB
+        # stimulus parameters, about 240 B per run: the peaks are 0.86 and
+        # 1.29 MB
         sim = rotating_runner()
         bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
         peaks = []
-        for n_groups in (20, 200):
-            freqs = np.linspace(0.1, 3.3, n_groups) * sim.omega
+        for n_freqs in (20, 200):
+            freqs = np.linspace(0.1, 3.3, n_freqs) * sim.omega
             stims = [Stimulus.sinusoid(bs, w, phase=0.1 * k) for w in freqs for k in range(10)]
             tracemalloc.start()
             try:
-                sim.run_batch(stims, [10] * n_groups)
+                sim.run_batch(stims)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -552,7 +530,7 @@ class TestPooledKernels:
         self.assert_same_bits(response.estimate_kernels(sims, fwhms, grids),
                               [estimate_kernel(*args) for args in zip(sims, fwhms, grids)])
 
-    def test_groups_take_their_own_runners_step(self):
+    def test_kernels_take_their_own_runners_step(self):
         sims, fwhms, grids = self.fig3b_setup(TWO_PI * 10e6, 9)
         # a subclass overriding _step rides in the same pass on its own grid
         sims[1] = FixedStepRunner(sims[1].omega, sims[1].tau, 37)
@@ -560,13 +538,13 @@ class TestPooledKernels:
         self.assert_same_bits(response.estimate_kernels(sims, fwhms, grids),
                               [estimate_kernel(*args) for args in zip(sims, fwhms, grids)])
 
-    def test_runners_must_match_the_groups_and_the_rabi_rate(self):
+    def test_runners_must_match_the_stimuli_and_the_rabi_rate(self):
         sim = rotating_runner()
         stims = mixed_stimuli(sim, 4)
         other = RotatingFrameRunner(1.5 * sim.omega, sim.tau)
-        for runners in ([sim], [sim, sim, sim], [sim, other]):
-            with pytest.raises(ValueError, match="runners"):
-                sim.run_batch(stims, [2, 2], runners)
+        for runners in ([sim] * 3, [sim] * 5, [sim, sim, other, sim]):
+            with pytest.raises(ValueError, match="one runner per stimulus"):
+                sim.run_batch(stims, runners)
 
 
 def per_frequency_bode(sim, omega_grid, amplitude):
@@ -655,6 +633,80 @@ def test_lab_dc_response_that_vanishes_is_refused(estimate, says):
     sim = cli_lab_runner(math.degrees(math.pi * 3.44e15 * 1.64e-19), tau=1.64e-19)
     with pytest.raises(NumericError, match=f"DC response vanished; cannot normalize {says}"):
         estimate(sim)
+
+
+@pytest.mark.parametrize("runner", [RotatingFrameRunner, LabFrameRunner])
+def test_probe_responses_take_the_probes_and_the_dc_stimulus_only(runner):
+    # the estimators' whole contract with a runner's runs; a second layout
+    # of either runner would fork it
+    assert list(inspect.signature(runner.probe_responses).parameters) == ["self", "probes", "dc"]
+
+
+def zero_probe(sim, probes):
+    """The kernel's reference probe: its probes' Gaussian at kernel time 0, amplitude 0."""
+    return Stimulus.gaussian(0.0, sim.tau / 2, probes[0].fwhm)
+
+
+class TestReferenceProbe:
+    """The kernel's changes are taken against a last probe of zero amplitude."""
+
+    @pytest.mark.parametrize("rabi_mhz, alpha, n", [(10.0, math.pi / 2, 121),
+                                                   (10.0, math.pi / 4, 121),
+                                                   (10.0, 1e-3, 121), (17.0, math.pi / 2, 241)])
+    def test_rotating_values_are_each_probe_against_the_zero_probe(self, rabi_mhz, alpha, n):
+        # the zero probe steps on the probes' grid with a field row of 0.0; its
+        # and each probe's change against the runner's run without a stimulus
+        # are exact differences (Sterbenz: the probabilities lie within a
+        # factor of 2), so subtracting them is p_i - p_zero rounded once
+        sim = rotating_runner(alpha, TWO_PI * rabi_mhz * 1e6)
+        probes = kernel_probes(sim, n)
+        zero = zero_probe(sim, probes)
+        assert sim._step(zero) == sim._step(probes[0])
+        p = sim.run_batch(probes + [zero])
+        expected = (p[:-1] - p[-1]) / (labframe.GAMMA_E * np.array([s.area() for s in probes]))
+        values, _ = estimate_kernel(sim, probes[0].fwhm, np.linspace(-0.55, 0.55, n) * sim.tau)
+        assert values.tolist() == expected.tolist()
+
+    def test_lab_zero_probe_changes_nothing(self):
+        # 121 probes in chunks of 2 put the zero probe with the last one; it
+        # joins no chunk, so that probe's sum keeps its span and its bits
+        sim = cli_lab_runner(90.0)
+        probes = kernel_probes(sim, 121)
+        got = labframe.linear_response(sim.model, probes + [zero_probe(sim, probes)],
+                                       sim.protocol)
+        assert got[-1] == 0.0
+        assert got[:-1].tolist() == labframe.linear_response(sim.model, probes,
+                                                             sim.protocol).tolist()
+
+
+def probe_nonlinearity(sim, n, scale):
+    """Largest gap of the one-sided kernel from the central differences of +-probes.
+
+    The kernel's ``n`` probes at ``scale`` times their amplitude, in one
+    ``run_batch`` call with their negatives and the zero probe; relative to
+    the largest central difference.
+    """
+    probes = [dataclasses.replace(s, amplitude=scale * s.amplitude) for s in kernel_probes(sim, n)]
+    minus = [dataclasses.replace(s, amplitude=-s.amplitude) for s in probes]
+    p = sim.run_batch(probes + minus + [zero_probe(sim, probes)])
+    central = (p[:n] - p[n:2 * n]) / 2
+    return np.max(np.abs(p[:n] - p[-1] - central)) / np.max(np.abs(central))
+
+
+class TestProbeNonlinearity:
+    """The 1e-3 rad probe's own nonlinearity in the rotating kernel (10 MHz, 41 points)."""
+
+    def test_second_order_at_45_degrees_at_its_measured_size(self):
+        # second order in the probe phase: 9.74e-5, halved with the amplitude
+        sim = rotating_runner(math.pi / 4)
+        gap, half = probe_nonlinearity(sim, 41, 1.0), probe_nonlinearity(sim, 41, 0.5)
+        assert 9.74e-5 / 3 <= gap <= 3 * 9.74e-5
+        assert 1.5 <= gap / half <= 2.5
+
+    def test_vanishes_at_90_degrees_to_rounding(self):
+        # the second order vanishes by symmetry; what is left, 4.3e-11, is
+        # cancellation rounding (it doubles as the amplitude halves)
+        assert probe_nonlinearity(rotating_runner(), 41, 1.0) <= 3 * 4.3e-11
 
 
 class TestAdjointKernel:
@@ -823,11 +875,11 @@ class TestStepLimit:
         fast = Stimulus.sinusoid(1e-9, 1e3 * sim.omega)
         steps = 2 * math.ceil(sim.tau / 2 / sim._step(fast))
         monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps)
-        p = sim.run_batch([None, fast], [1, 1])
+        p = sim.run_batch([None, fast])
         monkeypatch.setattr(labframe, "MAX_RUN_STEPS", steps - 1)
-        # the slow group fits; the fast one is named
+        # the slow run fits; the fast one is named
         with pytest.raises(ConfigError, match=f"a run of {steps} steps .* 'stimulus_frequency'"):
-            sim.run_batch([None, fast], [1, 1])
+            sim.run_batch([None, fast])
         assert p.shape == (2,)
 
     def test_rotating_step_that_underflows_to_zero_is_refused(self, monkeypatch):
@@ -865,7 +917,7 @@ class TestLabBode:
         dc = Stimulus.constant(amp)
         p_dc = labframe.run_protocol_batch(sim.model, [dc, None], sim.protocol)
         # the DC normalization is still the one-sided pair difference
-        assert sim.probe_responses([], dc, [])[1] == float(p_dc[0] - p_dc[1])
+        assert sim.probe_responses([], dc)[1] == float(p_dc[0] - p_dc[1])
         for w, gain in zip(grid[1:], series.gains[1:]):
             delays = np.arange(10) / 10 * TWO_PI / w
             p = labframe.run_protocol_batch(

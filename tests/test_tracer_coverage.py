@@ -43,7 +43,8 @@ def test_tracer_finds_every_timed_layer():
 
 
 def test_bode_sweep_is_one_traced_run_batch_call(tmp_path):
-    # one call of the DC pair plus 10 delays at each of the 3 nonzero frequencies
+    # one call: 10 delays at each of the 3 nonzero frequencies, then the DC
+    # stimulus and a run without one
     code, stats = run_traced(
         'code = qslsense.cli.main(["bode", "--rabi", "10MHz", "--alpha", "90deg",'
         ' "--points", "4", "--out", sys.argv[2]])\n'
@@ -54,7 +55,8 @@ def test_bode_sweep_is_one_traced_run_batch_call(tmp_path):
 
 
 def test_rotating_kernel_is_one_traced_run_batch_call(tmp_path):
-    # one call: the 5 probes with a reference run, then the DC pair
+    # one call: the 5 probes and the zero-amplitude reference probe, then the
+    # DC stimulus and a run without one
     code, stats = run_traced(
         'code = qslsense.cli.main(["kernel", "--rabi", "10MHz", "--alpha", "90deg",'
         ' "--points", "5", "--out", sys.argv[2]])\n'
@@ -65,8 +67,8 @@ def test_rotating_kernel_is_one_traced_run_batch_call(tmp_path):
 
 
 def test_fig3b_is_one_traced_run_batch_call(tmp_path):
-    # one call for the four flip angles: each angle's 5 probes with a
-    # reference run, then its DC pair
+    # one call for the four flip angles: each angle's 5 probes and its
+    # reference probe, then its DC stimulus and a run without one
     code, stats = run_traced(
         'code = qslsense.cli.main(["fig3b", "--rabi", "10MHz", "--points", "5",'
         ' "--out", sys.argv[2]])\n'
