@@ -203,12 +203,12 @@ def stimulus_field(stims):
     """Return ``field(t)``, the field values (tesla) of a batch of stimuli.
 
     ``t`` is either one time axis shared by every run, shape (T,), giving
-    shape (runs, T), or one row of times per run for the first k runs,
-    shape (k, T), giving shape (k, T).  A None entry gives a row of zeros.
-    The stimuli's parameters are gathered once, by kind, so a stepper can
-    call ``field`` once per block of times.  The stimuli of one kind are
+    shape (runs, T), or one column of times per run for the first k runs,
+    shape (T, k), giving shape (T, k).  A None entry gives zeros.  The
+    stimuli's parameters are gathered once, by kind, so a stepper can call
+    ``field`` once per block of times.  The stimuli of one kind are
     evaluated as one broadcast array with elementwise operations only, so a
-    row has the same bits in any batch and for either shape of ``t``.
+    run has the same bits in any batch and for either shape of ``t``.
     """
     rows_of = {}
     for k, stim in enumerate(stims):
@@ -225,14 +225,18 @@ def stimulus_field(stims):
 
     def field(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        n = len(t) if t.ndim == 2 else len(stims)
-        out = np.zeros((n, t.shape[-1]))
+        n = t.shape[1] if t.ndim == 2 else len(stims)
+        out = np.zeros(t.shape if t.ndim == 2 else (n, len(t)))
         for kind, rows, *params in groups:
             if rows[0] >= n:  # none of the kind's rows is among the first n
                 continue
             if rows[-1] >= n:  # keep the kind's rows among the first n
                 k = np.searchsorted(rows, n)
                 rows, params = rows[:k], [p[:k] for p in params]
+            if t.ndim == 2:  # the runs' columns, a contiguous range as a slice
+                if rows[-1] - rows[0] == len(rows) - 1:
+                    rows = slice(rows[0], rows[-1] + 1)
+                rows, params = (slice(None), rows), [p.T for p in params]
             amplitude, center, fwhm_sq, frequency, phase = params
             tk = t[rows] if t.ndim == 2 else t
             if kind == "gaussian":

@@ -55,8 +55,8 @@ from .units import ConfigError
 
 TWO_PI = 2.0 * math.pi
 #: largest (steps x runs) block of SU(2) factors in RotatingFrameRunner.run_batch
-#: (one complex factor array is 64 kB; 2048 and 7744 entries were slower and 16384
-#: raised peak RSS by 2.8 MB; pooling fig3c's 1728 runs added 0.13 MB traced peak)
+#: (one complex factor array is 64 kB; over the rotating commands 2048 took 17% longer,
+#: 8192 as long, and 16384 9% longer with 2.3 MB more traced peak)
 _BLOCK_ENTRIES = 4096
 #: nonzero frequencies per probe_responses call of bode_response; bounds
 #: the stimuli and per-run arrays held at once (about 5 kB per frequency)
@@ -92,10 +92,10 @@ class RotatingFrameRunner:
     step its own grid does not have.  The stimuli (at per-run step times)
     and the SU(2) factors are evaluated for blocks of at most
     :data:`_BLOCK_ENTRIES` steps x runs (one step if the runs alone exceed
-    it), as one step-major array, then applied step by step.
-    Every factor and state update is elementwise and out of place, so a
-    run's result has the same bits in any batch as alone, and memory does
-    not grow with the span.  A run of more than
+    it), as (steps, runs) arrays, then applied step by step into reused
+    buffers.  Every update is elementwise and writes none of its inputs,
+    so a run has the same bits in any batch as alone, and memory does not
+    grow with the span.  A run of more than
     :data:`labframe.MAX_RUN_STEPS` steps raises
     :class:`~qslsense.units.ConfigError` before any step is taken.
     """
@@ -147,26 +147,28 @@ class RotatingFrameRunner:
             n_steps[k], h_steps[k], halves[k] = n, half / n, half
         # longest runs first, so the runs still stepping are always a prefix
         order = np.argsort(-n_steps, kind="stable")
-        n_steps, h_steps, halves = n_steps[order], h_steps[order], halves[order, None]
+        n_steps, h_steps, halves = n_steps[order], h_steps[order], halves[order]
         field = labframe.stimulus_field([stims[k] for k in order])
-        psi0 = np.ones(len(stims), dtype=complex)
-        psi1 = np.zeros(len(stims), dtype=complex)
-        for t_a, wx, wy in ((np.zeros_like(halves), 0.0, self.omega), (halves, self.omega, 0.0)):
+        # the state, its next value (ping-pong) and two products, one row each
+        buffers = np.zeros((6, len(stims)), dtype=complex)
+        buffers[0] = 1.0
+        for t_a, wx, wy in ((np.zeros(len(stims)), 0.0, self.omega), (halves, self.omega, 0.0)):
             j0 = 0
             while j0 < n_steps[0]:
                 m = int(np.count_nonzero(n_steps > j0))
                 j1 = min(int(n_steps[m - 1]), j0 + max(1, _BLOCK_ENTRIES // m))
                 h = h_steps[:m]
-                tm = t_a[:m] + (np.arange(j0, j1) + 0.5) * h[:, None]
-                dw = labframe.GAMMA_E * np.ascontiguousarray(field(tm).T)
-                u00, u01, u10, u11 = spinlin.su2_propagator(wx, wy, dw, h)
-                a0, a1 = psi0[:m], psi1[:m]
-                for j in range(j1 - j0):
-                    a0, a1 = u00[j] * a0 + u01[j] * a1, u10[j] * a0 + u11[j] * a1
-                psi0[:m], psi1[:m] = a0, a1
+                tm = t_a[:m] + (np.arange(j0, j1) + 0.5)[:, None] * h
+                dw = labframe.GAMMA_E * field(tm)
+                a0, a1, b0, b1, x, y = buffers[:, :m]
+                for u00, u01, u10, u11 in zip(*spinlin.su2_propagator(wx, wy, dw, h)):
+                    np.add(np.multiply(u00, a0, out=x), np.multiply(u01, a1, out=y), out=b0)
+                    np.add(np.multiply(u10, a0, out=x), np.multiply(u11, a1, out=y), out=b1)
+                    a0, a1, b0, b1 = b0, b1, a0, a1
+                buffers[:2, :m] = a0, a1  # already there after an even step count
                 j0 = j1
         p = np.empty(len(stims))
-        p[order] = 1.0 - np.abs(psi0) ** 2
+        p[order] = 1.0 - np.abs(buffers[0]) ** 2
         return p
 
     def probe_responses(self, probes, dc: Stimulus) -> tuple[np.ndarray, float]:

@@ -382,11 +382,14 @@ def mixed_stimuli(sim, n_runs):
 
 
 class TestRotatingBlocks:
+    @pytest.mark.parametrize("block_entries", [response._BLOCK_ENTRIES, 37])
     @pytest.mark.parametrize("n_runs", [1, 2, 11])
     @pytest.mark.parametrize("steps", [7, 64, 32 * 3 + 5, None])
-    def test_bit_identical_to_per_step_loop(self, n_runs, steps):
-        # step counts below one block, exactly two blocks, 32k + r, and the
-        # runner's own step rule
+    def test_bit_identical_to_per_step_loop(self, n_runs, steps, block_entries, monkeypatch):
+        # fixed step counts and the runner's own step rule, whose runs take
+        # several step counts; at 37 entries a pass spans blocks of 37, 18
+        # and 3 steps, odd and even, and the prefix shrinks within a pass
+        monkeypatch.setattr(response, "_BLOCK_ENTRIES", block_entries)
         om = TWO_PI * 10e6
         sim = (rotating_runner(rabi=om) if steps is None
                else FixedStepRunner(om, math.pi / om, steps))
@@ -446,17 +449,23 @@ def test_stimulus_field_rows_equal_single_stimuli():
             assert field[k].tolist() == parent_stimulus_value(stim, t).tolist()
 
 
-def test_stimulus_field_per_run_times_for_the_first_runs():
-    stims = [Stimulus.sinusoid(2e-4, 3e7, phase=0.4), None,
-             Stimulus.gaussian(1e-4, 2e-8, 7e-9), Stimulus.constant(-3e-4),
-             Stimulus.gaussian(5e-5, -1e-8, 3e-9), Stimulus.sinusoid(1e-4, 9e7), None]
+@pytest.mark.parametrize("stims", [
+    # kinds interleaved, so each kind's runs are gathered
+    [Stimulus.sinusoid(2e-4, 3e7, phase=0.4), None,
+     Stimulus.gaussian(1e-4, 2e-8, 7e-9), Stimulus.constant(-3e-4),
+     Stimulus.gaussian(5e-5, -1e-8, 3e-9), Stimulus.sinusoid(1e-4, 9e7), None],
+    # each kind's runs one contiguous range, as the kernel's probes are
+    [None] + [Stimulus.gaussian(1e-4 * (1 + k), 1e-8 * k, 5e-9) for k in range(4)]
+    + [Stimulus.sinusoid(1e-4, 9e7), Stimulus.constant(-3e-4)],
+], ids=["interleaved", "contiguous"])
+def test_stimulus_field_per_run_times_for_the_first_runs(stims):
     field = labframe.stimulus_field(stims)
     for k in (0, 1, 3, 5, len(stims)):
-        t = np.linspace(-3e-8, 8e-8, 13) * (1 + 0.1 * np.arange(k))[:, None]
-        rows = field(t)
-        assert rows.shape == (k, 13)
+        t = np.linspace(-3e-8, 8e-8, 13)[:, None] * (1 + 0.1 * np.arange(k))
+        columns = field(t)
+        assert columns.shape == (13, k)
         for r in range(k):
-            assert rows[r].tolist() == field(t[r])[r].tolist()
+            assert columns[:, r].tolist() == field(t[:, r])[r].tolist()
 
 
 class TestPooledBatch:
@@ -486,7 +495,7 @@ class TestPooledBatch:
         # a block holds at most _BLOCK_ENTRIES = 4096 (steps x runs)
         # entries, 20 steps of 200 runs or 2 steps of 2000, so what grows
         # with the run count is a few per-run arrays and the gathered
-        # stimulus parameters, about 240 B per run: the peaks are 0.86 and
+        # stimulus parameters, about 270 B per run: the peaks are 0.83 and
         # 1.29 MB
         sim = rotating_runner()
         bs = 1e-3 / (labframe.GAMMA_E * sim.tau)
