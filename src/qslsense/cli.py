@@ -10,10 +10,11 @@ values: its keyword parameters are its flags in ``--help`` order (``tau_max``
 for ``--tau-max``), in SI units, each defaulting to the flag's default, or to
 ``None`` where the value is derived from others (a pulse's third value,
 ``--max-freq``, ``--tau-max``, ``optimal``'s ``--points``).  A command takes
-only those flags; any other is a configuration error naming it.  Flag values
-may also come from ``--config FILE``, a JSON object of that command's flag
-values such as ``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag
-given on the command line wins over the document.  ``--backend lab`` always
+only those flags; any other is a configuration error naming it.  Its parser
+is built the first time the command is looked up.  Flag values may also come
+from ``--config FILE``, a JSON object of that command's flag values such as
+``{"rabi": "10MHz", "points": 41}`` and nothing else; a flag given on the
+command line wins over the document.  ``--backend lab`` always
 uses the resonant model with a 1 GHz Zeeman shift at the resolved Rabi rate,
 and refuses a pulse (tau/2) shorter than its carrier period, 0.258 ns;
 other models are :meth:`NvModel.resonant <qslsense.labframe.NvModel.resonant>`
@@ -348,23 +349,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _CommandParsers(dict):
+    def __missing__(self, name):  # argparse looks a command up once it is a valid choice
+        flags = _flags(COMMANDS[name])
+        keys = [f for f in flags if f in FLAGS]
+        p = self[name] = _Parser(prog=f"qslsense {name}", allow_abbrev=False)
+        for flag in keys:
+            p.add_argument(f"--{flag}", dest=flag, help=FLAGS[flag][1])
+        p.add_argument("--config", help=f"JSON object of this command's flag values, with keys "
+                                        f"from {', '.join(keys)}; flags on the command line win")
+        p.add_argument("--out", help="output CSV path")
+        if "expensive" in flags:
+            p.add_argument("--expensive", action="store_true", help="full-scale run: B0 = 40 T")
+        return p
+
+
 @functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; a command's own parser is built the first time it is looked up."""
     parser = _Parser(prog="qslsense", allow_abbrev=False,
                      description="Regenerate sensing-at-the-speed-limit figure datasets as CSV.")
     parser.add_argument("--check", action="store_true",
                         help="run the analytic self-checks and exit (takes no command)")
     sub = parser.add_subparsers(dest="command")
-    for name, handler in COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        flags = [f for f in _flags(handler) if f in FLAGS]
-        for flag in flags:
-            p.add_argument(f"--{flag}", dest=flag, help=FLAGS[flag][1])
-        p.add_argument("--config", help=f"JSON object of this command's flag values, with keys "
-                                        f"from {', '.join(flags)}; flags on the command line win")
-        p.add_argument("--out", help="output CSV path")
-        if "expensive" in _flags(handler):
-            p.add_argument("--expensive", action="store_true", help="full-scale run: B0 = 40 T")
+    sub.choices, sub._name_parser_map = COMMANDS, _CommandParsers()  # the names argparse lists
     return parser
 
 
@@ -480,13 +488,10 @@ def run_checks() -> int:
 
     failures = 0
     for name, fn in checks:
-        ok = False
         try:
             ok = bool(fn())
         except Exception as exc:  # a crashed check is a failed check
-            print(f"FAIL  {name}  ({exc})")
-            failures += 1
-            continue
+            ok, name = False, f"{name}  ({exc})"
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 3

@@ -533,6 +533,48 @@ class TestExitCodes:
         own = {"--" + p.replace("_", "-") for p in params}
         assert listed == own | {"--help", "--config", "--out"}
 
+    @staticmethod
+    def counted_parser(monkeypatch):
+        """A fresh (uncached) parser and the list of every ``_Parser`` built for it and its
+        commands, the top-level one first."""
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        return cli.build_parser.__wrapped__(), built
+
+    @pytest.mark.parametrize("argv, built", [
+        (["kernel", "--rabi", "10MHz", "--alpha", "90deg"], ["qslsense", "qslsense kernel"]),
+        (["fig4d", "--expensive"], ["qslsense", "qslsense fig4d"]),
+        (["--check"], ["qslsense"]),
+    ], ids=["kernel", "fig4d", "check"])
+    def test_a_parse_builds_only_the_invoked_command_parser(self, monkeypatch, argv, built):
+        parser, got = self.counted_parser(monkeypatch)
+        assert got == ["qslsense"]
+        parser.parse_known_args(argv)
+        parser.parse_known_args(argv)  # a command's parser is built once
+        assert got == built
+
+    def test_top_level_help_lists_every_command_without_building_one(self, monkeypatch, capsys):
+        parser, got = self.counted_parser(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_known_args(["--help"])
+        assert exc.value.code == 0
+        assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().out
+        assert got == ["qslsense"]
+
+    def test_unknown_command_names_every_command_without_building_one(self, monkeypatch):
+        parser, got = self.counted_parser(monkeypatch)
+        with pytest.raises(ConfigError) as exc:
+            parser.parse_known_args(["foo"])
+        assert str(exc.value) == ("argument command: invalid choice: 'foo' (choose from "
+                                  + ", ".join(map(repr, cli.COMMANDS)) + ")")
+        assert got == ["qslsense"]
+
     @pytest.mark.parametrize("argv", [
         ["kernel", "--rabi", "6MHz", "--alpha", "90deg", "--points", "5"],
         ["fig3b", "--rabi", "6MHz", "--points", "5"],
@@ -743,6 +785,22 @@ def test_python_dash_m_runs_the_cli():
     res = _run_python("-m", "qslsense", "--check")
     assert res.returncode == 0, res.stderr
     assert "PASS" in res.stdout and "FAIL" not in res.stdout
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["kernel", "--help"], 0),
+                                        (["foo"], 2)], ids=["help", "kernel-help", "foo"])
+def test_a_fresh_interpreter_prints_what_main_prints(monkeypatch, capsys, argv, code):
+    # in process, main may reuse the parser this process cached with its
+    # command parsers built; a fresh interpreter starts with none built
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in both processes
+    res = _run_python("-m", "qslsense", *argv)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (res.returncode, res.stdout, res.stderr) == (rc, out, err)
+    assert rc == code
 
 
 def test_import_loads_the_seven_layers_and_re_exports_nothing():
